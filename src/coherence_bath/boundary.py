@@ -79,26 +79,23 @@ def f_perpendicular_direct(u: float) -> float:
     return 3.0 / (8.0 * u**3) * (2.0 * u * math.cos(2.0 * u) - math.sin(2.0 * u))
 
 
-def f_parallel_series(u: float) -> float:
-    """Maclaurin evaluation of f_parallel: 1 - (4/5)u^2 + (6/35)u^4 - ..."""
-    u = _check_u(u)
+def _series(coeffs: list[float], u: float) -> float:
     u2 = u * u
     acc, power = 0.0, 1.0
-    for coeff in _PAR_COEFFS:
+    for coeff in coeffs:
         acc += coeff * power
         power *= u2
     return acc
+
+
+def f_parallel_series(u: float) -> float:
+    """Maclaurin evaluation of f_parallel: 1 - (4/5)u^2 + (6/35)u^4 - ..."""
+    return _series(_PAR_COEFFS, _check_u(u))
 
 
 def f_perpendicular_series(u: float) -> float:
     """Maclaurin evaluation of f_perpendicular: -1 + (2/5)u^2 - (2/35)u^4 + ..."""
-    u = _check_u(u)
-    u2 = u * u
-    acc, power = 0.0, 1.0
-    for coeff in _PERP_COEFFS:
-        acc += coeff * power
-        power *= u2
-    return acc
+    return _series(_PERP_COEFFS, _check_u(u))
 
 
 def f_parallel(u: float) -> float:
@@ -107,8 +104,7 @@ def f_parallel(u: float) -> float:
     Tends to 1 as u -> 0 (image dipole reinforces the field) and decays to 0
     with oscillations as u grows, recovering the unbounded vacuum.
     """
-    u = _check_u(u)
-    return f_parallel_series(u) if u < SERIES_CUTOFF else f_parallel_direct(u)
+    return f_parallel_series(u) if float(u) < SERIES_CUTOFF else f_parallel_direct(u)
 
 
 def f_perpendicular(u: float) -> float:
@@ -117,8 +113,7 @@ def f_perpendicular(u: float) -> float:
     Tends to -1 as u -> 0, doubling the decay rate of a normally polarized
     atom, and decays to 0 at large separation.
     """
-    u = _check_u(u)
-    return f_perpendicular_series(u) if u < SERIES_CUTOFF else f_perpendicular_direct(u)
+    return f_perpendicular_series(u) if float(u) < SERIES_CUTOFF else f_perpendicular_direct(u)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .boundary import (
     noise_to_damping,
     rate_coefficients,
 )
-from .lindblad import VALIDATION_TOLERANCE, IntegratorConfig, validate_all
+from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
 from .single_qubit import InitialAngles, freezing_report, sweep
 from .two_qubit import (
     BellDiagonalParams,
@@ -58,6 +58,13 @@ def _positive_int(text) -> int:
     return value
 
 
+def _nonnegative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"value must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _choice(options):
     def convert(text):
         value = str(text).strip().lower()
@@ -81,8 +88,9 @@ def parse_polarization(text) -> PolarizationWeights:
     return PolarizationWeights(*(_finite_float(p) for p in parts))
 
 
-# Field tables: name -> (converter, default).  _REQUIRED defaults must be
-# supplied by flag or config.
+# Field tables: name -> (converter, default).  Each field is the config key
+# ``name`` and the flag ``--name`` with dashes for underscores.  _REQUIRED
+# defaults must be supplied by flag or config.
 _REQUIRED = object()
 
 _GRID_FIELDS = {
@@ -135,7 +143,7 @@ _FIELDS = {
         "out": (str, "-"),
     },
     "validate": {
-        "seed": (_positive_int, 42),
+        "seed": (_nonnegative_int, 42),
         "cases": (_positive_int, 50),
         "step": (_finite_float, 1e-3),
         "out": (str, "-"),
@@ -344,11 +352,7 @@ def cmd_freeze(args) -> int:
         ]
 
     print("\n".join(lines))
-    twin = json.dumps(payload, indent=2) + "\n"
-    if spec["out"] in (None, "-"):
-        sys.stdout.write(twin)
-    else:
-        _write_text(spec["out"], twin)
+    _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -384,78 +388,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 
+_COMMANDS = {
+    "single": (cmd_single, "single-qubit coherence sweep over q"),
+    "two": (cmd_two, "Bell-diagonal two-qubit sweep over q"),
+    "surface": (cmd_surface, "measure over a (u, q) grid"),
+    "freeze": (cmd_freeze, "freezing classification report"),
+    "validate": (cmd_validate, "closed form vs integrator check"),
+}
+_FLAG_HELP = {
+    "u": "mirror distance u = omega0 z0 / c",
+    "polarization": "parallel | perpendicular | isotropic | 'ax,ay,az'",
+    "out": "output path ('-' for stdout)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per _FIELDS table, one flag per field, plus config I/O."""
     parser = argparse.ArgumentParser(
         prog="coherence-bath",
         description="Coherence dynamics of two-level atoms in the electromagnetic vacuum",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
+    for command, fields in _FIELDS.items():
+        func, help_text = _COMMANDS[command]
+        p = sub.add_parser(command, help=help_text)
+        for name, (convert, _) in fields.items():
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=convert, help=_FLAG_HELP.get(name))
         p.add_argument("--config", help="INI config file; flags override file values")
-        p.add_argument("--out", help="output path ('-' for stdout)")
         p.add_argument("--dump-config", help="write the fully resolved spec to this path")
-
-    def add_env(p):
-        p.add_argument("--geometry", type=_choice({"unbounded", "mirror"}))
-        p.add_argument("--u", type=_finite_float, help="mirror distance u = omega0 z0 / c")
-        p.add_argument(
-            "--polarization",
-            help="parallel | perpendicular | isotropic | 'ax,ay,az'",
-        )
-
-    def add_q_grid(p):
-        p.add_argument("--q-start", dest="q_start", type=_finite_float)
-        p.add_argument("--q-stop", dest="q_stop", type=_finite_float)
-        p.add_argument("--q-count", dest="q_count", type=_positive_int)
-
-    p_single = sub.add_parser("single", help="single-qubit coherence sweep over q")
-    p_single.add_argument("--theta", type=_finite_float)
-    p_single.add_argument("--phi", type=_finite_float)
-    add_env(p_single)
-    add_q_grid(p_single)
-    p_single.add_argument("--format", type=_choice({"csv", "json"}))
-    add_common(p_single)
-    p_single.set_defaults(func=cmd_single)
-
-    p_two = sub.add_parser("two", help="Bell-diagonal two-qubit sweep over q")
-    p_two.add_argument("--c1", type=_finite_float)
-    p_two.add_argument("--c2", type=_finite_float)
-    p_two.add_argument("--c3", type=_finite_float)
-    add_env(p_two)
-    add_q_grid(p_two)
-    p_two.add_argument("--format", type=_choice({"csv", "json"}))
-    add_common(p_two)
-    p_two.set_defaults(func=cmd_two)
-
-    p_surface = sub.add_parser("surface", help="measure over a (u, q) grid")
-    p_surface.add_argument("--measure", type=_choice({"l1", "re"}))
-    p_surface.add_argument("--preset", type=_choice(set(_PRESETS)))
-    add_q_grid(p_surface)
-    p_surface.add_argument("--u-start", dest="u_start", type=_finite_float)
-    p_surface.add_argument("--u-stop", dest="u_stop", type=_finite_float)
-    p_surface.add_argument("--u-count", dest="u_count", type=_positive_int)
-    p_surface.add_argument("--format", type=_choice({"csv", "json"}))
-    add_common(p_surface)
-    p_surface.set_defaults(func=cmd_surface)
-
-    p_freeze = sub.add_parser("freeze", help="freezing classification report")
-    p_freeze.add_argument("--mode", type=_choice({"single", "two"}))
-    p_freeze.add_argument("--theta", type=_finite_float)
-    p_freeze.add_argument("--c1", type=_finite_float)
-    p_freeze.add_argument("--c2", type=_finite_float)
-    p_freeze.add_argument("--c3", type=_finite_float)
-    add_env(p_freeze)
-    add_common(p_freeze)
-    p_freeze.set_defaults(func=cmd_freeze)
-
-    p_validate = sub.add_parser("validate", help="closed form vs integrator check")
-    p_validate.add_argument("--seed", type=_positive_int)
-    p_validate.add_argument("--cases", type=_positive_int)
-    p_validate.add_argument("--step", type=_finite_float)
-    add_common(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -473,6 +435,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except InstabilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

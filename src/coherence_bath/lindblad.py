@@ -66,7 +66,6 @@ class GeneratorSpec:
     b_coeff: float
     omega: float = 0.0
     n_qubits: int = 1
-    target: str = "A"
 
     def __post_init__(self):
         for name, value in (("a_coeff", self.a_coeff), ("b_coeff", self.b_coeff), ("omega", self.omega)):
@@ -79,8 +78,6 @@ class GeneratorSpec:
             )
         if self.n_qubits not in (1, 2):
             raise ValueError(f"n_qubits must be 1 or 2, got {self.n_qubits}")
-        if self.target != "A":
-            raise ValueError("the dissipator only ever acts on qubit A")
 
     @property
     def dim(self) -> int:
@@ -89,21 +86,15 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed step size in units of inverse free-space rate; capped at 1e-2.
-
-    Only the classical fixed-step 4th-order scheme is implemented.
-    """
+    """Fixed RK4 step size in units of inverse free-space rate; capped at 1e-2."""
 
     step: float = 1e-3
-    method: str = "rk4"
 
     def __post_init__(self):
         if not math.isfinite(self.step) or self.step <= 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.step > 1e-2:
             raise ValueError(f"step must be at most 1e-2, got {self.step}")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported integration method {self.method!r}")
 
 
 def build_rhs(spec: GeneratorSpec):

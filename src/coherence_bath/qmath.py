@@ -28,6 +28,17 @@ class PositivityError(ValueError):
     """A supposed density matrix has an eigenvalue below the round-off floor."""
 
 
+def _checked_hermitian(m, what: str) -> np.ndarray:
+    rho = np.asarray(m, dtype=complex)
+    if rho.ndim != 2 or rho.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"{what} must be 2x2 or 4x4, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian within 1e-12")
+    return rho
+
+
 def as_density_matrix(m, *, check_positive: bool = True) -> np.ndarray:
     """Validate and return ``m`` as a complex density matrix array.
 
@@ -35,13 +46,7 @@ def as_density_matrix(m, *, check_positive: bool = True) -> np.ndarray:
     unless ``check_positive`` is disabled, positive semidefiniteness down to
     the round-off floor.
     """
-    rho = np.asarray(m, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-        raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        raise ValueError("density matrix contains NaN or Inf entries")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian within 1e-12")
+    rho = _checked_hermitian(m, "density matrix")
     if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:
         raise ValueError(f"density matrix trace {rho.trace():.17g} is not 1 within 1e-12")
     if check_positive:
@@ -53,24 +58,21 @@ def as_density_matrix(m, *, check_positive: bool = True) -> np.ndarray:
     return rho
 
 
+def _eigenvalues(rho: np.ndarray) -> np.ndarray:
+    if rho.shape == (2, 2):
+        mid = 0.5 * (rho[0, 0].real + rho[1, 1].real)
+        disc = np.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
+        return np.array([mid + disc, mid - disc])
+    return np.linalg.eigvalsh(rho)[::-1].copy()
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending.
 
     The 2x2 case uses the closed quadratic form; the 4x4 case defers to
     LAPACK's symmetric solver.
     """
-    rho = np.asarray(m, dtype=complex)
-    if rho.ndim != 2 or rho.shape not in ((2, 2), (4, 4)):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    if rho.shape == (2, 2):
-        mid = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-        disc = np.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
-        return np.array([mid + disc, mid - disc])
-    return np.linalg.eigvalsh(rho)[::-1].copy()
+    return _eigenvalues(_checked_hermitian(m, "matrix"))
 
 
 def entropy_bits(values) -> float:
@@ -93,7 +95,7 @@ def entropy_bits(values) -> float:
 
 def von_neumann_entropy(m) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
-    return entropy_bits(hermitian_eigenvalues(as_density_matrix(m, check_positive=False)))
+    return entropy_bits(_eigenvalues(as_density_matrix(m, check_positive=False)))
 
 
 def diagonal_part(m) -> np.ndarray:

@@ -151,7 +151,10 @@ def c_l1_trajectory(
 ) -> float:
     """Closed-form l1 coherence |sin(theta)| (1-q)^((1-f)/2) at sweep point q."""
     gamma = rate_coefficients(geometry, polarization).gamma_eff
-    qp = noise_to_damping(q, gamma)
+    return _l1_from_damping(theta, noise_to_damping(q, gamma))
+
+
+def _l1_from_damping(theta: float, qp: float) -> float:
     return abs(math.sin(theta)) * math.sqrt(1.0 - qp)
 
 
@@ -231,6 +234,18 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     return abs(dqp_dq * (ds_diag - ds_full))
 
 
+def _freeze_decision(trivial: bool, f: float) -> tuple[bool, str]:
+    """(frozen, reason) for one and two qubits: an incoherent input is trivially
+    frozen, any other input is frozen by the boundary when f = 1 within
+    FREEZE_TOL (Bromley, Cianciaruso & Adesso, PRL 114, 210401 (2015)).
+    """
+    if trivial:
+        return True, "trivial"
+    if abs(f - 1.0) <= FREEZE_TOL:
+        return True, "boundary-induced"
+    return False, "none"
+
+
 @dataclass(frozen=True)
 class FreezeReport:
     """Freezing classification with the numeric derivative bounds backing it."""
@@ -254,22 +269,13 @@ def freezing_report(
     magnitudes on a 99-point interior grid.
     """
     f = suppression_factor(geometry, polarization)
-    trivial = abs(math.sin(theta)) <= FREEZE_TOL
-    boundary_frozen = abs(f - 1.0) <= FREEZE_TOL
-    l1_frozen = trivial or boundary_frozen
-    re_frozen = trivial or boundary_frozen
-    if trivial:
-        reason = "trivial"
-    elif boundary_frozen:
-        reason = "boundary-induced"
-    else:
-        reason = "none"
+    frozen, reason = _freeze_decision(abs(math.sin(theta)) <= FREEZE_TOL, f)
     sup_l1 = float(max(dq_c_l1(theta, float(q), f) for q in _VALIDATION_GRID))
     sup_re = float(max(dq_c_re(theta, float(q), f) for q in _VALIDATION_GRID))
     consistent = bool(
-        (sup_l1 < FREEZE_SUP_BOUND) == l1_frozen and (sup_re < FREEZE_SUP_BOUND) == re_frozen
+        (sup_l1 < FREEZE_SUP_BOUND) == frozen and (sup_re < FREEZE_SUP_BOUND) == frozen
     )
-    return FreezeReport(l1_frozen, re_frozen, reason, sup_l1, sup_re, consistent)
+    return FreezeReport(frozen, frozen, reason, sup_l1, sup_re, consistent)
 
 
 def sweep(
@@ -279,12 +285,9 @@ def sweep(
     q_grid,
 ) -> CoherenceTrace:
     """Evaluate both coherence trajectories over an increasing q grid."""
-    samples = tuple(
-        (
-            float(q),
-            c_l1_trajectory(theta, float(q), geometry, polarization),
-            c_re_trajectory(theta, float(q), geometry, polarization),
-        )
-        for q in q_grid
-    )
-    return CoherenceTrace(samples)
+    gamma = rate_coefficients(geometry, polarization).gamma_eff
+    samples = []
+    for q in map(float, q_grid):
+        qp = noise_to_damping(q, gamma)
+        samples.append((q, _l1_from_damping(theta, qp), _re_from_damping(theta, qp)))
+    return CoherenceTrace(tuple(samples))

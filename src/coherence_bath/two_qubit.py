@@ -25,7 +25,7 @@ import numpy as np
 
 from .boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients, suppression_factor
 from .qmath import as_density_matrix, entropy_bits
-from .single_qubit import FREEZE_SUP_BOUND, FREEZE_TOL, _VALIDATION_GRID, CoherenceTrace
+from .single_qubit import FREEZE_SUP_BOUND, FREEZE_TOL, _VALIDATION_GRID, CoherenceTrace, _freeze_decision
 
 __all__ = [
     "BellDiagonalParams",
@@ -75,6 +75,10 @@ class BellDiagonalParams:
         }
 
 
+def _as_bd(c) -> BellDiagonalParams:
+    return c if isinstance(c, BellDiagonalParams) else BellDiagonalParams(*c)
+
+
 @dataclass(frozen=True)
 class OneSidedChannel:
     """Amplitude damping of atom A: damping q' in [0, 1] plus a phase rotation."""
@@ -91,8 +95,7 @@ class OneSidedChannel:
 
 def bd_density(c: BellDiagonalParams) -> np.ndarray:
     """Bell-diagonal density matrix in the {|11>,|10>,|01>,|00>} basis."""
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _as_bd(c)
     dp = 0.25 * (1.0 + c.c3)
     dm = 0.25 * (1.0 - c.c3)
     outer = 0.25 * (c.c1 - c.c2)
@@ -144,8 +147,7 @@ def choi_matrix(ch: OneSidedChannel) -> np.ndarray:
 
 def c_l1_bd(c: BellDiagonalParams, q_prime: float) -> float:
     """l1 coherence of the evolved Bell-diagonal state at damping q'."""
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _as_bd(c)
     q_prime = _check_damping(q_prime)
     return 0.5 * math.sqrt(1.0 - q_prime) * (abs(c.c1 + c.c2) + abs(c.c1 - c.c2))
 
@@ -169,8 +171,7 @@ def _evolved_diagonal(c: BellDiagonalParams, qp: float) -> list[float]:
 
 def c_re_bd(c: BellDiagonalParams, q_prime: float) -> float:
     """Relative entropy of coherence of the evolved state, from exact blocks."""
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _as_bd(c)
     qp = _check_damping(q_prime)
     a = c.c3 * (1.0 - qp)
     gap_outer = math.sqrt(qp * qp + (1.0 - qp) * (c.c1 - c.c2) ** 2)
@@ -191,8 +192,7 @@ def c_re_bd_closed_form(c: BellDiagonalParams, q_prime: float) -> float:
     outer-block gap and deviates.  Kept as a comparison column, never used
     as the authoritative value.
     """
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _as_bd(c)
     qp = _check_damping(q_prime)
     a = c.c3 * (1.0 - qp)
     gap = math.sqrt(qp * qp + (1.0 - qp) * (c.c1 + c.c2) ** 2)
@@ -229,19 +229,10 @@ def freezing_report_bd(
     predicate is validated against central-difference derivative suprema of
     both trajectories on the interior q grid.
     """
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _as_bd(c)
     f = suppression_factor(geometry, polarization)
     gamma = rate_coefficients(geometry, polarization).gamma_eff
-    trivial = abs(c.c1) <= FREEZE_TOL and abs(c.c2) <= FREEZE_TOL
-    boundary_frozen = abs(f - 1.0) <= FREEZE_TOL
-    frozen = trivial or boundary_frozen
-    if trivial:
-        reason = "trivial"
-    elif boundary_frozen:
-        reason = "boundary-induced"
-    else:
-        reason = "none"
+    frozen, reason = _freeze_decision(abs(c.c1) <= FREEZE_TOL and abs(c.c2) <= FREEZE_TOL, f)
 
     step = 1e-5
 
@@ -268,8 +259,7 @@ def sweep_bd(
     q_grid,
 ) -> CoherenceTrace:
     """Evaluate both Bell-diagonal trajectories over an increasing q grid."""
-    if not isinstance(c, BellDiagonalParams):
-        c = BellDiagonalParams(*c)
+    c = _as_bd(c)
     gamma = rate_coefficients(geometry, polarization).gamma_eff
     samples = tuple(
         (

@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from coherence_bath.boundary import Geometry, PolarizationWeights
-from coherence_bath.cli import main
-from coherence_bath.single_qubit import c_re_trajectory
+from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
+from coherence_bath.cli import _FIELDS, build_parser, main
+from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
+from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
 UNBOUNDED = Geometry.unbounded()
 PARALLEL = PolarizationWeights.parallel()
@@ -360,3 +362,80 @@ def test_mirror_requires_u(capsys):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+def _csv_text(header, rows):
+    return "\n".join([",".join(header)] + [",".join(repr(v) for v in row) for row in rows]) + "\n"
+
+
+def test_single_bytes_match_per_point_functions(tmp_path):
+    out = tmp_path / "single.csv"
+    args = ["single", "--theta", "1.1", "--geometry", "mirror", "--u", "0.05", "--q-count", "41"]
+    assert main(args + ["--out", str(out)]) == 0
+    mirror = Geometry.mirror(0.05)
+    rows = [
+        (q, c_l1_trajectory(1.1, q, mirror, PARALLEL), c_re_trajectory(1.1, q, mirror, PARALLEL))
+        for q in map(float, np.linspace(0.0, 1.0, 41))
+    ]
+    assert out.read_text() == _csv_text(["q", "c_l1", "c_re"], rows)
+
+
+def test_two_bytes_match_per_point_functions(tmp_path):
+    out = tmp_path / "two.csv"
+    args = ["two", "--c1", "0.3", "--c2", "-0.4", "--c3", "0.2", "--geometry", "mirror"]
+    args += ["--u", "2.5", "--polarization", "isotropic", "--q-count", "31"]
+    assert main(args + ["--out", str(out)]) == 0
+    bd = BellDiagonalParams(0.3, -0.4, 0.2)
+    gamma = rate_coefficients(Geometry.mirror(2.5), PolarizationWeights.isotropic()).gamma_eff
+    rows = []
+    for q in map(float, np.linspace(0.0, 1.0, 31)):
+        qp = noise_to_damping(q, gamma)
+        rows.append((q, c_l1_bd(bd, qp), c_re_bd(bd, qp), c_re_bd_closed_form(bd, qp)))
+    assert out.read_text() == _csv_text(["q", "c_l1", "c_re", "c_re_closed_form"], rows)
+
+
+@pytest.mark.parametrize(
+    "measure, fmt, preset",
+    [("re", "csv", "perpendicular"), ("l1", "json", "isotropic")],
+)
+def test_surface_bytes_match_per_point_functions(tmp_path, measure, fmt, preset):
+    out = tmp_path / f"surface.{fmt}"
+    args = ["surface", "--measure", measure, "--preset", preset, "--format", fmt]
+    args += ["--u-start", "0.02", "--u-stop", "30", "--u-count", "7", "--q-count", "13"]
+    assert main(args + ["--out", str(out)]) == 0
+    per_point = c_re_trajectory if measure == "re" else c_l1_trajectory
+    polarization = getattr(PolarizationWeights, preset)()
+    rows = [
+        (float(u), q, per_point(math.pi / 2, q, Geometry.mirror(float(u)), polarization))
+        for u in np.geomspace(0.02, 30.0, 7)
+        for q in map(float, np.linspace(0.0, 1.0, 13))
+    ]
+    if fmt == "csv":
+        expected = _csv_text(["u", "q", "value"], rows)
+    else:
+        expected = json.dumps([dict(zip(("u", "q", "value"), row)) for row in rows], indent=2) + "\n"
+    assert out.read_text() == expected
+
+
+def test_parser_flags_mirror_field_tables():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_FIELDS)
+    for command, parser in sub.choices.items():
+        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert {a.dest for a in options} == set(_FIELDS[command]) | {"config", "dump_config"}
+        for action in options:
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+
+
+@pytest.mark.parametrize("command", [["single"], ["freeze", "--mode", "single"]])
+def test_far_mirror_overflow_is_invalid_input(capsys, command):
+    assert main(command + ["--geometry", "mirror", "--u", "1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_validate_accepts_seed_zero(tmp_path, capsys):
+    out = tmp_path / "seed0.json"
+    assert main(["validate", "--seed", "0", "--cases", "3", "--out", str(out)]) == 0
+    assert '"seed": 0,' in out.read_text()

@@ -25,8 +25,6 @@ def test_spec_validation():
         GeneratorSpec(0.1, 0.3)
     with pytest.raises(ValueError, match="n_qubits"):
         GeneratorSpec(0.25, 0.25, n_qubits=3)
-    with pytest.raises(ValueError, match="qubit A"):
-        GeneratorSpec(0.25, 0.25, n_qubits=2, target="B")
     with pytest.raises(ValueError, match="finite"):
         GeneratorSpec(math.nan, 0.0)
 
