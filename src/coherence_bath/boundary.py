@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "Geometry",
     "PolarizationWeights",
@@ -215,21 +217,36 @@ def rate_coefficients(geometry: Geometry, polarization: PolarizationWeights) -> 
     return RateCoefficients(a_coeff=quarter, b_coeff=quarter, gamma_eff=gamma)
 
 
-def noise_to_damping(q: float, gamma_eff: float) -> float:
-    """Map the unbounded noise parameter q to the effective damping q'.
+def _in_unit_interval(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError names the first value outside [0, 1] or NaN."""
+    arr = np.asarray(values, dtype=float)
+    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    if outside.any():
+        raise ValueError(f"{what} must lie in [0, 1], got {arr[outside][0]}")
+    return arr
+
+
+def noise_to_damping(q, gamma_eff: float):
+    """Map the unbounded noise parameter q (a float or an array) to the effective damping q'.
 
     q = 1 - exp(-tau) indexes sweeps on the free-space clock; the actual
     damping accumulated at rate gamma_eff is q' = 1 - (1-q)^gamma_eff.
     A frozen configuration (gamma_eff = 0) gives q' = 0 for every q,
-    including the q = 1 endpoint.
+    including the q = 1 endpoint.  Each element goes through libm's
+    log1p/expm1: numpy's vectorised log1p rounds some arguments differently,
+    and the sweep outputs are pinned to the libm bits.
     """
-    q = float(q)
-    if not math.isfinite(q) or q < 0.0 or q > 1.0:
-        raise ValueError(f"noise parameter q must lie in [0, 1], got {q}")
+    qs = _in_unit_interval(q, "noise parameter q")
     if gamma_eff < 0.0:
         raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
-    if gamma_eff == 0.0:
-        return 0.0
-    if q == 1.0:
-        return 1.0
-    return -math.expm1(gamma_eff * math.log1p(-q))
+
+    def damping(x: float) -> float:
+        if gamma_eff == 0.0:
+            return 0.0
+        if x == 1.0:
+            return 1.0
+        return -math.expm1(gamma_eff * math.log1p(-x))
+
+    if qs.ndim == 0:
+        return damping(float(qs))
+    return np.array([damping(x) for x in qs.ravel().tolist()]).reshape(qs.shape)

@@ -11,6 +11,7 @@ tolerance failure.
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import sys
@@ -25,12 +26,7 @@ from .boundary import (
 )
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
 from .single_qubit import InitialAngles, freezing_report, sweep
-from .two_qubit import (
-    BellDiagonalParams,
-    c_re_bd_closed_form,
-    freezing_report_bd,
-    sweep_bd,
-)
+from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -212,17 +208,13 @@ def _q_grid(spec: dict) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _render_rows(fieldnames, rows, fmt: str) -> str:
+def _render(columns: dict, fmt: str) -> str:
+    """Rows of equal-length float columns as CSV or JSON, floats at full repr precision."""
+    names = list(columns)
+    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
     if fmt == "csv":
-        lines = [",".join(fieldnames)]
-        for row in rows:
-            lines.append(",".join(_cell(row[name]) for name in fieldnames))
-        return "\n".join(lines) + "\n"
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def _cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+        return "\n".join([",".join(names), *(",".join(map(repr, row)) for row in rows)]) + "\n"
+    return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
 
 
 def _write_text(out: str, text: str) -> None:
@@ -233,49 +225,33 @@ def _write_text(out: str, text: str) -> None:
             handle.write(text)
 
 
-def cmd_single(args) -> int:
+def cmd_single(spec) -> int:
     """Sweep both coherence measures of a single qubit over q."""
-    spec = resolve_spec("single", args)
     InitialAngles(spec["theta"], spec["phi"])  # range check; phases drop out below
     geometry = _geometry_from_spec(spec)
     polarization = parse_polarization(spec["polarization"])
     trace = sweep(spec["theta"], geometry, polarization, _q_grid(spec))
-    rows = [{"q": q, "c_l1": l1, "c_re": re} for q, l1, re in trace.samples]
-    if getattr(args, "dump_config", None):
-        dump_spec("single", spec, args.dump_config)
-    _write_text(spec["out"], _render_rows(["q", "c_l1", "c_re"], rows, spec["format"]))
+    columns = {"q": trace.q, "c_l1": trace.c_l1, "c_re": trace.c_re}
+    _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 
 
-def cmd_two(args) -> int:
+def cmd_two(spec) -> int:
     """Sweep a Bell-diagonal pair, including the closed-form comparison column."""
-    spec = resolve_spec("two", args)
     bd = BellDiagonalParams(spec["c1"], spec["c2"], spec["c3"])
     geometry = _geometry_from_spec(spec)
     polarization = parse_polarization(spec["polarization"])
     gamma = rate_coefficients(geometry, polarization).gamma_eff
-    trace = sweep_bd(bd, geometry, polarization, _q_grid(spec))
-    rows = [
-        {
-            "q": q,
-            "c_l1": l1,
-            "c_re": re,
-            "c_re_closed_form": c_re_bd_closed_form(bd, noise_to_damping(q, gamma)),
-        }
-        for q, l1, re in trace.samples
-    ]
-    if getattr(args, "dump_config", None):
-        dump_spec("two", spec, args.dump_config)
-    _write_text(
-        spec["out"],
-        _render_rows(["q", "c_l1", "c_re", "c_re_closed_form"], rows, spec["format"]),
-    )
+    q = _q_grid(spec)
+    qp = noise_to_damping(q, gamma)  # once for all three kernels
+    columns = {"q": q, "c_l1": c_l1_bd(bd, qp), "c_re": c_re_bd(bd, qp)}
+    columns["c_re_closed_form"] = c_re_bd_closed_form(bd, qp)
+    _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(spec) -> int:
     """Long-format (u, q, value) grid of one measure for a polarization preset."""
-    spec = resolve_spec("surface", args)
     if spec["u_start"] <= 0.0 or spec["u_stop"] <= spec["u_start"]:
         raise ValueError(
             f"u grid must satisfy 0 < u_start < u_stop, got [{spec['u_start']}, {spec['u_stop']}]"
@@ -285,38 +261,22 @@ def cmd_surface(args) -> int:
     polarization = _PRESETS[spec["preset"]]()
     q_grid = _q_grid(spec)
     u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
-    measure_index = 1 if spec["measure"] == "l1" else 2
-    rows = []
-    for u in u_grid:
-        trace = sweep(math.pi / 2, Geometry.mirror(float(u)), polarization, q_grid)
-        for sample in trace.samples:
-            rows.append({"u": float(u), "q": sample[0], "value": sample[measure_index]})
-    if getattr(args, "dump_config", None):
-        dump_spec("surface", spec, args.dump_config)
-    _write_text(spec["out"], _render_rows(["u", "q", "value"], rows, spec["format"]))
+    traces = (sweep(math.pi / 2, Geometry.mirror(float(u)), polarization, q_grid) for u in u_grid)
+    columns = {"u": np.repeat(u_grid, len(q_grid)), "q": np.tile(q_grid, len(u_grid))}
+    columns["value"] = np.concatenate([getattr(t, "c_" + spec["measure"]) for t in traces])
+    _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 
 
-def cmd_freeze(args) -> int:
+def cmd_freeze(spec) -> int:
     """Freezing classification with its numeric derivative cross-check."""
-    spec = resolve_spec("freeze", args)
     geometry = _geometry_from_spec(spec)
     polarization = parse_polarization(spec["polarization"])
     geometry_label = "unbounded" if not geometry.has_boundary else f"mirror u={geometry.u!r}"
 
     if spec["mode"] == "single":
         report = freezing_report(spec["theta"], geometry, polarization)
-        payload = {
-            "mode": "single",
-            "theta": spec["theta"],
-            "geometry": geometry_label,
-            "l1_frozen": report.l1_frozen,
-            "re_frozen": report.re_frozen,
-            "reason": report.reason,
-            "sup_dq_c_l1": report.sup_dq_c_l1,
-            "sup_dq_c_re": report.sup_dq_c_re,
-            "numeric_consistent": report.numeric_consistent,
-        }
+        head = {"mode": "single", "theta": spec["theta"]}
         lines = [
             f"mode: single (theta = {spec['theta']!r})",
             f"geometry: {geometry_label}",
@@ -332,16 +292,7 @@ def cmd_freeze(args) -> int:
                 raise ValueError(f"freeze mode 'two' requires {name}")
         bd = BellDiagonalParams(spec["c1"], spec["c2"], spec["c3"])
         report = freezing_report_bd(bd, geometry, polarization)
-        payload = {
-            "mode": "two",
-            "c": [bd.c1, bd.c2, bd.c3],
-            "geometry": geometry_label,
-            "frozen": report.frozen,
-            "reason": report.reason,
-            "sup_dq_c_l1": report.sup_dq_c_l1,
-            "sup_dq_c_re": report.sup_dq_c_re,
-            "numeric_consistent": report.numeric_consistent,
-        }
+        head = {"mode": "two", "c": [bd.c1, bd.c2, bd.c3]}
         lines = [
             f"mode: two (c = ({bd.c1!r}, {bd.c2!r}, {bd.c3!r}))",
             f"geometry: {geometry_label}",
@@ -351,6 +302,8 @@ def cmd_freeze(args) -> int:
             f"numeric check: {'consistent' if report.numeric_consistent else 'INCONSISTENT'}",
         ]
 
+    # The report's fields, in declaration order, follow the mode and geometry keys.
+    payload = {**head, "geometry": geometry_label, **dataclasses.asdict(report)}
     print("\n".join(lines))
     _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
@@ -360,9 +313,8 @@ def _frozen_word(frozen: bool, reason: str) -> str:
     return f"FROZEN ({reason})" if frozen else "not frozen"
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(spec) -> int:
     """Randomized closed-form vs integrator comparison; exit 4 on tolerance failure."""
-    spec = resolve_spec("validate", args)
     report = validate_all(spec["seed"], spec["cases"], IntegratorConfig(spec["step"]))
     lines = [
         f"cases: {report.n_cases} (seed {spec['seed']})",
@@ -428,7 +380,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_INVALID
     try:
-        return args.func(args)
+        spec = resolve_spec(args.command, args)
+        code = args.func(spec)
+        if args.dump_config:
+            dump_spec(args.command, spec, args.dump_config)
+        return code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -75,8 +75,9 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return _eigenvalues(_checked_hermitian(m, "matrix"))
 
 
-def entropy_bits(values) -> float:
-    """Shannon entropy in bits of a probability-like vector.
+def entropy_bits(values):
+    """Shannon entropy in bits of a probability-like vector, or of each
+    vector along the last axis of an array (a 1-D input gives a float).
 
     Values in (EIGENVALUE_FLOOR, 0) are clamped to zero (round-off from
     diagonalization); values below the floor raise PositivityError.  Values
@@ -88,9 +89,20 @@ def entropy_bits(values) -> float:
         raise PositivityError(
             f"probability {float(vals.min()):.3e} below the {EIGENVALUE_FLOOR} floor"
         )
-    vals = np.sort(np.clip(vals, 0.0, 1.0))
-    positive = vals[vals > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
+    vals = np.sort(np.clip(vals, 0.0, 1.0), axis=-1)
+    # Zero (and NaN) slots add an exact 0.0 to the running sum, as if absent.
+    positive = np.where(vals > 0.0, vals, 1.0)
+    return _float_if_scalar(-(positive * np.log2(positive)).sum(axis=-1))
+
+
+def _float_if_scalar(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _positive_part(x):
+    """Elementwise max(0.0, x) as Python's max takes it: 0.0 for -0.0 and NaN."""
+    return _float_if_scalar(np.where(x > 0.0, x, 0.0))
 
 
 def von_neumann_entropy(m) -> float:

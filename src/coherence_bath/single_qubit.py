@@ -21,11 +21,12 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
+    _in_unit_interval,
     noise_to_damping,
     rate_coefficients,
     suppression_factor,
 )
-from .qmath import GROUND, entropy_bits
+from .qmath import GROUND, _float_if_scalar, _positive_part, entropy_bits
 
 __all__ = [
     "CoherenceTrace",
@@ -91,32 +92,24 @@ class EvolutionParams:
         return self.omega_ratio * self.omega0_time_scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceTrace:
-    """Sweep output: ordered (q, c_l1, c_re) samples with strictly increasing q."""
+    """Sweep output: read-only columns q, c_l1, c_re of one length, q strictly increasing."""
 
-    samples: tuple[tuple[float, float, float], ...]
+    q: np.ndarray
+    c_l1: np.ndarray
+    c_re: np.ndarray
 
     def __post_init__(self):
-        previous = -1.0
-        for q, _, _ in self.samples:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"trace q values must lie in [0, 1], got {q}")
-            if q <= previous:
-                raise ValueError("trace q values must be strictly increasing")
-            previous = q
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
-
-    @property
-    def c_l1(self) -> np.ndarray:
-        return np.array([s[1] for s in self.samples])
-
-    @property
-    def c_re(self) -> np.ndarray:
-        return np.array([s[2] for s in self.samples])
+        for name in ("q", "c_l1", "c_re"):
+            column = np.asarray(getattr(self, name), dtype=float).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.q.ndim != 1 or not self.q.shape == self.c_l1.shape == self.c_re.shape:
+            raise ValueError("trace columns must be 1-D and of equal length")
+        _in_unit_interval(self.q, "trace q values")
+        if np.any(np.diff(self.q) <= 0.0):
+            raise ValueError("trace q values must be strictly increasing")
 
 
 def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams) -> np.ndarray:
@@ -146,32 +139,28 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
     return np.array([[population, off], [np.conj(off), 1.0 - population]], dtype=complex)
 
 
-def c_l1_trajectory(
-    theta: float, q: float, geometry: Geometry, polarization: PolarizationWeights
-) -> float:
-    """Closed-form l1 coherence |sin(theta)| (1-q)^((1-f)/2) at sweep point q."""
+def c_l1_trajectory(theta: float, q, geometry: Geometry, polarization: PolarizationWeights):
+    """Closed-form l1 coherence |sin(theta)| (1-q)^((1-f)/2) at sweep point(s) q."""
     gamma = rate_coefficients(geometry, polarization).gamma_eff
     return _l1_from_damping(theta, noise_to_damping(q, gamma))
 
 
-def _l1_from_damping(theta: float, qp: float) -> float:
-    return abs(math.sin(theta)) * math.sqrt(1.0 - qp)
+def _l1_from_damping(theta: float, qp):
+    return _float_if_scalar(abs(math.sin(theta)) * np.sqrt(1.0 - qp))
 
 
-def _re_from_damping(theta: float, qp: float) -> float:
+def _re_from_damping(theta: float, qp):
     cos_t = math.cos(theta)
     bz = cos_t * (1.0 - qp) - qp
     radius2 = (1.0 - cos_t * cos_t) * (1.0 - qp) + bz * bz
-    radius = min(math.sqrt(radius2), 1.0)
-    s_diag = entropy_bits([0.5 * (1.0 + bz), 0.5 * (1.0 - bz)])
-    s_full = entropy_bits([0.5 * (1.0 + radius), 0.5 * (1.0 - radius)])
-    return max(0.0, s_diag - s_full)
+    radius = np.minimum(np.sqrt(radius2), 1.0)
+    s_diag = entropy_bits(np.stack([0.5 * (1.0 + bz), 0.5 * (1.0 - bz)], axis=-1))
+    s_full = entropy_bits(np.stack([0.5 * (1.0 + radius), 0.5 * (1.0 - radius)], axis=-1))
+    return _positive_part(s_diag - s_full)
 
 
-def c_re_trajectory(
-    theta: float, q: float, geometry: Geometry, polarization: PolarizationWeights
-) -> float:
-    """Closed-form relative entropy of coherence at sweep point q.
+def c_re_trajectory(theta: float, q, geometry: Geometry, polarization: PolarizationWeights):
+    """Closed-form relative entropy of coherence at sweep point(s) q.
 
     Evaluates the binary-entropy difference between the dephased populations
     and the exact spectrum (1 +- |Bloch vector|)/2 at the mapped damping q'.
@@ -215,17 +204,27 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
         return 0.0
     dqp_dq = gamma * (1.0 - q) ** (-f)
     one_plus = 1.0 + cos_t
-    bz = cos_t * (1.0 - qp) - qp
+    if qp == 1.0:
+        # For gamma > 1, q' rounds to 1 while q < 1; take 1 - q' from the
+        # power itself and 1 +- bz from their exact forms so the logarithms
+        # below keep nonzero arguments.
+        one_minus_qp = math.exp(gamma * math.log1p(-q))
+        one_plus_bz = one_plus * one_minus_qp
+        one_minus_bz = 2.0 - one_plus_bz
+    else:
+        one_minus_qp = 1.0 - qp
+        bz = cos_t * one_minus_qp - qp
+        one_plus_bz, one_minus_bz = 1.0 + bz, 1.0 - bz
     # 1 - |Bloch|^2 = q'(1-q')(1+cos theta)^2 exactly for this channel; the
     # direct radius expression cancels catastrophically near q' = 0, which
     # would wreck the spectral-gap logarithm below.
-    one_minus_r2 = qp * (1.0 - qp) * one_plus * one_plus
+    one_minus_r2 = qp * one_minus_qp * one_plus * one_plus
     radius = math.sqrt(max(1.0 - one_minus_r2, 0.0))
     one_minus_r = one_minus_r2 / (1.0 + radius)
     # d S_diag / dq' and d S / dq'; the dephased populations move at rate
     # (1 + cos theta)/2 while the spectrum radius obeys
     # d(radius^2)/dq' = (1 + cos theta)^2 (2 q' - 1).
-    ds_diag = 0.5 * one_plus * math.log2((1.0 + bz) / (1.0 - bz))
+    ds_diag = 0.5 * one_plus * math.log2(one_plus_bz / one_minus_bz)
     if radius == 0.0:
         log_ratio_over_radius = 2.0 / math.log(2.0)
     else:
@@ -279,15 +278,9 @@ def freezing_report(
 
 
 def sweep(
-    theta: float,
-    geometry: Geometry,
-    polarization: PolarizationWeights,
-    q_grid,
+    theta: float, geometry: Geometry, polarization: PolarizationWeights, q_grid
 ) -> CoherenceTrace:
     """Evaluate both coherence trajectories over an increasing q grid."""
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
-    samples = []
-    for q in map(float, q_grid):
-        qp = noise_to_damping(q, gamma)
-        samples.append((q, _l1_from_damping(theta, qp), _re_from_damping(theta, qp)))
-    return CoherenceTrace(tuple(samples))
+    q = np.asarray(q_grid, dtype=float)
+    qp = noise_to_damping(q, rate_coefficients(geometry, polarization).gamma_eff)
+    return CoherenceTrace(q, _l1_from_damping(theta, qp), _re_from_damping(theta, qp))

@@ -23,8 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients, suppression_factor
-from .qmath import as_density_matrix, entropy_bits
+from .boundary import (
+    Geometry,
+    PolarizationWeights,
+    _in_unit_interval,
+    noise_to_damping,
+    rate_coefficients,
+    suppression_factor,
+)
+from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
 from .single_qubit import FREEZE_SUP_BOUND, FREEZE_TOL, _VALIDATION_GRID, CoherenceTrace, _freeze_decision
 
 __all__ = [
@@ -145,47 +152,45 @@ def choi_matrix(ch: OneSidedChannel) -> np.ndarray:
     return choi
 
 
-def c_l1_bd(c: BellDiagonalParams, q_prime: float) -> float:
-    """l1 coherence of the evolved Bell-diagonal state at damping q'."""
+def c_l1_bd(c: BellDiagonalParams, q_prime):
+    """l1 coherence of the evolved Bell-diagonal state at damping q' (a float or an array)."""
     c = _as_bd(c)
-    q_prime = _check_damping(q_prime)
-    return 0.5 * math.sqrt(1.0 - q_prime) * (abs(c.c1 + c.c2) + abs(c.c1 - c.c2))
+    qp = _in_unit_interval(q_prime, "damping q'")
+    return _float_if_scalar(0.5 * np.sqrt(1.0 - qp) * (abs(c.c1 + c.c2) + abs(c.c1 - c.c2)))
 
 
-def _check_damping(q_prime: float) -> float:
-    q_prime = float(q_prime)
-    if not math.isfinite(q_prime) or not 0.0 <= q_prime <= 1.0:
-        raise ValueError(f"damping q' must lie in [0, 1], got {q_prime}")
-    return q_prime
-
-
-def _evolved_diagonal(c: BellDiagonalParams, qp: float) -> list[float]:
+def _evolved_diagonal(c: BellDiagonalParams, qp) -> np.ndarray:
     a = c.c3 * (1.0 - qp)
-    return [
-        0.25 * (1.0 + a - qp),
-        0.25 * (1.0 - a - qp),
-        0.25 * (1.0 - a + qp),
-        0.25 * (1.0 + a + qp),
-    ]
+    slots = [1.0 + a - qp, 1.0 - a - qp, 1.0 - a + qp, 1.0 + a + qp]
+    return np.stack([0.25 * slot for slot in slots], axis=-1)
 
 
-def c_re_bd(c: BellDiagonalParams, q_prime: float) -> float:
+def _block_spectrum(c: BellDiagonalParams, qp, outer: float) -> np.ndarray:
+    """Evolved spectrum; the inner gap uses c1 + c2, the outer gap ``outer``
+    (c1 - c2 for the exact blocks, c1 + c2 again for the compact form)."""
+    a = c.c3 * (1.0 - qp)
+    gap_outer = np.sqrt(qp * qp + (1.0 - qp) * outer**2)
+    gap_inner = np.sqrt(qp * qp + (1.0 - qp) * (c.c1 + c.c2) ** 2)
+    return np.stack(
+        [
+            0.25 * (1.0 + a + gap_outer),
+            0.25 * (1.0 + a - gap_outer),
+            0.25 * (1.0 - a + gap_inner),
+            0.25 * (1.0 - a - gap_inner),
+        ],
+        axis=-1,
+    )
+
+
+def c_re_bd(c: BellDiagonalParams, q_prime):
     """Relative entropy of coherence of the evolved state, from exact blocks."""
     c = _as_bd(c)
-    qp = _check_damping(q_prime)
-    a = c.c3 * (1.0 - qp)
-    gap_outer = math.sqrt(qp * qp + (1.0 - qp) * (c.c1 - c.c2) ** 2)
-    gap_inner = math.sqrt(qp * qp + (1.0 - qp) * (c.c1 + c.c2) ** 2)
-    spectrum = [
-        0.25 * (1.0 + a + gap_outer),
-        0.25 * (1.0 + a - gap_outer),
-        0.25 * (1.0 - a + gap_inner),
-        0.25 * (1.0 - a - gap_inner),
-    ]
-    return max(0.0, entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum))
+    qp = _in_unit_interval(q_prime, "damping q'")
+    spectrum = _block_spectrum(c, qp, c.c1 - c.c2)
+    return _positive_part(entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum))
 
 
-def c_re_bd_closed_form(c: BellDiagonalParams, q_prime: float) -> float:
+def c_re_bd_closed_form(c: BellDiagonalParams, q_prime):
     """Compact closed form that reuses the inner-block gap in every slot.
 
     Matches c_re_bd exactly when c1 * c2 = 0; otherwise it misassigns the
@@ -193,19 +198,12 @@ def c_re_bd_closed_form(c: BellDiagonalParams, q_prime: float) -> float:
     as the authoritative value.
     """
     c = _as_bd(c)
-    qp = _check_damping(q_prime)
-    a = c.c3 * (1.0 - qp)
-    gap = math.sqrt(qp * qp + (1.0 - qp) * (c.c1 + c.c2) ** 2)
-    spectrum = [
-        0.25 * (1.0 + a + gap),
-        0.25 * (1.0 + a - gap),
-        0.25 * (1.0 - a + gap),
-        0.25 * (1.0 - a - gap),
-    ]
+    qp = _in_unit_interval(q_prime, "damping q'")
+    spectrum = _block_spectrum(c, qp, c.c1 + c.c2)
     # The symmetric gap can push a slot slightly negative for states near
     # the physicality boundary; clamp like any other spectral round-off.
-    spectrum = [max(v, 0.0) for v in spectrum]
-    return entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum)
+    spectrum = np.where(spectrum < 0.0, 0.0, spectrum)
+    return _float_if_scalar(entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum))
 
 
 @dataclass(frozen=True)
@@ -235,38 +233,21 @@ def freezing_report_bd(
     frozen, reason = _freeze_decision(abs(c.c1) <= FREEZE_TOL and abs(c.c2) <= FREEZE_TOL, f)
 
     step = 1e-5
-
-    def l1_of_q(q):
-        return c_l1_bd(c, noise_to_damping(q, gamma))
-
-    def re_of_q(q):
-        return c_re_bd(c, noise_to_damping(q, gamma))
-
-    sup_l1 = float(
-        max(abs(l1_of_q(float(q) + step) - l1_of_q(float(q) - step)) / (2 * step) for q in _VALIDATION_GRID)
-    )
-    sup_re = float(
-        max(abs(re_of_q(float(q) + step) - re_of_q(float(q) - step)) / (2 * step) for q in _VALIDATION_GRID)
+    plus = noise_to_damping(_VALIDATION_GRID + step, gamma)
+    minus = noise_to_damping(_VALIDATION_GRID - step, gamma)
+    sup_l1, sup_re = (
+        float(np.max(np.abs(kernel(c, plus) - kernel(c, minus)) / (2 * step)))
+        for kernel in (c_l1_bd, c_re_bd)
     )
     consistent = bool((max(sup_l1, sup_re) < FREEZE_SUP_BOUND) == frozen)
     return FreezeReportBD(frozen, reason, sup_l1, sup_re, consistent)
 
 
 def sweep_bd(
-    c: BellDiagonalParams,
-    geometry: Geometry,
-    polarization: PolarizationWeights,
-    q_grid,
+    c: BellDiagonalParams, geometry: Geometry, polarization: PolarizationWeights, q_grid
 ) -> CoherenceTrace:
     """Evaluate both Bell-diagonal trajectories over an increasing q grid."""
     c = _as_bd(c)
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
-    samples = tuple(
-        (
-            float(q),
-            c_l1_bd(c, noise_to_damping(float(q), gamma)),
-            c_re_bd(c, noise_to_damping(float(q), gamma)),
-        )
-        for q in q_grid
-    )
-    return CoherenceTrace(samples)
+    q = np.asarray(q_grid, dtype=float)
+    qp = noise_to_damping(q, rate_coefficients(geometry, polarization).gamma_eff)
+    return CoherenceTrace(q, c_l1_bd(c, qp), c_re_bd(c, qp))

@@ -439,3 +439,56 @@ def test_validate_accepts_seed_zero(tmp_path, capsys):
     out = tmp_path / "seed0.json"
     assert main(["validate", "--seed", "0", "--cases", "3", "--out", str(out)]) == 0
     assert '"seed": 0,' in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "c, geometry, preset",
+    [
+        ((0.3, -0.4, 0.2), ["--geometry", "mirror", "--u", "0.7"], "isotropic"),
+        ((1.0, -1.0, 1.0), ["--geometry", "mirror", "--u", "0.05"], "parallel"),
+        ((0.8, 0.4, -0.2), [], "perpendicular"),
+    ],
+)
+def test_freeze_two_bytes_match_per_point_differences(tmp_path, capsys, c, geometry, preset):
+    twin = tmp_path / "freeze.json"
+    args = ["freeze", "--mode", "two", "--c1", repr(c[0]), "--c2", repr(c[1]), "--c3", repr(c[2])]
+    assert main(args + geometry + ["--polarization", preset, "--out", str(twin)]) == 0
+    payload = json.loads(twin.read_text())
+    bd = BellDiagonalParams(*c)
+    env = Geometry.mirror(float(geometry[-1])) if geometry else UNBOUNDED
+    gamma = rate_coefficients(env, getattr(PolarizationWeights, preset)()).gamma_eff
+    step = 1e-5
+
+    def sup(kernel):
+        return max(
+            abs(kernel(bd, noise_to_damping(q + step, gamma)) - kernel(bd, noise_to_damping(q - step, gamma)))
+            / (2 * step)
+            for q in map(float, np.linspace(0.01, 0.99, 99))
+        )
+
+    assert repr(payload["sup_dq_c_l1"]) == repr(sup(c_l1_bd))
+    assert repr(payload["sup_dq_c_re"]) == repr(sup(c_re_bd))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["freeze", "--mode", "single", "--theta", "0.7", "--geometry", "mirror", "--u", "0.05"],
+        ["freeze", "--mode", "two", "--c1", "0.3", "--c2", "-0.4", "--c3", "0.2", "--polarization", "isotropic"],
+        ["validate", "--seed", "3", "--cases", "4"],
+    ],
+)
+def test_dump_config_round_trip_freeze_and_validate(tmp_path, capsys, args):
+    dumped = tmp_path / "resolved.ini"
+    direct, replay = tmp_path / "direct.json", tmp_path / "replay.json"
+    assert main(args + ["--out", str(direct), "--dump-config", str(dumped)]) == 0
+    printed = capsys.readouterr().out
+    assert main([args[0], "--config", str(dumped), "--out", str(replay)]) == 0
+    assert capsys.readouterr().out == printed
+    assert replay.read_bytes() == direct.read_bytes()
+
+
+def test_dump_config_not_written_when_the_command_fails(tmp_path, capsys):
+    dumped = tmp_path / "resolved.ini"
+    assert main(["freeze", "--mode", "two", "--dump-config", str(dumped)]) == 2
+    assert not dumped.exists()

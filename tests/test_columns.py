@@ -1,0 +1,119 @@
+"""The array path of every coherence kernel against its per-point use.
+
+Sweeps and the Bell-diagonal kernels evaluate whole grids at once; the
+per-point public functions are the same kernels on one value.  Both must
+give the same bits (compared through ``float.hex``, which also tells -0.0
+from 0.0), because the CLI prints them with ``repr``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
+from coherence_bath.single_qubit import CoherenceTrace, c_l1_trajectory, c_re_trajectory, sweep
+from coherence_bath.two_qubit import (
+    BellDiagonalParams,
+    c_l1_bd,
+    c_re_bd,
+    c_re_bd_closed_form,
+    sweep_bd,
+)
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def geometries(draw):
+    kind = draw(st.sampled_from(["unbounded", "near", "far"]))
+    if kind == "unbounded":
+        return Geometry.unbounded()
+    low, high = (1e-7, 0.0999) if kind == "near" else (0.1, 50.0)
+    return Geometry.mirror(draw(st.floats(min_value=low, max_value=high)))
+
+
+@st.composite
+def polarizations(draw):
+    preset = draw(st.sampled_from(["parallel", "perpendicular", "isotropic", "weights"]))
+    if preset != "weights":
+        return getattr(PolarizationWeights, preset)()
+    ax = draw(unit)
+    ay = draw(unit) * (1.0 - ax)
+    return PolarizationWeights(ax, ay, 1.0 - ax - ay)
+
+
+@st.composite
+def physical_bd(draw):
+    # From a spectrum (p1..p4) on the simplex; zero weights give the
+    # rank-deficient states on the physicality boundary, Bell states included.
+    raw = [draw(unit) for _ in range(4)]
+    total = sum(raw)
+    p1, p2, p3, p4 = [r / total for r in raw] if total > 0.0 else [0.25] * 4
+    return BellDiagonalParams((p1 - p2) + (p3 - p4), -(p1 - p2) + (p3 - p4), 2.0 * (p1 + p2) - 1.0)
+
+
+def _grid(interior):
+    """Increasing q grid that always holds both endpoints 0 and 1."""
+    return np.unique(np.concatenate([[0.0, 1.0], interior]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=math.pi),
+    geometries(),
+    polarizations(),
+    st.lists(unit, max_size=30),
+)
+def test_sweep_columns_match_per_point_trajectories(theta, geometry, polarization, interior):
+    q_grid = _grid(interior)
+    trace = sweep(theta, geometry, polarization, q_grid)
+    assert _bits(trace.q) == _bits(q_grid)
+    per_point_l1 = [c_l1_trajectory(theta, q, geometry, polarization) for q in q_grid.tolist()]
+    per_point_re = [c_re_trajectory(theta, q, geometry, polarization) for q in q_grid.tolist()]
+    assert all(type(v) is float for v in per_point_l1 + per_point_re)
+    assert _bits(trace.c_l1) == _bits(per_point_l1)
+    assert _bits(trace.c_re) == _bits(per_point_re)
+
+
+@settings(max_examples=60, deadline=None)
+@given(physical_bd(), st.lists(unit, max_size=30))
+def test_bd_kernels_on_arrays_match_per_element(bd, interior):
+    q_prime = np.concatenate([[0.0, 1.0], interior])
+    for kernel in (c_l1_bd, c_re_bd, c_re_bd_closed_form):
+        per_element = [kernel(bd, qp) for qp in q_prime.tolist()]
+        assert all(type(v) is float for v in per_element)
+        assert _bits(kernel(bd, q_prime)) == _bits(per_element)
+
+
+@settings(max_examples=30, deadline=None)
+@given(physical_bd(), geometries(), polarizations(), st.lists(unit, max_size=30))
+def test_sweep_bd_columns_match_per_point_kernels(bd, geometry, polarization, interior):
+    q_grid = _grid(interior)
+    trace = sweep_bd(bd, geometry, polarization, q_grid)
+    gamma = rate_coefficients(geometry, polarization).gamma_eff
+    damping = [noise_to_damping(q, gamma) for q in q_grid.tolist()]
+    assert _bits(trace.c_l1) == _bits([c_l1_bd(bd, qp) for qp in damping])
+    assert _bits(trace.c_re) == _bits([c_re_bd(bd, qp) for qp in damping])
+
+
+def test_trace_rejects_nan_and_ragged_columns():
+    with pytest.raises(ValueError, match="\\[0, 1\\], got nan"):
+        CoherenceTrace([0.0, float("nan")], [1.0, 0.9], [1.0, 0.9])
+    with pytest.raises(ValueError, match="equal length"):
+        CoherenceTrace([0.0, 0.5], [1.0, 0.9], [1.0])
+    trace = CoherenceTrace([0.0, 0.5], [1.0, 0.9], [1.0, 0.8])
+    with pytest.raises(ValueError):
+        trace.c_l1[0] = 2.0  # columns are read-only
+
+
+def test_kernels_reject_out_of_range_arrays():
+    with pytest.raises(ValueError, match="noise parameter q must lie in \\[0, 1\\], got 1.5"):
+        noise_to_damping(np.array([0.2, 1.5]), 1.0)
+    with pytest.raises(ValueError, match="damping q' must lie in \\[0, 1\\], got nan"):
+        c_re_bd((0.3, -0.4, 0.2), np.array([0.1, float("nan")]))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -220,7 +221,8 @@ def test_trajectories_independent_of_omega():
     traces = []
     for omega_ratio in (0.5, 1.0, 2.0):
         EvolutionParams(UNBOUNDED, PARALLEL, omega_ratio=omega_ratio)  # valid params
-        traces.append(sweep(1.1, UNBOUNDED, PARALLEL, q_grid).samples)
+        trace = sweep(1.1, UNBOUNDED, PARALLEL, q_grid)
+        traces.append((trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))
     assert traces[0] == traces[1] == traces[2]
     # measures of the evolved matrix agree across omega up to round-off
     for q in (0.2, 0.6, 0.9):
@@ -272,12 +274,12 @@ def test_near_boundary_not_exactly_frozen():
 
 def test_sweep_trace_contract():
     trace = sweep(1.0, UNBOUNDED, PARALLEL, np.linspace(0.0, 1.0, 11))
-    assert len(trace.samples) == 11
+    assert len(trace.q) == len(trace.c_l1) == len(trace.c_re) == 11
     assert np.all(np.diff(trace.q) > 0)
     with pytest.raises(ValueError, match="strictly increasing"):
-        CoherenceTrace(((0.0, 1.0, 1.0), (0.0, 0.9, 0.9)))
+        CoherenceTrace([0.0, 0.0], [1.0, 0.9], [1.0, 0.9])
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        CoherenceTrace(((1.5, 0.0, 0.0),))
+        CoherenceTrace([1.5], [0.0], [0.0])
 
 
 def test_phase_tracks_omega_and_phi():
@@ -305,3 +307,32 @@ def test_damping_mapping_consistency(rng):
         assert noise_to_damping(q, gamma) == pytest.approx(
             1.0 - (1.0 - q) ** gamma, abs=1e-12
         )
+
+
+def _c_re_mp(theta, q, f):
+    """Relative entropy of coherence at sweep point q, in mpmath arithmetic."""
+    one_minus_qp = (1 - q) ** (1 - f)
+    bz = mp.cos(theta) * one_minus_qp - (1 - one_minus_qp)
+    radius = mp.sqrt(mp.sin(theta) ** 2 * one_minus_qp + bz * bz)
+
+    def h2(p):
+        return -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
+
+    return h2((1 + bz) / 2) - h2((1 + radius) / 2)
+
+
+@pytest.mark.parametrize(
+    "theta, q, f",
+    [(math.pi / 2, 1 - 1e-9, -1.0), (1.0, 1 - 1e-12, -0.5), (2.5, 1 - 2.0**-40, -1.0)],
+)
+def test_dq_c_re_where_damping_rounds_to_one(theta, q, f):
+    # gamma = 1 - f > 1 rounds q' = 1 - (1-q)^gamma to 1 while q is inside (0, 1)
+    assert -math.expm1((1 - f) * math.log1p(-q)) == 1.0
+    value = dq_c_re(theta, q, f)
+    assert math.isfinite(value) and value >= 0.0
+    with mp.workdps(40):
+        x, step = mp.mpf(q), mp.mpf("1e-20")
+        reference = abs(_c_re_mp(mp.mpf(theta), x + step, f) - _c_re_mp(mp.mpf(theta), x - step, f))
+        reference /= 2 * step
+    # the 40-digit difference quotient itself is good to a few 1e-9 in the last case
+    assert value == pytest.approx(float(reference), rel=1e-7, abs=0.0)

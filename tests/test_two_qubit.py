@@ -213,8 +213,8 @@ def test_freezing_report_not_frozen_unbounded():
 
 def test_sweep_bd_trace():
     trace = sweep_bd(EXAMPLE_BD, Geometry.unbounded(), PARALLEL, np.linspace(0.0, 1.0, 11))
-    assert trace.samples[0][1] == pytest.approx(0.8, abs=1e-15)
-    assert trace.samples[-1][1] == 0.0
+    assert trace.c_l1[0] == pytest.approx(0.8, abs=1e-15)
+    assert trace.c_l1[-1] == 0.0
     assert np.all(np.diff(trace.q) > 0)
 
 
