@@ -237,8 +237,8 @@ def noise_to_damping(q, gamma_eff: float):
     and the sweep outputs are pinned to the libm bits.
     """
     qs = _in_unit_interval(q, "noise parameter q")
-    if gamma_eff < 0.0:
-        raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
+    if not math.isfinite(gamma_eff) or gamma_eff < 0.0:
+        raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
 
     def damping(x: float) -> float:
         if gamma_eff == 0.0:

@@ -25,7 +25,8 @@ from .boundary import (
     rate_coefficients,
 )
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
-from .single_qubit import InitialAngles, freezing_report, sweep
+from .single_qubit import InitialAngles, _check_q_grid, freezing_report, sweep
+from .single_qubit import c_l1_trajectory, c_re_trajectory
 from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 
 EXIT_OK = 0
@@ -260,10 +261,13 @@ def cmd_surface(spec) -> int:
         raise ValueError(f"u_count must be at least 2, got {spec['u_count']}")
     polarization = _PRESETS[spec["preset"]]()
     q_grid = _q_grid(spec)
+    _check_q_grid(q_grid)  # a grid narrower than a few ulps repeats q values
     u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
-    traces = (sweep(math.pi / 2, Geometry.mirror(float(u)), polarization, q_grid) for u in u_grid)
+    measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
     columns = {"u": np.repeat(u_grid, len(q_grid)), "q": np.tile(q_grid, len(u_grid))}
-    columns["value"] = np.concatenate([getattr(t, "c_" + spec["measure"]) for t in traces])
+    columns["value"] = np.concatenate(
+        [measure(math.pi / 2, q_grid, Geometry.mirror(float(u)), polarization) for u in u_grid]
+    )
     _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 

@@ -102,7 +102,8 @@ def build_rhs(spec: GeneratorSpec):
 
     The returned function preserves Hermiticity and trace identically and is
     linear, so it may be applied to arbitrary (not necessarily positive)
-    matrices when assembling superoperators.
+    matrices, or a stack of them along the first axis, when assembling
+    superoperators.
     """
     eye = np.eye(2, dtype=complex)
     if spec.n_qubits == 1:
@@ -136,15 +137,11 @@ def build_rhs(spec: GeneratorSpec):
 
 
 def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:
-    """Matrix of the generator acting on row-major vectorized matrices."""
-    rhs = build_rhs(spec)
-    d = spec.dim
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d * d):
-        unit = np.zeros((d, d), dtype=complex)
-        unit[k // d, k % d] = 1.0
-        mat[:, k] = rhs(unit).reshape(-1)
-    return mat
+    """Matrix of the generator acting on row-major vectorized matrices; column k
+    is the generator applied to the k-th matrix unit of the stacked basis."""
+    n = spec.dim * spec.dim
+    basis = np.eye(n, dtype=complex).reshape(n, spec.dim, spec.dim)
+    return build_rhs(spec)(basis).reshape(n, n).T
 
 
 def integrate(
@@ -279,13 +276,13 @@ def validate_all(
             omega = float(rng.uniform(0.1, 4.0))
             two_qubit_case = index % 2 == 1
 
-        gamma = rate_coefficients(geometry, polarization).gamma_eff
+        rate = rate_coefficients(geometry, polarization)
         tau = -math.log1p(-q)
-        spec = GeneratorSpec(0.25 * gamma, 0.25 * gamma, omega, 2 if two_qubit_case else 1)
+        spec = GeneratorSpec(rate.a_coeff, rate.b_coeff, omega, 2 if two_qubit_case else 1)
 
         if two_qubit_case:
             bd = _random_bd(rng)
-            channel = OneSidedChannel(noise_to_damping(q, gamma), omega * tau)
+            channel = OneSidedChannel(noise_to_damping(q, rate.gamma_eff), omega * tau)
             closed = apply_one_sided_channel(bd_density(bd), channel)
             numeric = integrate(bd_density(bd), spec, tau, cfg)
             description = (
@@ -300,7 +297,7 @@ def validate_all(
                     gap_max = gap
                     gap_case = f"{description}: |exact - closed form| = {gap:.3e}"
         else:
-            params = EvolutionParams(geometry, polarization, omega_ratio=omega, omega0_time_scale=1.0)
+            params = EvolutionParams(geometry, polarization, omega)
             closed = evolve_closed_form(InitialAngles(theta, phi), q, params)
             numeric = integrate(closed_form_initial(theta, phi), spec, tau, cfg)
             description = (

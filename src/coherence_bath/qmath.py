@@ -80,17 +80,19 @@ def entropy_bits(values):
     vector along the last axis of an array (a 1-D input gives a float).
 
     Values in (EIGENVALUE_FLOOR, 0) are clamped to zero (round-off from
-    diagonalization); values below the floor raise PositivityError.  Values
-    are summed in sorted order, so equal multisets give bitwise-equal
-    entropies regardless of input ordering.
+    diagonalization); values below the floor raise PositivityError, NaN or
+    Inf raises ValueError.  Values are summed in sorted order, so equal
+    multisets give bitwise-equal entropies regardless of input ordering.
     """
     vals = np.asarray(values, dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("probabilities must be finite, got NaN or Inf")
     if np.any(vals < EIGENVALUE_FLOOR):
         raise PositivityError(
             f"probability {float(vals.min()):.3e} below the {EIGENVALUE_FLOOR} floor"
         )
     vals = np.sort(np.clip(vals, 0.0, 1.0), axis=-1)
-    # Zero (and NaN) slots add an exact 0.0 to the running sum, as if absent.
+    # Zero slots add an exact 0.0 to the running sum, as if absent.
     positive = np.where(vals > 0.0, vals, 1.0)
     return _float_if_scalar(-(positive * np.log2(positive)).sum(axis=-1))
 

@@ -65,31 +65,20 @@ class InitialAngles:
 
 @dataclass(frozen=True)
 class EvolutionParams:
-    """Environment and scale parameters for the closed-form evolution.
+    """Environment and level spacing for the closed-form evolution.
 
-    ``omega_ratio`` is the effective level spacing over the bare one and
-    ``omega0_time_scale`` the bare spacing in units of the free-space decay
-    rate; their product fixes the phase accumulated per unit damping time.
-    Both affect phases only, never coherence magnitudes.
+    ``omega`` is the effective level spacing in units of the free-space
+    decay rate; it fixes the phase accumulated per unit damping time and
+    never affects coherence magnitudes.
     """
 
     geometry: Geometry
     polarization: PolarizationWeights
-    omega_ratio: float = 1.0
-    omega0_time_scale: float = 100.0
+    omega: float = 100.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_ratio) or self.omega_ratio <= 0.0:
-            raise ValueError(f"omega_ratio must be positive, got {self.omega_ratio}")
-        if not math.isfinite(self.omega0_time_scale) or self.omega0_time_scale <= 0.0:
-            raise ValueError(
-                f"omega0_time_scale must be positive, got {self.omega0_time_scale}"
-            )
-
-    @property
-    def omega_eff(self) -> float:
-        """Effective level spacing in units of the free-space decay rate."""
-        return self.omega_ratio * self.omega0_time_scale
+        if not math.isfinite(self.omega) or self.omega <= 0.0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +96,14 @@ class CoherenceTrace:
             object.__setattr__(self, name, column)
         if self.q.ndim != 1 or not self.q.shape == self.c_l1.shape == self.c_re.shape:
             raise ValueError("trace columns must be 1-D and of equal length")
-        _in_unit_interval(self.q, "trace q values")
-        if np.any(np.diff(self.q) <= 0.0):
-            raise ValueError("trace q values must be strictly increasing")
+        _check_q_grid(self.q)
+
+
+def _check_q_grid(q) -> None:
+    """ValueError unless every q lies in [0, 1] (NaN rejected) and q strictly increases."""
+    _in_unit_interval(q, "trace q values")
+    if np.any(np.diff(q) <= 0.0):
+        raise ValueError("trace q values must be strictly increasing")
 
 
 def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams) -> np.ndarray:
@@ -134,7 +128,7 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
     qp = noise_to_damping(q, gamma)
     population = 0.5 * (1.0 + cos_t * (1.0 - qp) - qp)
     off = 0.5 * sin_t * math.sqrt(1.0 - qp) * np.exp(
-        -1.0j * (params.omega_eff * tau + angles.phi)
+        -1.0j * (params.omega * tau + angles.phi)
     )
     return np.array([[population, off], [np.conj(off), 1.0 - population]], dtype=complex)
 
@@ -233,16 +227,16 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     return abs(dqp_dq * (ds_diag - ds_full))
 
 
-def _freeze_decision(trivial: bool, f: float) -> tuple[bool, str]:
-    """(frozen, reason) for one and two qubits: an incoherent input is trivially
-    frozen, any other input is frozen by the boundary when f = 1 within
-    FREEZE_TOL (Bromley, Cianciaruso & Adesso, PRL 114, 210401 (2015)).
+def _freeze_verdict(trivial: bool, f: float, sup_l1: float, sup_re: float) -> tuple[bool, str, bool]:
+    """(frozen, reason, numeric_consistent) for one and two qubits: an incoherent
+    input is trivially frozen, any other input is frozen by the boundary when
+    f = 1 within FREEZE_TOL (Bromley, Cianciaruso & Adesso, PRL 114, 210401
+    (2015)).  Frozen is one verdict for both measures, so the numeric check
+    compares the larger derivative supremum with FREEZE_SUP_BOUND.
     """
-    if trivial:
-        return True, "trivial"
-    if abs(f - 1.0) <= FREEZE_TOL:
-        return True, "boundary-induced"
-    return False, "none"
+    frozen = trivial or abs(f - 1.0) <= FREEZE_TOL
+    reason = "trivial" if trivial else "boundary-induced" if frozen else "none"
+    return frozen, reason, bool((max(sup_l1, sup_re) < FREEZE_SUP_BOUND) == frozen)
 
 
 @dataclass(frozen=True)
@@ -264,16 +258,13 @@ def freezing_report(
 
     Freezing is either trivial (incoherent initial state, sin(theta) = 0) or
     boundary-induced (suppression factor 1 within 1e-12).  The analytic
-    predicate is cross-checked against the supremum of the derivative
-    magnitudes on a 99-point interior grid.
+    predicate is cross-checked against the larger supremum of the two
+    derivative magnitudes on a 99-point interior grid.
     """
     f = suppression_factor(geometry, polarization)
-    frozen, reason = _freeze_decision(abs(math.sin(theta)) <= FREEZE_TOL, f)
     sup_l1 = float(max(dq_c_l1(theta, float(q), f) for q in _VALIDATION_GRID))
     sup_re = float(max(dq_c_re(theta, float(q), f) for q in _VALIDATION_GRID))
-    consistent = bool(
-        (sup_l1 < FREEZE_SUP_BOUND) == frozen and (sup_re < FREEZE_SUP_BOUND) == frozen
-    )
+    frozen, reason, consistent = _freeze_verdict(abs(math.sin(theta)) <= FREEZE_TOL, f, sup_l1, sup_re)
     return FreezeReport(frozen, frozen, reason, sup_l1, sup_re, consistent)
 
 

@@ -32,7 +32,7 @@ from .boundary import (
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import FREEZE_SUP_BOUND, FREEZE_TOL, _VALIDATION_GRID, CoherenceTrace, _freeze_decision
+from .single_qubit import FREEZE_TOL, _VALIDATION_GRID, CoherenceTrace, _freeze_verdict
 
 __all__ = [
     "BellDiagonalParams",
@@ -142,14 +142,9 @@ def apply_one_sided_channel(rho, ch: OneSidedChannel) -> np.ndarray:
 
 def choi_matrix(ch: OneSidedChannel) -> np.ndarray:
     """Unnormalized Choi matrix of the channel; PSD certifies complete positivity."""
-    kraus = channel_kraus(ch)
-    choi = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            unit = np.zeros((4, 4), dtype=complex)
-            unit[i, j] = 1.0
-            choi[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4] = _apply_kraus(unit, kraus)
-    return choi
+    # Block (i, j) is the channel applied to |i><j|, entry 4 i + j of the stacked basis.
+    blocks = _apply_kraus(np.eye(16, dtype=complex).reshape(16, 4, 4), channel_kraus(ch))
+    return blocks.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
 
 
 def c_l1_bd(c: BellDiagonalParams, q_prime):
@@ -230,8 +225,6 @@ def freezing_report_bd(
     c = _as_bd(c)
     f = suppression_factor(geometry, polarization)
     gamma = rate_coefficients(geometry, polarization).gamma_eff
-    frozen, reason = _freeze_decision(abs(c.c1) <= FREEZE_TOL and abs(c.c2) <= FREEZE_TOL, f)
-
     step = 1e-5
     plus = noise_to_damping(_VALIDATION_GRID + step, gamma)
     minus = noise_to_damping(_VALIDATION_GRID - step, gamma)
@@ -239,7 +232,8 @@ def freezing_report_bd(
         float(np.max(np.abs(kernel(c, plus) - kernel(c, minus)) / (2 * step)))
         for kernel in (c_l1_bd, c_re_bd)
     )
-    consistent = bool((max(sup_l1, sup_re) < FREEZE_SUP_BOUND) == frozen)
+    trivial = abs(c.c1) <= FREEZE_TOL and abs(c.c2) <= FREEZE_TOL
+    frozen, reason, consistent = _freeze_verdict(trivial, f, sup_l1, sup_re)
     return FreezeReportBD(frozen, reason, sup_l1, sup_re, consistent)
 
 

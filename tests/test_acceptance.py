@@ -99,9 +99,7 @@ def test_criterion_1_single_qubit_oracle_equivalence():
             for geometry in GEOMETRIES.values():
                 for polarization in PRESETS.values():
                     gamma = rate_coefficients(geometry, polarization).gamma_eff
-                    params = EvolutionParams(
-                        geometry, polarization, omega_ratio=1.0, omega0_time_scale=1.0
-                    )
+                    params = EvolutionParams(geometry, polarization, omega=1.0)
                     closed = evolve_closed_form(InitialAngles(float(theta), phi), float(q), params)
                     numeric = integrate(
                         closed_form_initial(float(theta), phi),
@@ -321,12 +319,7 @@ def test_criterion_7_measure_consistency():
         polarization = PolarizationWeights(*rng.dirichlet(np.ones(3)))
         theta = float(rng.uniform(0.0, math.pi))
         q = float(rng.uniform(0.0, 0.999))
-        params = EvolutionParams(
-            geometry,
-            polarization,
-            omega_ratio=float(rng.uniform(0.2, 3.0)),
-            omega0_time_scale=1.0,
-        )
+        params = EvolutionParams(geometry, polarization, omega=float(rng.uniform(0.2, 3.0)))
         rho = evolve_closed_form(
             InitialAngles(theta, float(rng.uniform(0.0, 2.0 * math.pi))), q, params
         )

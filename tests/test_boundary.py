@@ -182,3 +182,10 @@ def test_noise_to_damping_mapping():
         noise_to_damping(1.5, 1.0)
     with pytest.raises(ValueError):
         noise_to_damping(0.5, -0.1)
+
+
+@pytest.mark.parametrize("gamma_eff", [math.nan, math.inf])
+def test_noise_to_damping_rejects_non_finite_rate(gamma_eff):
+    for q in (0.5, np.array([0.0, 0.5, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            noise_to_damping(q, gamma_eff)

@@ -229,6 +229,25 @@ def test_freeze_single_not_frozen(capsys):
     assert payload["sup_dq_c_l1"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mode", "single", "--theta", "1e-6"],
+        ["--mode", "single", "--theta", repr(math.pi - 1e-6)],
+        ["--mode", "two", "--c1", "1e-6", "--c2", "0", "--c3", "0"],
+    ],
+)
+def test_freeze_weak_coherence_is_consistent(tmp_path, capsys, args):
+    # Not frozen, with the l1 derivative above FREEZE_SUP_BOUND and the
+    # relative-entropy one below it: one verdict covers both measures.
+    twin = tmp_path / "freeze.json"
+    assert main(["freeze", *args, "--out", str(twin)]) == 0
+    assert "numeric check: consistent" in capsys.readouterr().out
+    payload = json.loads(twin.read_text())
+    assert payload["numeric_consistent"] is True
+    assert payload["sup_dq_c_re"] < 1e-8 < payload["sup_dq_c_l1"]
+
+
 def test_freeze_single_boundary(tmp_path, capsys):
     twin = tmp_path / "freeze.json"
     code = main(

@@ -82,6 +82,21 @@ def test_liouvillian_reproduces_rhs(rng, random_density):
     assert np.allclose(mat @ rho.reshape(-1), rhs(rho).reshape(-1), atol=1e-14)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_liouvillian_equals_basis_probe_bitwise(rng, n_qubits):
+    # Reference: build_rhs applied to one matrix unit at a time, as columns.
+    for _ in range(50):
+        a = float(rng.uniform(0.0, 2.0))
+        spec = GeneratorSpec(a, float(rng.uniform(-a, a)), float(rng.uniform(-5.0, 5.0)), n_qubits)
+        rhs, d = build_rhs(spec), spec.dim
+        probe = np.zeros((d * d, d * d), dtype=complex)
+        for k in range(d * d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[k // d, k % d] = 1.0
+            probe[:, k] = rhs(unit).reshape(-1)
+        assert np.ascontiguousarray(liouvillian_matrix(spec)).tobytes() == probe.tobytes()
+
+
 def test_integrate_zero_time_identity(rng, random_density):
     rho = random_density(rng, 2)
     assert np.array_equal(integrate(rho, UNBOUNDED_SPEC, 0.0), rho)
@@ -91,7 +106,7 @@ def test_integrate_matches_closed_form_single():
     q = 0.75
     tau = math.log(4.0)
     params = EvolutionParams(
-        Geometry.unbounded(), PolarizationWeights.parallel(), omega_ratio=1.0, omega0_time_scale=1.0
+        Geometry.unbounded(), PolarizationWeights.parallel(), omega=1.0
     )
     closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), q, params)
     numeric = integrate(
@@ -113,7 +128,7 @@ def test_convergence_is_fourth_order():
     tau = 1.0
     q = -math.expm1(-tau)
     params = EvolutionParams(
-        Geometry.unbounded(), PolarizationWeights.parallel(), omega_ratio=2.0, omega0_time_scale=1.0
+        Geometry.unbounded(), PolarizationWeights.parallel(), omega=2.0
     )
     closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), q, params)
     rho0 = closed_form_initial(math.pi / 2, 0.0)
@@ -154,7 +169,7 @@ def test_phase_advances_as_minus_omega_tau():
 
 
 def test_default_display_scale_phase_matches():
-    # the default omega0_time_scale of 100 needs a finer step for 1e-8 phase
+    # the default omega of 100 needs a finer step for 1e-8 phase
     # accuracy; (omega h)^5 per step at h = 5e-5 leaves ample margin
     q = 0.6
     tau = -math.log1p(-q)
@@ -162,7 +177,7 @@ def test_default_display_scale_phase_matches():
     closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.3), q, params)
     numeric = integrate(
         closed_form_initial(math.pi / 2, 0.3),
-        GeneratorSpec(0.25, 0.25, omega=params.omega_eff),
+        GeneratorSpec(0.25, 0.25, omega=params.omega),
         tau,
         IntegratorConfig(5e-5),
     )

@@ -71,7 +71,7 @@ def test_c_re_matches_single_qubit_closed_form(rng):
     # generic eigen-based measure against the dynamics module's closed form
     geometry = Geometry.unbounded()
     polarization = PolarizationWeights.isotropic()
-    params = EvolutionParams(geometry, polarization, omega_ratio=1.0, omega0_time_scale=1.0)
+    params = EvolutionParams(geometry, polarization, omega=1.0)
     for _ in range(50):
         theta = rng.uniform(0.0, math.pi)
         q = rng.uniform(0.0, 0.999)

@@ -11,6 +11,7 @@ from coherence_bath.qmath import (
     bloch_to_density,
     density_to_bloch,
     diagonal_part,
+    entropy_bits,
     hermitian_eigenvalues,
     tensor,
     von_neumann_entropy,
@@ -93,6 +94,14 @@ def test_entropy_rejects_genuine_negativity():
     rho = np.diag([1.1, -0.1])
     with pytest.raises(PositivityError):
         von_neumann_entropy(rho)
+
+
+@pytest.mark.parametrize(
+    "values", [[math.nan, 0.5], [[0.5, 0.5], [0.25, math.nan]], [math.inf, 0.5], [-math.inf, 1.0]]
+)
+def test_entropy_rejects_non_finite(values):
+    with pytest.raises(ValueError, match="finite"):
+        entropy_bits(values)
 
 
 def test_entropy_invariant_under_diagonal_permutation(rng):

@@ -35,7 +35,7 @@ C_RE_Q075 = 0.26012250767013771
 
 
 def _params(geometry=UNBOUNDED, polarization=PARALLEL, omega=1.0):
-    return EvolutionParams(geometry, polarization, omega_ratio=omega, omega0_time_scale=1.0)
+    return EvolutionParams(geometry, polarization, omega=omega)
 
 
 def _random_environment(rng):
@@ -62,10 +62,10 @@ def test_initial_angles_validation():
 
 def test_evolution_params_validation():
     with pytest.raises(ValueError):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega_ratio=0.0)
+        EvolutionParams(UNBOUNDED, PARALLEL, omega=0.0)
     with pytest.raises(ValueError):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega0_time_scale=-1.0)
-    assert EvolutionParams(UNBOUNDED, PARALLEL).omega_eff == pytest.approx(100.0)
+        EvolutionParams(UNBOUNDED, PARALLEL, omega=-1.0)
+    assert EvolutionParams(UNBOUNDED, PARALLEL).omega == pytest.approx(100.0)
 
 
 def test_evolve_q0_returns_initial_state(rng):
@@ -131,13 +131,19 @@ def test_trajectory_constant_when_frozen():
     assert c_l1_trajectory(1.2, 1.0, near, PARALLEL) == 0.0
 
 
+@pytest.mark.parametrize("omega", [-1e-300, -math.inf, math.inf, math.nan])
+def test_evolution_params_rejects_nonpositive_or_non_finite_omega(omega):
+    with pytest.raises(ValueError, match="omega must be positive"):
+        EvolutionParams(UNBOUNDED, PARALLEL, omega=omega)
+
+
 def test_closed_form_matches_measures_randomized(rng):
     for _ in range(200):
         geometry, polarization = _random_environment(rng)
         theta = float(rng.uniform(0.0, math.pi))
         q = float(rng.uniform(0.0, 0.999))
         params = EvolutionParams(
-            geometry, polarization, omega_ratio=float(rng.uniform(0.2, 3.0)), omega0_time_scale=1.0
+            geometry, polarization, omega=float(rng.uniform(0.2, 3.0))
         )
         rho = evolve_closed_form(InitialAngles(theta, float(rng.uniform(0, 2 * math.pi))), q, params)
         assert abs(c_l1_trajectory(theta, q, geometry, polarization) - c_l1(rho)) < 1e-12
@@ -152,7 +158,7 @@ def test_closed_form_matches_integrator_spot_checks():
     ]
     for theta, q, geometry, polarization in cases:
         gamma = rate_coefficients(geometry, polarization).gamma_eff
-        params = EvolutionParams(geometry, polarization, omega_ratio=1.5, omega0_time_scale=1.0)
+        params = EvolutionParams(geometry, polarization, omega=1.5)
         closed = evolve_closed_form(InitialAngles(theta, 0.2), q, params)
         numeric = integrate(
             closed_form_initial(theta, 0.2),
@@ -219,8 +225,8 @@ def test_l1_strictly_decreasing_when_decaying():
 def test_trajectories_independent_of_omega():
     q_grid = np.linspace(0.0, 1.0, 21)
     traces = []
-    for omega_ratio in (0.5, 1.0, 2.0):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega_ratio=omega_ratio)  # valid params
+    for omega in (50.0, 100.0, 200.0):
+        EvolutionParams(UNBOUNDED, PARALLEL, omega=omega)  # valid params
         trace = sweep(1.1, UNBOUNDED, PARALLEL, q_grid)
         traces.append((trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))
     assert traces[0] == traces[1] == traces[2]
@@ -231,7 +237,7 @@ def test_trajectories_independent_of_omega():
                 evolve_closed_form(
                     InitialAngles(1.1, 0.3),
                     q,
-                    EvolutionParams(UNBOUNDED, PARALLEL, omega_ratio=omega, omega0_time_scale=1.0),
+                    EvolutionParams(UNBOUNDED, PARALLEL, omega=omega),
                 )
             )
             for omega in (0.5, 1.0, 2.0)
@@ -283,7 +289,7 @@ def test_sweep_trace_contract():
 
 
 def test_phase_tracks_omega_and_phi():
-    params = EvolutionParams(UNBOUNDED, PARALLEL, omega_ratio=2.0, omega0_time_scale=1.0)
+    params = EvolutionParams(UNBOUNDED, PARALLEL, omega=2.0)
     q = 0.4
     tau = -math.log1p(-q)
     rho = evolve_closed_form(InitialAngles(math.pi / 2, 0.7), q, params)

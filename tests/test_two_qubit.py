@@ -124,6 +124,20 @@ def test_choi_matrix_psd_over_damping_grid():
             assert float(np.min(np.linalg.eigvalsh(choi))) >= -1e-12
 
 
+def test_choi_matrix_equals_block_construction_bitwise(rng):
+    # Reference: block (i, j) is the Kraus sum applied to the matrix unit |i><j|.
+    for _ in range(50):
+        ch = OneSidedChannel(float(rng.uniform(0.0, 1.0)), float(rng.uniform(-10.0, 10.0)))
+        kraus = channel_kraus(ch)
+        blocks = np.zeros((16, 16), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                unit = np.zeros((4, 4), dtype=complex)
+                unit[i, j] = 1.0
+                blocks[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = sum(k @ unit @ k.conj().T for k in kraus)
+        assert np.ascontiguousarray(choi_matrix(ch)).tobytes() == blocks.tobytes()
+
+
 def test_measures_independent_of_channel_phase(rng):
     bd = _random_physical_bd(rng)
     rho = bd_density(bd)
