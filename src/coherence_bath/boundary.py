@@ -234,19 +234,25 @@ def noise_to_damping(q, gamma_eff: float):
     A frozen configuration (gamma_eff = 0) gives q' = 0 for every q,
     including the q = 1 endpoint.  Each element goes through libm's
     log1p/expm1: numpy's vectorised log1p rounds some arguments differently,
-    and the sweep outputs are pinned to the libm bits.
+    and the sweep outputs are pinned to the libm bits.  On an array the
+    product with gamma_eff is one numpy multiply, the same IEEE rounding as
+    the scalar path.
     """
     qs = _in_unit_interval(q, "noise parameter q")
     if not math.isfinite(gamma_eff) or gamma_eff < 0.0:
         raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
-
-    def damping(x: float) -> float:
-        if gamma_eff == 0.0:
-            return 0.0
-        if x == 1.0:
-            return 1.0
-        return -math.expm1(gamma_eff * math.log1p(-x))
-
+    if gamma_eff == 0.0:
+        return 0.0 if qs.ndim == 0 else np.zeros(qs.shape)
     if qs.ndim == 0:
-        return damping(float(qs))
-    return np.array([damping(x) for x in qs.ravel().tolist()]).reshape(qs.shape)
+        x = float(qs)
+        return 1.0 if x == 1.0 else -math.expm1(gamma_eff * math.log1p(-x))
+    ends = qs == 1.0  # log1p(-1) is a domain error; q' = 1 there
+    with np.errstate(over="ignore"):  # a product that overflows to -inf gives q' = 1, as for a float
+        qp = -_libm(math.expm1, gamma_eff * _libm(math.log1p, -np.where(ends, 0.0, qs)))
+    qp[ends] = 1.0
+    return qp
+
+
+def _libm(func, values: np.ndarray) -> np.ndarray:
+    flat = values.ravel().tolist()
+    return np.fromiter(map(func, flat), float, len(flat)).reshape(values.shape)

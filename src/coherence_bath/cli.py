@@ -206,16 +206,31 @@ def _q_grid(spec: dict) -> np.ndarray:
         raise ValueError(f"q_count must be at least 2, got {count}")
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"q grid must satisfy 0 <= start < stop <= 1, got [{start}, {stop}]")
-    return np.linspace(start, stop, count)
+    grid = np.linspace(start, stop, count)
+    _check_q_grid(grid)  # a grid narrower than a few ulps repeats q values
+    return grid
+
+
+def _cells(column) -> list[str]:
+    """The text of each float of ``column``: its repr, which CSV and JSON both write.
+
+    ValueError on NaN or +-inf, which json.dumps would write as NaN or Infinity.
+    """
+    values = np.asarray(column, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"refusing to write a non-finite value: {values[~np.isfinite(values)][0]}")
+    return list(map(repr, values.tolist()))
 
 
 def _render(columns: dict, fmt: str) -> str:
-    """Rows of equal-length float columns as CSV or JSON, floats at full repr precision."""
-    names = list(columns)
-    rows = zip(*(np.asarray(column).tolist() for column in columns.values()))
+    """Equal-length text columns (see _cells) as CSV, or as the JSON list of row
+    objects that json.dumps(rows, indent=2) writes, byte for byte."""
+    rows = zip(*columns.values())
     if fmt == "csv":
-        return "\n".join([",".join(names), *(",".join(map(repr, row)) for row in rows)]) + "\n"
-    return json.dumps([dict(zip(names, row)) for row in rows], indent=2) + "\n"
+        return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in columns)
+    template = "  {\n" + fields + "\n  }"
+    return "[\n" + ",\n".join([template % row for row in rows]) + "\n]\n"
 
 
 def _write_text(out: str, text: str) -> None:
@@ -232,7 +247,7 @@ def cmd_single(spec) -> int:
     geometry = _geometry_from_spec(spec)
     polarization = parse_polarization(spec["polarization"])
     trace = sweep(spec["theta"], geometry, polarization, _q_grid(spec))
-    columns = {"q": trace.q, "c_l1": trace.c_l1, "c_re": trace.c_re}
+    columns = {"q": _cells(trace.q), "c_l1": _cells(trace.c_l1), "c_re": _cells(trace.c_re)}
     _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 
@@ -245,8 +260,8 @@ def cmd_two(spec) -> int:
     gamma = rate_coefficients(geometry, polarization).gamma_eff
     q = _q_grid(spec)
     qp = noise_to_damping(q, gamma)  # once for all three kernels
-    columns = {"q": q, "c_l1": c_l1_bd(bd, qp), "c_re": c_re_bd(bd, qp)}
-    columns["c_re_closed_form"] = c_re_bd_closed_form(bd, qp)
+    columns = {"q": _cells(q), "c_l1": _cells(c_l1_bd(bd, qp)), "c_re": _cells(c_re_bd(bd, qp))}
+    columns["c_re_closed_form"] = _cells(c_re_bd_closed_form(bd, qp))
     _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 
@@ -261,13 +276,13 @@ def cmd_surface(spec) -> int:
         raise ValueError(f"u_count must be at least 2, got {spec['u_count']}")
     polarization = _PRESETS[spec["preset"]]()
     q_grid = _q_grid(spec)
-    _check_q_grid(q_grid)  # a grid narrower than a few ulps repeats q values
     u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
-    columns = {"u": np.repeat(u_grid, len(q_grid)), "q": np.tile(q_grid, len(u_grid))}
-    columns["value"] = np.concatenate(
-        [measure(math.pi / 2, q_grid, Geometry.mirror(float(u)), polarization) for u in u_grid]
-    )
+    values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in u_grid.tolist()]
+    # Each u and each q is formatted once; u repeats down its block of rows.
+    q_cells = _cells(q_grid)
+    columns = {"u": [cell for cell in _cells(u_grid) for _ in q_cells], "q": q_cells * len(u_grid)}
+    columns["value"] = _cells(np.concatenate(values))
     _write_text(spec["out"], _render(columns, spec["format"]))
     return EXIT_OK
 

@@ -227,16 +227,26 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     return abs(dqp_dq * (ds_diag - ds_full))
 
 
-def _freeze_verdict(trivial: bool, f: float, sup_l1: float, sup_re: float) -> tuple[bool, str, bool]:
-    """(frozen, reason, numeric_consistent) for one and two qubits: an incoherent
-    input is trivially frozen, any other input is frozen by the boundary when
-    f = 1 within FREEZE_TOL (Bromley, Cianciaruso & Adesso, PRL 114, 210401
-    (2015)).  Frozen is one verdict for both measures, so the numeric check
-    compares the larger derivative supremum with FREEZE_SUP_BOUND.
+def _freeze_verdict(c0: float, f: float, sup_l1: float, sup_re: float) -> tuple[bool, str, bool]:
+    """(frozen, reason, numeric_consistent) for one and two qubits, from the
+    initial l1 coherence c0: an input with c0 <= FREEZE_TOL is trivially
+    frozen, any other input is frozen by the boundary when f = 1 within
+    FREEZE_TOL (Bromley, Cianciaruso & Adesso, PRL 114, 210401 (2015)).
+
+    Frozen is one verdict for both measures, so the numeric check reads the
+    larger derivative supremum.  A frozen verdict needs it below
+    FREEZE_SUP_BOUND.  A decaying one needs it at least FREEZE_SUP_BOUND * c0:
+    the l1 derivative is proportional to c0, so a weakly coherent decaying
+    input stays under the absolute bound.  The frozen side keeps the absolute
+    bound because the relative-entropy derivative left by a round-off gamma_eff
+    grows like gamma_eff log(1/q'), not like c0.
     """
+    trivial = c0 <= FREEZE_TOL
     frozen = trivial or abs(f - 1.0) <= FREEZE_TOL
     reason = "trivial" if trivial else "boundary-induced" if frozen else "none"
-    return frozen, reason, bool((max(sup_l1, sup_re) < FREEZE_SUP_BOUND) == frozen)
+    sup = max(sup_l1, sup_re)
+    consistent = sup < FREEZE_SUP_BOUND if frozen else sup >= FREEZE_SUP_BOUND * c0
+    return frozen, reason, bool(consistent)
 
 
 @dataclass(frozen=True)
@@ -264,7 +274,7 @@ def freezing_report(
     f = suppression_factor(geometry, polarization)
     sup_l1 = float(max(dq_c_l1(theta, float(q), f) for q in _VALIDATION_GRID))
     sup_re = float(max(dq_c_re(theta, float(q), f) for q in _VALIDATION_GRID))
-    frozen, reason, consistent = _freeze_verdict(abs(math.sin(theta)) <= FREEZE_TOL, f, sup_l1, sup_re)
+    frozen, reason, consistent = _freeze_verdict(abs(math.sin(theta)), f, sup_l1, sup_re)
     return FreezeReport(frozen, frozen, reason, sup_l1, sup_re, consistent)
 
 

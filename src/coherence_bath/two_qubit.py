@@ -32,7 +32,7 @@ from .boundary import (
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import FREEZE_TOL, _VALIDATION_GRID, CoherenceTrace, _freeze_verdict
+from .single_qubit import _VALIDATION_GRID, CoherenceTrace, _freeze_verdict
 
 __all__ = [
     "BellDiagonalParams",
@@ -232,8 +232,7 @@ def freezing_report_bd(
         float(np.max(np.abs(kernel(c, plus) - kernel(c, minus)) / (2 * step)))
         for kernel in (c_l1_bd, c_re_bd)
     )
-    trivial = abs(c.c1) <= FREEZE_TOL and abs(c.c2) <= FREEZE_TOL
-    frozen, reason, consistent = _freeze_verdict(trivial, f, sup_l1, sup_re)
+    frozen, reason, consistent = _freeze_verdict(c_l1_bd(c, 0.0), f, sup_l1, sup_re)
     return FreezeReportBD(frozen, reason, sup_l1, sup_re, consistent)
 
 

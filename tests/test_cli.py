@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
-from coherence_bath.cli import _FIELDS, build_parser, main
+from coherence_bath.cli import _FIELDS, _cells, _render, build_parser, main
 from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
 from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
@@ -248,6 +249,30 @@ def test_freeze_weak_coherence_is_consistent(tmp_path, capsys, args):
     assert payload["sup_dq_c_re"] < 1e-8 < payload["sup_dq_c_l1"]
 
 
+@pytest.mark.parametrize(
+    "args, verdict",
+    [
+        (["--mode", "single", "--theta", "1e-9"], "not frozen"),
+        (["--mode", "two", "--c1", "1e-9", "--c2", "0", "--c3", "0"], "not frozen"),
+        (["--mode", "single", "--theta", "1e-13"], "FROZEN (trivial)"),
+        (["--mode", "single", "--theta", "0"], "FROZEN (trivial)"),
+        (
+            ["--mode", "single", "--theta", "1e-6", "--geometry", "mirror", "--u", "1e-7"],
+            "FROZEN (boundary-induced)",
+        ),
+    ],
+)
+def test_freeze_check_scales_with_initial_coherence(tmp_path, capsys, args, verdict):
+    # Decaying inputs whose derivatives all fall under the absolute 1e-8
+    # bound, trivially frozen ones, and a frozen one whose relative-entropy
+    # derivative (2.4e-12) exceeds 1e-8 times its coherence 1e-6.
+    twin = tmp_path / "freeze.json"
+    assert main(["freeze", *args, "--out", str(twin)]) == 0
+    out = capsys.readouterr().out
+    assert verdict in out and "numeric check: consistent" in out
+    assert json.loads(twin.read_text())["numeric_consistent"] is True
+
+
 def test_freeze_single_boundary(tmp_path, capsys):
     twin = tmp_path / "freeze.json"
     code = main(
@@ -387,6 +412,48 @@ def _csv_text(header, rows):
     return "\n".join([",".join(header)] + [",".join(repr(v) for v in row) for row in rows]) + "\n"
 
 
+def _json_text(header, rows):
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_HEADERS = [("q", "c_l1", "c_re"), ("u", "q", "value"), ("q", "c_l1", "c_re", "c_re_closed_form")]
+
+
+@st.composite
+def tables(draw):
+    header = draw(st.sampled_from(_HEADERS))
+    return header, draw(st.lists(st.tuples(*(finite for _ in header)), min_size=2, max_size=50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+def test_render_matches_repr_rows_and_json_dumps(table):
+    header, rows = table
+    columns = {name: _cells([row[i] for row in rows]) for i, name in enumerate(header)}
+    assert _render(columns, "csv") == _csv_text(header, rows)
+    assert _render(columns, "json") == _json_text(header, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cells_refuse_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _cells(np.array([0.5, bad, 0.25]))
+
+
+@pytest.mark.parametrize(
+    "command", [["single"], ["two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1"], ["surface"]]
+)
+def test_grid_with_repeated_q_rejected(tmp_path, capsys, command):
+    # linspace over a span of one ulp repeats q values.
+    out = tmp_path / "out.csv"
+    grid = ["--q-start", "0.5", "--q-stop", "0.5000000000000001", "--q-count", "5"]
+    assert main([*command, *grid, "--out", str(out)]) == 2
+    assert "trace q values must be strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_single_bytes_match_per_point_functions(tmp_path):
     out = tmp_path / "single.csv"
     args = ["single", "--theta", "1.1", "--geometry", "mirror", "--u", "0.05", "--q-count", "41"]
@@ -429,11 +496,8 @@ def test_surface_bytes_match_per_point_functions(tmp_path, measure, fmt, preset)
         for u in np.geomspace(0.02, 30.0, 7)
         for q in map(float, np.linspace(0.0, 1.0, 13))
     ]
-    if fmt == "csv":
-        expected = _csv_text(["u", "q", "value"], rows)
-    else:
-        expected = json.dumps([dict(zip(("u", "q", "value"), row)) for row in rows], indent=2) + "\n"
-    assert out.read_text() == expected
+    text = _csv_text if fmt == "csv" else _json_text
+    assert out.read_text() == text(["u", "q", "value"], rows)
 
 
 def test_parser_flags_mirror_field_tables():

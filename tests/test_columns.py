@@ -117,3 +117,21 @@ def test_kernels_reject_out_of_range_arrays():
         noise_to_damping(np.array([0.2, 1.5]), 1.0)
     with pytest.raises(ValueError, match="damping q' must lie in \\[0, 1\\], got nan"):
         c_re_bd((0.3, -0.4, 0.2), np.array([0.1, float("nan")]))
+
+
+# Grids with the ends of the unit interval, the largest q below 1 and the
+# smallest subnormal, on top of an ordinary interior.
+_DAMPING_GRIDS = [
+    np.array([0.0, 5e-324, 0.25, 0.5, 1.0 - 1e-16, 1.0]),
+    np.linspace(0.0, 1.0, 1001),
+    np.array([[1.0, 0.0, 0.3], [5e-324, 1.0 - 1e-16, 0.9]]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [0.0, 1e-300, 1e-5, 0.3, 1.0, 1.7, 2.0, 1.7976931348623157e308])
+@pytest.mark.parametrize("grid", _DAMPING_GRIDS)
+def test_damping_map_on_arrays_matches_scalar_path(grid, gamma):
+    qp = noise_to_damping(grid, gamma)
+    assert qp.shape == grid.shape
+    assert _bits(qp.ravel()) == _bits(noise_to_damping(float(q), gamma) for q in grid.ravel())
