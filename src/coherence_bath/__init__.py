@@ -32,11 +32,7 @@ from .lindblad import (
 from .measures import c_l1, c_re
 from .qmath import (
     PositivityError,
-    bloch_to_density,
-    density_to_bloch,
     diagonal_part,
-    hermitian_eigenvalues,
-    tensor,
     von_neumann_entropy,
 )
 from .single_qubit import (
@@ -54,7 +50,6 @@ from .single_qubit import (
 )
 from .two_qubit import (
     BellDiagonalParams,
-    FreezeReportBD,
     OneSidedChannel,
     apply_one_sided_channel,
     bd_density,
@@ -73,7 +68,6 @@ __all__ = [
     "CoherenceTrace",
     "EvolutionParams",
     "FreezeReport",
-    "FreezeReportBD",
     "GeneratorSpec",
     "Geometry",
     "InitialAngles",
@@ -86,7 +80,6 @@ __all__ = [
     "ValidationReport",
     "apply_one_sided_channel",
     "bd_density",
-    "bloch_to_density",
     "build_rhs",
     "c_l1",
     "c_l1_bd",
@@ -96,7 +89,6 @@ __all__ = [
     "c_re_bd_closed_form",
     "c_re_trajectory",
     "choi_matrix",
-    "density_to_bloch",
     "diagonal_part",
     "dq_c_l1",
     "dq_c_re",
@@ -105,7 +97,6 @@ __all__ = [
     "f_perpendicular",
     "freezing_report",
     "freezing_report_bd",
-    "hermitian_eigenvalues",
     "integrate",
     "liouvillian_matrix",
     "noise_to_damping",
@@ -113,6 +104,5 @@ __all__ = [
     "suppression_factor",
     "sweep",
     "sweep_bd",
-    "tensor",
     "von_neumann_entropy",
 ]

@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .qmath import _float_if_scalar
+
 __all__ = [
     "Geometry",
     "PolarizationWeights",
@@ -206,15 +208,21 @@ def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) ->
 
 def rate_coefficients(geometry: Geometry, polarization: PolarizationWeights) -> RateCoefficients:
     """Effective decay rate and dissipator coefficients for a configuration."""
-    gamma = 1.0 - suppression_factor(geometry, polarization)
+    gamma = _decay_rate(suppression_factor(geometry, polarization))
+    quarter = 0.25 * gamma
+    return RateCoefficients(a_coeff=quarter, b_coeff=quarter, gamma_eff=gamma)
+
+
+def _decay_rate(f: float) -> float:
+    """gamma_eff = 1 - f for a suppression factor f, round-off below zero clamped to 0."""
+    gamma = 1.0 - f
     if gamma < 0.0:
         if gamma < GAMMA_CLAMP:
             # |f_i| <= 1 makes gamma >= 0 analytically; anything beyond
             # round-off signals a broken response evaluation.
             raise ValueError(f"effective decay rate {gamma:.3e} is negative beyond round-off")
         gamma = 0.0
-    quarter = 0.25 * gamma
-    return RateCoefficients(a_coeff=quarter, b_coeff=quarter, gamma_eff=gamma)
+    return gamma
 
 
 def _in_unit_interval(values, what: str) -> np.ndarray:
@@ -234,23 +242,19 @@ def noise_to_damping(q, gamma_eff: float):
     A frozen configuration (gamma_eff = 0) gives q' = 0 for every q,
     including the q = 1 endpoint.  Each element goes through libm's
     log1p/expm1: numpy's vectorised log1p rounds some arguments differently,
-    and the sweep outputs are pinned to the libm bits.  On an array the
-    product with gamma_eff is one numpy multiply, the same IEEE rounding as
-    the scalar path.
+    and the sweep outputs are pinned to the libm bits.  The product with
+    gamma_eff is one numpy multiply, the same IEEE rounding as a float
+    product.  A scalar q takes the same path and comes back as a float.
     """
     qs = _in_unit_interval(q, "noise parameter q")
     if not math.isfinite(gamma_eff) or gamma_eff < 0.0:
         raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
     if gamma_eff == 0.0:
-        return 0.0 if qs.ndim == 0 else np.zeros(qs.shape)
-    if qs.ndim == 0:
-        x = float(qs)
-        return 1.0 if x == 1.0 else -math.expm1(gamma_eff * math.log1p(-x))
+        return _float_if_scalar(np.zeros(qs.shape))
     ends = qs == 1.0  # log1p(-1) is a domain error; q' = 1 there
-    with np.errstate(over="ignore"):  # a product that overflows to -inf gives q' = 1, as for a float
+    with np.errstate(over="ignore"):  # a product that overflows to -inf gives q' = 1
         qp = -_libm(math.expm1, gamma_eff * _libm(math.log1p, -np.where(ends, 0.0, qs)))
-    qp[ends] = 1.0
-    return qp
+    return _float_if_scalar(np.where(ends, 1.0, qp))
 
 
 def _libm(func, values: np.ndarray) -> np.ndarray:

@@ -296,14 +296,14 @@ def cmd_freeze(spec) -> int:
     if spec["mode"] == "single":
         report = freezing_report(spec["theta"], geometry, polarization)
         head = {"mode": "single", "theta": spec["theta"]}
+        # Both keys carry the one verdict; bench/digests.json pins them, bench/check.py reads them.
+        flags = {"l1_frozen": report.frozen, "re_frozen": report.frozen}
+        word = _frozen_word(report.frozen, report.reason)
         lines = [
             f"mode: single (theta = {spec['theta']!r})",
             f"geometry: {geometry_label}",
-            f"l1 norm:          {_frozen_word(report.l1_frozen, report.reason)}, "
-            f"sup |dC/dq| = {report.sup_dq_c_l1:.3e}",
-            f"relative entropy: {_frozen_word(report.re_frozen, report.reason)}, "
-            f"sup |dC/dq| = {report.sup_dq_c_re:.3e}",
-            f"numeric check: {'consistent' if report.numeric_consistent else 'INCONSISTENT'}",
+            f"l1 norm:          {word}, sup |dC/dq| = {report.sup_dq_c_l1:.3e}",
+            f"relative entropy: {word}, sup |dC/dq| = {report.sup_dq_c_re:.3e}",
         ]
     else:
         for name in ("c1", "c2", "c3"):
@@ -312,17 +312,19 @@ def cmd_freeze(spec) -> int:
         bd = BellDiagonalParams(spec["c1"], spec["c2"], spec["c3"])
         report = freezing_report_bd(bd, geometry, polarization)
         head = {"mode": "two", "c": [bd.c1, bd.c2, bd.c3]}
+        flags = {"frozen": report.frozen}
         lines = [
             f"mode: two (c = ({bd.c1!r}, {bd.c2!r}, {bd.c3!r}))",
             f"geometry: {geometry_label}",
             f"both measures:    {_frozen_word(report.frozen, report.reason)}",
             f"sup |dC_l1/dq| = {report.sup_dq_c_l1:.3e}, "
             f"sup |dC_re/dq| = {report.sup_dq_c_re:.3e}",
-            f"numeric check: {'consistent' if report.numeric_consistent else 'INCONSISTENT'}",
         ]
 
-    # The report's fields, in declaration order, follow the mode and geometry keys.
-    payload = {**head, "geometry": geometry_label, **dataclasses.asdict(report)}
+    lines.append(f"numeric check: {'consistent' if report.numeric_consistent else 'INCONSISTENT'}")
+    fields = dataclasses.asdict(report)
+    del fields["frozen"]  # written as the flag keys of the mode
+    payload = {**head, "geometry": geometry_label, **flags, **fields}
     print("\n".join(lines))
     _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

@@ -21,6 +21,7 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
+    _decay_rate,
     _in_unit_interval,
     noise_to_damping,
     rate_coefficients,
@@ -172,10 +173,11 @@ def dq_c_l1(theta: float, q: float, f: float) -> float:
     """Magnitude of the q-derivative of the l1 trajectory.
 
     Equals |sin(theta)| (1-f) (1-q)^(-(1+f)/2) / 2; identically zero for an
-    incoherent initial state or a fully suppressed bath (f = 1).
+    incoherent initial state or a fully suppressed bath (f = 1).  The rate
+    1 - f is gamma_eff with the clamp of ``rate_coefficients``.
     """
     _check_open_interval(q)
-    gamma = 1.0 - f
+    gamma = _decay_rate(f)
     if gamma == 0.0:
         return 0.0
     return 0.5 * abs(math.sin(theta)) * gamma * (1.0 - q) ** (-0.5 * (1.0 + f))
@@ -186,10 +188,10 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
 
     Chain rule through q' = 1 - (1-q)^(1-f): the inner derivative is
     (1-f)(1-q)^(-f), the outer one the analytic q'-derivative of the
-    entropy difference.
+    entropy difference.  The rate 1 - f is clamped as in ``dq_c_l1``.
     """
     _check_open_interval(q)
-    gamma = 1.0 - f
+    gamma = _decay_rate(f)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     if gamma == 0.0 or sin_t == 0.0 or 1.0 + cos_t == 0.0:
         return 0.0
@@ -227,38 +229,38 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     return abs(dqp_dq * (ds_diag - ds_full))
 
 
-def _freeze_verdict(c0: float, f: float, sup_l1: float, sup_re: float) -> tuple[bool, str, bool]:
-    """(frozen, reason, numeric_consistent) for one and two qubits, from the
-    initial l1 coherence c0: an input with c0 <= FREEZE_TOL is trivially
-    frozen, any other input is frozen by the boundary when f = 1 within
-    FREEZE_TOL (Bromley, Cianciaruso & Adesso, PRL 114, 210401 (2015)).
+@dataclass(frozen=True)
+class FreezeReport:
+    """Freezing classification of one or two qubits, one verdict for both
+    measures, with the numeric derivative bounds backing it."""
+
+    frozen: bool
+    reason: str  # "trivial" | "boundary-induced" | "none"
+    sup_dq_c_l1: float
+    sup_dq_c_re: float
+    numeric_consistent: bool
+
+
+def _freeze_verdict(c0: float, f: float, sup_l1: float, sup_re: float) -> FreezeReport:
+    """The report for one or two qubits, from the initial l1 coherence c0: an
+    input with c0 <= FREEZE_TOL is trivially frozen, any other input is frozen
+    by the boundary when f = 1 within FREEZE_TOL (Bromley, Cianciaruso &
+    Adesso, PRL 114, 210401 (2015)).
 
     Frozen is one verdict for both measures, so the numeric check reads the
     larger derivative supremum.  A frozen verdict needs it below
-    FREEZE_SUP_BOUND.  A decaying one needs it at least FREEZE_SUP_BOUND * c0:
-    the l1 derivative is proportional to c0, so a weakly coherent decaying
-    input stays under the absolute bound.  The frozen side keeps the absolute
-    bound because the relative-entropy derivative left by a round-off gamma_eff
-    grows like gamma_eff log(1/q'), not like c0.
+    FREEZE_SUP_BOUND: the relative-entropy derivative left by a round-off
+    gamma_eff grows like gamma_eff log(1/q'), not like c0.  A decaying verdict
+    only says gamma_eff > FREEZE_TOL, so it needs the supremum to be at least
+    FREEZE_TOL * c0 / 2, the smallest slope such a rate gives the l1 measure:
+    |dC_l1/dq| = c0 gamma (1-q)^(gamma/2 - 1) / 2 >= c0 gamma / 2 for gamma <= 2.
     """
     trivial = c0 <= FREEZE_TOL
     frozen = trivial or abs(f - 1.0) <= FREEZE_TOL
     reason = "trivial" if trivial else "boundary-induced" if frozen else "none"
     sup = max(sup_l1, sup_re)
-    consistent = sup < FREEZE_SUP_BOUND if frozen else sup >= FREEZE_SUP_BOUND * c0
-    return frozen, reason, bool(consistent)
-
-
-@dataclass(frozen=True)
-class FreezeReport:
-    """Freezing classification with the numeric derivative bounds backing it."""
-
-    l1_frozen: bool
-    re_frozen: bool
-    reason: str  # "trivial" | "boundary-induced" | "none"
-    sup_dq_c_l1: float
-    sup_dq_c_re: float
-    numeric_consistent: bool
+    consistent = sup < FREEZE_SUP_BOUND if frozen else sup >= 0.5 * FREEZE_TOL * c0
+    return FreezeReport(frozen, reason, sup_l1, sup_re, bool(consistent))
 
 
 def freezing_report(
@@ -274,8 +276,7 @@ def freezing_report(
     f = suppression_factor(geometry, polarization)
     sup_l1 = float(max(dq_c_l1(theta, float(q), f) for q in _VALIDATION_GRID))
     sup_re = float(max(dq_c_re(theta, float(q), f) for q in _VALIDATION_GRID))
-    frozen, reason, consistent = _freeze_verdict(abs(math.sin(theta)), f, sup_l1, sup_re)
-    return FreezeReport(frozen, frozen, reason, sup_l1, sup_re, consistent)
+    return _freeze_verdict(abs(math.sin(theta)), f, sup_l1, sup_re)
 
 
 def sweep(

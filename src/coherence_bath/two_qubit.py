@@ -26,17 +26,17 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
+    _decay_rate,
     _in_unit_interval,
     noise_to_damping,
     rate_coefficients,
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import _VALIDATION_GRID, CoherenceTrace, _freeze_verdict
+from .single_qubit import _VALIDATION_GRID, CoherenceTrace, FreezeReport, _freeze_verdict
 
 __all__ = [
     "BellDiagonalParams",
-    "FreezeReportBD",
     "OneSidedChannel",
     "apply_one_sided_channel",
     "bd_density",
@@ -63,9 +63,10 @@ class BellDiagonalParams:
     c3: float
 
     def __post_init__(self):
+        # A nonnegative spectrum bounds each |c_i| by 1 + 4 |PHYSICALITY_TOL|.
         for name, value in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
-            if not math.isfinite(value) or abs(value) > 1.0:
-                raise ValueError(f"{name} must be a finite value in [-1, 1], got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for label, value in self.eigenvalues().items():
             if value < PHYSICALITY_TOL:
                 raise ValueError(
@@ -201,20 +202,9 @@ def c_re_bd_closed_form(c: BellDiagonalParams, q_prime):
     return _float_if_scalar(entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum))
 
 
-@dataclass(frozen=True)
-class FreezeReportBD:
-    """Two-qubit freezing classification with numeric derivative bounds."""
-
-    frozen: bool
-    reason: str  # "trivial" | "boundary-induced" | "none"
-    sup_dq_c_l1: float
-    sup_dq_c_re: float
-    numeric_consistent: bool
-
-
 def freezing_report_bd(
     c: BellDiagonalParams, geometry: Geometry, polarization: PolarizationWeights
-) -> FreezeReportBD:
+) -> FreezeReport:
     """Classify whether the Bell-diagonal coherence stays constant over all q.
 
     Frozen trivially when c1 = c2 = 0 (both measures vanish identically) or
@@ -224,7 +214,7 @@ def freezing_report_bd(
     """
     c = _as_bd(c)
     f = suppression_factor(geometry, polarization)
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
+    gamma = _decay_rate(f)
     step = 1e-5
     plus = noise_to_damping(_VALIDATION_GRID + step, gamma)
     minus = noise_to_damping(_VALIDATION_GRID - step, gamma)
@@ -232,8 +222,7 @@ def freezing_report_bd(
         float(np.max(np.abs(kernel(c, plus) - kernel(c, minus)) / (2 * step)))
         for kernel in (c_l1_bd, c_re_bd)
     )
-    frozen, reason, consistent = _freeze_verdict(c_l1_bd(c, 0.0), f, sup_l1, sup_re)
-    return FreezeReportBD(frozen, reason, sup_l1, sup_re, consistent)
+    return _freeze_verdict(c_l1_bd(c, 0.0), f, sup_l1, sup_re)
 
 
 def sweep_bd(

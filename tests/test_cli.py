@@ -126,6 +126,12 @@ def test_two_rejects_unphysical_vector(tmp_path, capsys):
     assert "(1 - c3 - (c1 + c2))/4" in capsys.readouterr().err
 
 
+def test_two_rejects_correlation_beyond_one(capsys):
+    assert main(["two", "--c1", "1.5", "--c2", "0", "--c3", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unphysical correlation vector") and err.count("\n") == 1
+
+
 def test_two_requires_c_vector(capsys):
     assert main(["two"]) == 2
     assert "c1" in capsys.readouterr().err
@@ -249,6 +255,11 @@ def test_freeze_weak_coherence_is_consistent(tmp_path, capsys, args):
     assert payload["sup_dq_c_re"] < 1e-8 < payload["sup_dq_c_l1"]
 
 
+SLOW_DECAY = ["--geometry", "mirror", "--u", "3e-6", "--polarization", "parallel"]
+ROUND_OFF_FROZEN = ["--geometry", "mirror", "--u", "1e-7", "--polarization", "0.6,0.4000000000001,0"]
+TWO_MODE = ["--mode", "two", "--c1", "0.5", "--c2", "0.2", "--c3", "0.1"]
+
+
 @pytest.mark.parametrize(
     "args, verdict",
     [
@@ -260,12 +271,18 @@ def test_freeze_weak_coherence_is_consistent(tmp_path, capsys, args):
             ["--mode", "single", "--theta", "1e-6", "--geometry", "mirror", "--u", "1e-7"],
             "FROZEN (boundary-induced)",
         ),
+        (["--mode", "single", *SLOW_DECAY], "not frozen"),
+        ([*TWO_MODE, *SLOW_DECAY], "not frozen"),
+        (["--mode", "single", *ROUND_OFF_FROZEN], "FROZEN (boundary-induced)"),
+        ([*TWO_MODE, *ROUND_OFF_FROZEN], "FROZEN (boundary-induced)"),
     ],
 )
 def test_freeze_check_scales_with_initial_coherence(tmp_path, capsys, args, verdict):
     # Decaying inputs whose derivatives all fall under the absolute 1e-8
-    # bound, trivially frozen ones, and a frozen one whose relative-entropy
-    # derivative (2.4e-12) exceeds 1e-8 times its coherence 1e-6.
+    # bound (weak coherence, or gamma_eff ~ 7.2e-12 at u = 3e-6), trivially
+    # frozen ones, a frozen one whose relative-entropy derivative (2.4e-12)
+    # exceeds 1e-8 times its coherence 1e-6, and valid weights whose
+    # suppression factor is 1 + 9.2e-14.
     twin = tmp_path / "freeze.json"
     assert main(["freeze", *args, "--out", str(twin)]) == 0
     out = capsys.readouterr().out

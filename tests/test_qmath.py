@@ -2,18 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from coherence_bath.qmath import (
     GROUND,
+    PAULI,
     PositivityError,
+    _eigenvalues,
     as_density_matrix,
-    bloch_to_density,
-    density_to_bloch,
     diagonal_part,
     entropy_bits,
-    hermitian_eigenvalues,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -24,16 +21,21 @@ EVOLVED_EXAMPLE = np.array([[0.125, 0.25], [0.25, 0.875]], dtype=complex)
 EVOLVED_EIGS = (0.95069390943299866, 0.04930609056700134)
 
 
+def eigenvalues(m):
+    """The spectrum von_neumann_entropy takes the entropy of, descending."""
+    return _eigenvalues(as_density_matrix(m, check_positive=False))
+
+
 def test_eigenvalues_maximally_mixed():
-    assert hermitian_eigenvalues(np.eye(2) / 2) == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert eigenvalues(np.eye(2) / 2) == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_eigenvalues_pure_diagonal():
-    assert hermitian_eigenvalues(np.diag([1.0, 0.0])) == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert eigenvalues(np.diag([1.0, 0.0])) == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_eigenvalues_evolved_example():
-    eigs = hermitian_eigenvalues(EVOLVED_EXAMPLE)
+    eigs = eigenvalues(EVOLVED_EXAMPLE)
     assert eigs == pytest.approx(EVOLVED_EIGS, abs=1e-14)
     # independent route: numpy's generic solver on the same matrix
     reference = np.sort(np.linalg.eigvalsh(EVOLVED_EXAMPLE))[::-1]
@@ -44,7 +46,7 @@ def test_eigenvalues_descending_and_sum_to_trace(rng, random_density):
     for dim in (2, 4):
         for _ in range(20):
             rho = random_density(rng, dim)
-            eigs = hermitian_eigenvalues(rho)
+            eigs = eigenvalues(rho)
             assert np.all(np.diff(eigs) <= 0)
             assert abs(eigs.sum() - 1.0) < 1e-10
 
@@ -60,13 +62,13 @@ def test_eigenvector_residual_dim4(rng, random_density):
 def test_eigenvalues_reject_non_hermitian():
     bad = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigenvalues(bad)
+        eigenvalues(bad)
 
 
 def test_eigenvalues_reject_nan():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        hermitian_eigenvalues(bad)
+        eigenvalues(bad)
 
 
 def test_entropy_maximally_mixed_qubit():
@@ -124,58 +126,21 @@ def test_diagonal_part_plus_state():
     assert np.allclose(diagonal_part(plus), np.eye(2) / 2)
 
 
-def test_tensor_identities():
-    assert np.allclose(tensor(np.eye(2) / 2, np.eye(2) / 2), np.eye(4) / 4)
-    assert np.allclose(
-        tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0])
-    )
-
-
-def test_tensor_trace_multiplicative(rng, random_density):
-    for _ in range(10):
-        a = random_density(rng, 2)
-        b = random_density(rng, 2)
-        assert tensor(a, b).trace() == pytest.approx(a.trace() * b.trace(), abs=1e-13)
+def _bloch_state(b):
+    return 0.5 * (np.eye(2) + sum(component * sigma for component, sigma in zip(b, PAULI)))
 
 
 def test_bloch_center_and_pole():
-    assert np.allclose(bloch_to_density((0.0, 0.0, 0.0)), np.eye(2) / 2)
-    assert np.allclose(bloch_to_density((0.0, 0.0, 1.0)), np.diag([1.0, 0.0]))
-    assert np.allclose(bloch_to_density((0.0, 0.0, -1.0)), GROUND)
-
-
-def test_bloch_example_round_trip():
-    theta, phi = math.pi / 3, math.pi / 4
-    b = (
-        math.sin(theta) * math.cos(phi),
-        -math.sin(theta) * math.sin(phi),
-        math.cos(theta),
-    )
-    assert density_to_bloch(bloch_to_density(b)) == pytest.approx(b, abs=1e-14)
-
-
-def test_bloch_round_trip_random(rng):
-    for _ in range(100):
-        b = rng.normal(size=3)
-        b *= rng.uniform(0.0, 1.0) / np.linalg.norm(b)
-        assert density_to_bloch(bloch_to_density(b)) == pytest.approx(tuple(b), abs=1e-14)
+    # The Pauli matrices put the excited level first: +z is |1><1|, -z is GROUND.
+    assert np.allclose(_bloch_state((0.0, 0.0, 0.0)), np.eye(2) / 2)
+    assert np.allclose(_bloch_state((0.0, 0.0, 1.0)), np.diag([1.0, 0.0]))
+    assert np.allclose(_bloch_state((0.0, 0.0, -1.0)), GROUND)
 
 
 def test_bloch_rejects_unphysical_norm():
-    with pytest.raises(ValueError, match="unphysical"):
-        bloch_to_density((0.8, 0.8, 0.8))
-
-
-@given(
-    st.tuples(
-        st.floats(-1.0, 1.0, allow_nan=False),
-        st.floats(-1.0, 1.0, allow_nan=False),
-        st.floats(-1.0, 1.0, allow_nan=False),
-    ).filter(lambda b: b[0] ** 2 + b[1] ** 2 + b[2] ** 2 <= 1.0)
-)
-def test_bloch_round_trip_property(b):
-    recovered = density_to_bloch(bloch_to_density(b))
-    assert recovered == pytest.approx(b, abs=1e-14)
+    # |b| = 1.39 leaves the Bloch ball: one eigenvalue is (1 - |b|)/2 < 0.
+    with pytest.raises(PositivityError):
+        as_density_matrix(_bloch_state((0.8, 0.8, 0.8)))
 
 
 def test_as_density_matrix_rejects_bad_trace():

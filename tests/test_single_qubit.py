@@ -21,6 +21,7 @@ from coherence_bath.single_qubit import (
     c_re_trajectory,
     dq_c_l1,
     dq_c_re,
+    _freeze_verdict,
     evolve_closed_form,
     freezing_report,
     sweep,
@@ -247,7 +248,7 @@ def test_trajectories_independent_of_omega():
 
 def test_freezing_report_unbounded_not_frozen():
     report = freezing_report(math.pi / 2, UNBOUNDED, PARALLEL)
-    assert not report.l1_frozen and not report.re_frozen
+    assert not report.frozen
     assert report.reason == "none"
     assert report.sup_dq_c_l1 > 1.0
     assert report.numeric_consistent
@@ -255,7 +256,7 @@ def test_freezing_report_unbounded_not_frozen():
 
 def test_freezing_report_boundary_induced():
     report = freezing_report(math.pi / 2, Geometry.mirror(1e-7), PARALLEL)
-    assert report.l1_frozen and report.re_frozen
+    assert report.frozen
     assert report.reason == "boundary-induced"
     assert report.sup_dq_c_l1 < 1e-8 and report.sup_dq_c_re < 1e-8
     assert report.numeric_consistent
@@ -264,7 +265,7 @@ def test_freezing_report_boundary_induced():
 def test_freezing_report_trivial():
     for theta in (0.0, math.pi):
         report = freezing_report(theta, Geometry.mirror(0.5), PolarizationWeights.isotropic())
-        assert report.l1_frozen and report.re_frozen
+        assert report.frozen
         assert report.reason == "trivial"
         assert report.numeric_consistent
 
@@ -273,9 +274,25 @@ def test_near_boundary_not_exactly_frozen():
     # u = 1e-3 protects coherence well but does not meet the exact-freezing
     # predicate, and the derivative supremum says the same
     report = freezing_report(math.pi / 2, Geometry.mirror(1e-3), PARALLEL)
-    assert not report.l1_frozen and not report.re_frozen
+    assert not report.frozen
     assert report.sup_dq_c_l1 > 1e-8
     assert report.numeric_consistent
+
+
+def test_freeze_verdict_flags_contradicting_suprema():
+    # Decaying (f = 0.5) with no slope, and frozen (f = 1) with a slope of 1e-8.
+    assert not _freeze_verdict(1.0, 0.5, 0.0, 0.0).numeric_consistent
+    assert not _freeze_verdict(1.0, 1.0, 0.0, 1e-8).numeric_consistent
+    assert not _freeze_verdict(1.0, 1.0, 1e-8, 0.0).numeric_consistent
+
+
+def test_derivatives_clamp_round_off_rate():
+    # f = 1 + 9.2e-14: gamma_eff is clamped to 0 as in rate_coefficients.
+    f = 1.0 + 9.2e-14
+    assert dq_c_l1(math.pi / 2, 0.5, f) == 0.0
+    assert dq_c_re(math.pi / 2, 0.5, f) == 0.0
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        dq_c_re(math.pi / 2, 0.5, 1.0 + 1e-9)
 
 
 def test_sweep_trace_contract():
