@@ -16,7 +16,6 @@ the configuration that freezes coherence.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,21 +42,23 @@ GAMMA_CLAMP = -1e-12
 # (numerator ~ u^3 built from O(u) terms), so the Maclaurin series is used.
 SERIES_CUTOFF = 0.1
 _SERIES_TERMS = 10
+# From u ~ 2.2e102 the factor 16 u^3 overflows: to inf, which silently gives
+# 0, and from u ~ 5.6e102 u**3 raises OverflowError.  From here on the
+# direct forms divide by u term by term.
+TERMWISE_U = 1e100
 
 
 def _series_coefficients(n_terms: int) -> tuple[list[float], list[float]]:
     # Coefficient of u^(2m) in each response function, from the exact
-    # Maclaurin expansions of the trig numerators (kept rational until the
-    # final float conversion).
+    # Maclaurin expansions of the trig numerators: with k = 2m + 3 and
+    # s = (-1)^(m+1) 2^k they are 3 s (k - 1 - k(k - 1)) / (16 k!) and
+    # 3 s (k - 1) / (8 k!).  int / int is one correctly rounded division.
     par, perp = [], []
     for m in range(n_terms):
-        sign = -1 if m % 2 == 0 else 1
-        base = Fraction(sign * 2 ** (2 * m + 3))
-        f1 = Fraction(1, math.factorial(2 * m + 2))
-        f2 = Fraction(1, math.factorial(2 * m + 3))
-        f3 = Fraction(1, math.factorial(2 * m + 1))
-        par.append(float(Fraction(3, 16) * base * (f1 - f2 - f3)))
-        perp.append(float(Fraction(3, 8) * base * (f1 - f2)))
+        k = 2 * m + 3
+        s = (-1 if m % 2 == 0 else 1) * 2**k
+        par.append(3 * s * (k - 1 - k * (k - 1)) / (16 * math.factorial(k)))
+        perp.append(3 * s * (k - 1) / (8 * math.factorial(k)))
     return par, perp
 
 
@@ -74,13 +75,25 @@ def _check_u(u: float) -> float:
 def f_parallel_direct(u: float) -> float:
     """Direct evaluation of f_parallel; accurate away from u -> 0."""
     u = _check_u(u)
+    if u >= TERMWISE_U:
+        cos2, sin2 = _double_angle(u)
+        return 3.0 / 16.0 * (2.0 * cos2 / u / u + (4.0 - 1.0 / u / u) * sin2 / u)
     return 3.0 / (16.0 * u**3) * (2.0 * u * math.cos(2.0 * u) + (4.0 * u * u - 1.0) * math.sin(2.0 * u))
 
 
 def f_perpendicular_direct(u: float) -> float:
     """Direct evaluation of f_perpendicular; accurate away from u -> 0."""
     u = _check_u(u)
+    if u >= TERMWISE_U:
+        cos2, sin2 = _double_angle(u)
+        return 3.0 / 8.0 * (2.0 * cos2 / u / u - sin2 / u / u / u)
     return 3.0 / (8.0 * u**3) * (2.0 * u * math.cos(2.0 * u) - math.sin(2.0 * u))
+
+
+def _double_angle(u: float) -> tuple[float, float]:
+    """cos 2u and sin 2u from sin u and cos u, so 2u never overflows."""
+    sin, cos = math.sin(u), math.cos(u)
+    return (cos - sin) * (cos + sin), 2.0 * sin * cos
 
 
 def _series(coeffs: list[float], u: float) -> float:

@@ -10,11 +10,17 @@ tolerance failure.
 """
 
 import argparse
-import configparser
 import dataclasses
 import json
 import math
+import os
 import sys
+
+# OpenBLAS starts a pool of worker threads when numpy loads.  No matrix here
+# is larger than 16x16, so the pool only costs start-up CPU; one thread does
+# the work.  A value the user sets wins.  The package __init__ imports no
+# numpy, so this line runs first under `python -m` and the console script.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -149,6 +155,8 @@ _FIELDS = {
 
 
 def _load_section(path: str, section: str) -> dict:
+    import configparser  # only --config needs it
+
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle)

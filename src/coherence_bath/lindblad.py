@@ -17,8 +17,10 @@ update reduces exactly to the degree-4 Taylor propagator of the Liouvillian;
 one step is that matrix, and n uniform steps are its n-th power.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +99,47 @@ class IntegratorConfig:
             raise ValueError(f"step must be at most 1e-2, got {self.step}")
 
 
+@functools.cache
+def _sigmas(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """sigma_x, sigma_y, sigma_z acting on qubit A: the Pauli matrices, or each tensored with I."""
+    if n_qubits == 1:
+        return PAULI
+    eye = np.eye(2, dtype=complex)
+    return tuple(np.kron(s, eye) for s in PAULI)
+
+
+def _rhs(a_coeff, b_coeff, omega, n_qubits: int):
+    """The map rho -> d rho / d tau of the generators with these coefficients.
+
+    The coefficients are floats, or arrays of one shape S for a stack of
+    generators.  A matrix or stack of matrices of shape R + (d, d) then maps
+    to S + R + (d, d); each entry takes the arithmetic of its own generator.
+    """
+    sx, sy, sz = _sigmas(n_qubits)
+    a, b, omega = (np.asarray(x, dtype=float) for x in (a_coeff, b_coeff, omega))
+    shape = a.shape
+    hamiltonian = np.reshape(0.5 * omega, shape + (1, 1)) * sz
+    # Nonzero Kossakowski entries: a_11 = a_22 = A, a_12 = -iB, a_21 = +iB.
+    # Each term carries a_ij together with (sigma_j, sigma_i) so the jump
+    # part reads a_ij sigma_j rho sigma_i.
+    a = a.astype(complex)
+    terms = [(a, sx, sx), (a, sy, sy), (-1.0j * b, sy, sx), (1.0j * b, sx, sy)]
+    # C = 1/2 sum_ij a_ij sigma_i sigma_j collects both anticommutator halves.
+    anticomm = 0.5 * sum(np.reshape(coeff, shape + (1, 1)) * (right @ left) for coeff, left, right in terms)
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho, dtype=complex)
+        lead = shape + (1,) * (rho.ndim - 2)
+        ham = hamiltonian.reshape(lead + sz.shape)
+        anti = anticomm.reshape(lead + sz.shape)
+        out = -1.0j * (ham @ rho - rho @ ham)
+        for coeff, jump_left, jump_right in terms:
+            out = out + np.reshape(coeff, lead + (1, 1)) * (jump_left @ rho @ jump_right)
+        return out - anti @ rho - rho @ anti
+
+    return rhs
+
+
 def build_rhs(spec: GeneratorSpec):
     """Return the map rho -> d rho / d tau for the given generator.
 
@@ -105,43 +148,22 @@ def build_rhs(spec: GeneratorSpec):
     matrices, or a stack of them along the first axis, when assembling
     superoperators.
     """
-    eye = np.eye(2, dtype=complex)
-    if spec.n_qubits == 1:
-        sigmas = [s.copy() for s in PAULI]
-    else:
-        sigmas = [np.kron(s, eye) for s in PAULI]
-    hamiltonian = 0.5 * spec.omega * sigmas[2]
+    return _rhs(spec.a_coeff, spec.b_coeff, spec.omega, spec.n_qubits)
 
-    a, b = spec.a_coeff, spec.b_coeff
-    # Nonzero Kossakowski entries: a_11 = a_22 = A, a_12 = -iB, a_21 = +iB.
-    # Each term carries a_ij together with (sigma_j, sigma_i) so the jump
-    # part reads a_ij sigma_j rho sigma_i.
-    terms = [
-        (complex(a), sigmas[0], sigmas[0]),
-        (complex(a), sigmas[1], sigmas[1]),
-        (-1.0j * b, sigmas[1], sigmas[0]),
-        (1.0j * b, sigmas[0], sigmas[1]),
-    ]
-    # C = 1/2 sum_ij a_ij sigma_i sigma_j collects both anticommutator halves.
-    anticomm = 0.5 * sum(coeff * (right @ left) for coeff, left, right in terms)
 
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out = -1.0j * (hamiltonian @ rho - rho @ hamiltonian)
-        for coeff, jump_left, jump_right in terms:
-            out = out + coeff * (jump_left @ rho @ jump_right)
-        out = out - anticomm @ rho - rho @ anticomm
-        return out
-
-    return rhs
+def _liouvillians(specs) -> np.ndarray:
+    """liouvillian_matrix of each spec, stacked; the specs share one n_qubits."""
+    dim = specs[0].dim
+    n = dim * dim
+    a, b, omega = np.array([(s.a_coeff, s.b_coeff, s.omega) for s in specs]).T
+    basis = np.eye(n, dtype=complex).reshape(n, dim, dim)
+    return _rhs(a, b, omega, specs[0].n_qubits)(basis).reshape(len(specs), n, n).swapaxes(1, 2)
 
 
 def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:
     """Matrix of the generator acting on row-major vectorized matrices; column k
     is the generator applied to the k-th matrix unit of the stacked basis."""
-    n = spec.dim * spec.dim
-    basis = np.eye(n, dtype=complex).reshape(n, spec.dim, spec.dim)
-    return build_rhs(spec)(basis).reshape(n, n).T
+    return _liouvillians([spec])[0]
 
 
 def integrate(
@@ -162,34 +184,90 @@ def integrate(
     tau = float(tau)
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    if tau == 0.0:
-        return rho.copy()
+    return _integrate_stack(rho[None], [spec], [tau], cfg)[0]
 
-    n_steps = max(1, math.ceil(tau / cfg.step))
-    h = tau / n_steps
-    hm = h * liouvillian_matrix(spec)
-    eye = np.eye(hm.shape[0], dtype=complex)
-    # Classical RK4 for a constant linear generator: one step multiplies the
-    # vectorized state by I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24.
-    hm2 = hm @ hm
-    propagator = eye + hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
+
+def _integrate_stack(rho0: np.ndarray, specs, taus, cfg: IntegratorConfig) -> np.ndarray:
+    """integrate(rho0[k], specs[k], taus[k], cfg) for every k, on the whole stack.
+
+    The specs share one n_qubits; states and times are taken as already
+    checked.  Each case goes through the floating-point operations of a
+    stack of one, so slicing a stack does not change a bit.  A time of 0
+    returns the state unchecked.  InstabilityError describes the first
+    failing case.
+    """
+    taus = np.asarray(taus, dtype=float)
+    out = np.array(rho0, dtype=complex)
+    moving = np.flatnonzero(taus > 0.0)
+    if moving.size == 0:
+        return out
+    n_steps = np.maximum(1, np.ceil(taus[moving] / cfg.step)).astype(np.int64)
+    h = taus[moving] / n_steps
+    propagator = _rk4_step(h[:, None, None] * _liouvillians([specs[k] for k in moving]))
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = np.linalg.matrix_power(propagator, n_steps) @ rho.reshape(-1)
-    out = vec.reshape(rho.shape)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise InstabilityError(
-            f"integration diverged at step {h:.3e}; retry with step <= {h / 10:.3e}"
-        )
+        vec = _matrix_powers(propagator, n_steps) @ out[moving].reshape(len(moving), -1, 1)
+    evolved = vec.reshape((len(moving),) + out.shape[1:])
 
-    hermiticity_drift = float(np.max(np.abs(out - out.conj().T)))
-    trace_drift = abs(out.trace() - 1.0)
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().T))))
-    if hermiticity_drift > 1e-8 or trace_drift > 1e-8 or min_eig < -1e-8:
+    finite = np.isfinite(evolved).all(axis=(1, 2))
+    adjoint = evolved.conj().swapaxes(1, 2)
+    hermiticity_drift = np.max(np.abs(evolved - adjoint), axis=(1, 2))
+    trace_drift = np.abs(np.trace(evolved, axis1=1, axis2=2) - 1.0)
+    min_eig = np.zeros(len(moving))
+    min_eig[finite] = np.min(np.linalg.eigvalsh(0.5 * (evolved + adjoint)[finite]), axis=1)
+    failed = ~finite | (hermiticity_drift > 1e-8) | (trace_drift > 1e-8) | (min_eig < -1e-8)
+    if failed.any():
+        k = int(np.argmax(failed))
+        step = float(h[k])
+        if not finite[k]:
+            raise InstabilityError(
+                f"integration diverged at step {step:.3e}; retry with step <= {step / 10:.3e}"
+            )
         raise InstabilityError(
-            f"integration unstable at step {h:.3e} "
-            f"(hermiticity drift {hermiticity_drift:.2e}, trace drift {trace_drift:.2e}, "
-            f"min eigenvalue {min_eig:.2e}); retry with step <= {h / 2:.3e}"
+            f"integration unstable at step {step:.3e} "
+            f"(hermiticity drift {hermiticity_drift[k]:.2e}, trace drift {trace_drift[k]:.2e}, "
+            f"min eigenvalue {min_eig[k]:.2e}); retry with step <= {step / 2:.3e}"
         )
+    out[moving] = evolved
+    return out
+
+
+def _rk4_step(hm: np.ndarray) -> np.ndarray:
+    """Classical RK4 for a constant linear generator M and step h: one step
+    multiplies the vectorized state by I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24."""
+    hm2 = hm @ hm
+    eye = np.eye(hm.shape[-1], dtype=complex)
+    return eye + hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
+
+
+def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a[k] ** n[k] (n >= 1) by the products numpy.linalg.matrix_power takes for
+    one matrix, each taken once on the stack of cases that need it.
+
+    n = 1, 2, 3 give a, a @ a and (a @ a) @ a.  Larger n square a from the
+    lowest bit up and multiply each square with a set bit into the result,
+    stopping after the highest bit.
+    """
+    out = np.empty_like(a)
+    for power, product in ((1, lambda x: x), (2, lambda x: x @ x), (3, lambda x: (x @ x) @ x)):
+        pick = np.flatnonzero(n == power)
+        out[pick] = product(a[pick])
+    live = np.flatnonzero(n > 3)
+    square, bits = a[live], n[live]
+    result = np.empty_like(square)
+    started = np.zeros(len(live), dtype=bool)
+    while live.size:
+        odd = (bits & 1).astype(bool)
+        first, more = odd & ~started, odd & started
+        result[first] = square[first]
+        result[more] = result[more] @ square[more]
+        started |= odd
+        bits = bits >> 1
+        done = bits == 0
+        out[live[done]] = result[done]
+        keep = ~done
+        live, bits, result, started = live[keep], bits[keep], result[keep], started[keep]
+        kept = square[keep]
+        square = kept @ kept
     return out
 
 
@@ -238,6 +316,75 @@ def _case_geometry(rng) -> tuple[str, Geometry]:
     return "mirror u=1e-07 (near boundary)", Geometry.mirror(1e-7)
 
 
+class _Case(NamedTuple):
+    """One validation case: its closed form and what the integrator needs to redo it."""
+
+    description: str
+    spec: GeneratorSpec
+    tau: float
+    rho0: np.ndarray
+    closed: np.ndarray
+    re_gap: float | None  # |exact - closed form| relative entropy, two qubits with c1*c2 != 0
+
+
+# Cases drawn and integrated together: a fixed size keeps memory flat in n_cases.
+_CHUNK = 32
+
+
+def _case(rng, index: int) -> _Case:
+    """Case ``index``: its parameters drawn from ``rng`` (cases draw in index
+    order), its closed form and its integrator inputs."""
+    if index == 0:
+        label, geometry = "mirror u=1e-07 (frozen)", Geometry.mirror(1e-7)
+        theta, phi, q, omega = math.pi / 2, 0.3, 0.7, 2.0
+    elif index == 1:
+        label, geometry = "unbounded", Geometry.unbounded()
+        theta, phi, q, omega = 0.0, 0.0, 0.5, 1.0
+    else:
+        label, geometry = _case_geometry(rng)
+        theta = float(rng.uniform(0.0, math.pi))
+        phi = float(rng.uniform(0.0, 2.0 * math.pi))
+        q = float(rng.uniform(0.05, 0.95))
+        omega = float(rng.uniform(0.1, 4.0))
+    pol_name, polarization = _ARCHETYPES[index % 3]
+    rate = rate_coefficients(geometry, polarization)
+    tau = -math.log1p(-q)
+    setting = f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
+    if index < 2 or index % 2 == 0:  # single qubit
+        spec = GeneratorSpec(rate.a_coeff, rate.b_coeff, omega, 1)
+        params = EvolutionParams(geometry, polarization, omega)
+        closed = evolve_closed_form(InitialAngles(theta, phi), q, params)
+        description = f"single-qubit theta={theta:.3f} phi={phi:.3f} {setting}"
+        return _Case(description, spec, tau, closed_form_initial(theta, phi), closed, None)
+    bd = _random_bd(rng)
+    spec = GeneratorSpec(rate.a_coeff, rate.b_coeff, omega, 2)
+    channel = OneSidedChannel(noise_to_damping(q, rate.gamma_eff), omega * tau)
+    rho0 = bd_density(bd)
+    closed = apply_one_sided_channel(rho0, channel)
+    description = f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) {setting}"
+    gap = None
+    if abs(bd.c1 * bd.c2) > 1e-12:
+        gap = abs(c_re_bd(bd, channel.damping) - c_re_bd_closed_form(bd, channel.damping))
+    return _Case(description, spec, tau, rho0, closed, gap)
+
+
+def _oracle_errors(cases: list[_Case], cfg: IntegratorConfig) -> list[float]:
+    """max |closed form - integrator| of each case; one stack per system size."""
+    errors = [0.0] * len(cases)
+    for n_qubits in (1, 2):
+        members = [k for k, case in enumerate(cases) if case.spec.n_qubits == n_qubits]
+        if not members:
+            continue
+        group = [cases[k] for k in members]
+        numeric = _integrate_stack(
+            np.array([c.rho0 for c in group]), [c.spec for c in group], [c.tau for c in group], cfg
+        )
+        closed = np.array([c.closed for c in group])
+        for k, error in zip(members, np.max(np.abs(closed - numeric), axis=(1, 2)).tolist()):
+            errors[k] = error
+    return errors
+
+
 def validate_all(
     seed: int, n_cases: int, cfg: IntegratorConfig = IntegratorConfig()
 ) -> ValidationReport:
@@ -245,7 +392,8 @@ def validate_all(
 
     Case 0 is always the fully frozen single-qubit configuration and case 1
     the incoherent theta = 0 one, so even tiny runs exercise the degenerate
-    corners.  Deterministic for a given seed.
+    corners.  Deterministic for a given seed.  Cases are drawn and integrated
+    _CHUNK at a time; of equal errors or gaps the first case is reported.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
@@ -255,60 +403,15 @@ def validate_all(
     worst = "none"
     gap_max = -1.0
     gap_case = "none (no two-qubit case with c1*c2 != 0)"
-
-    for index in range(n_cases):
-        if index == 0:
-            label, geometry = "mirror u=1e-07 (frozen)", Geometry.mirror(1e-7)
-            pol_name, polarization = _ARCHETYPES[0]
-            theta, phi, q, omega = math.pi / 2, 0.3, 0.7, 2.0
-            two_qubit_case = False
-        elif index == 1:
-            label, geometry = "unbounded", Geometry.unbounded()
-            pol_name, polarization = _ARCHETYPES[1]
-            theta, phi, q, omega = 0.0, 0.0, 0.5, 1.0
-            two_qubit_case = False
-        else:
-            label, geometry = _case_geometry(rng)
-            pol_name, polarization = _ARCHETYPES[index % 3]
-            theta = float(rng.uniform(0.0, math.pi))
-            phi = float(rng.uniform(0.0, 2.0 * math.pi))
-            q = float(rng.uniform(0.05, 0.95))
-            omega = float(rng.uniform(0.1, 4.0))
-            two_qubit_case = index % 2 == 1
-
-        rate = rate_coefficients(geometry, polarization)
-        tau = -math.log1p(-q)
-        spec = GeneratorSpec(rate.a_coeff, rate.b_coeff, omega, 2 if two_qubit_case else 1)
-
-        if two_qubit_case:
-            bd = _random_bd(rng)
-            channel = OneSidedChannel(noise_to_damping(q, rate.gamma_eff), omega * tau)
-            closed = apply_one_sided_channel(bd_density(bd), channel)
-            numeric = integrate(bd_density(bd), spec, tau, cfg)
-            description = (
-                f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) "
-                f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
-            )
-            if abs(bd.c1 * bd.c2) > 1e-12:
-                gap = abs(
-                    c_re_bd(bd, channel.damping) - c_re_bd_closed_form(bd, channel.damping)
-                )
-                if gap > gap_max:
-                    gap_max = gap
-                    gap_case = f"{description}: |exact - closed form| = {gap:.3e}"
-        else:
-            params = EvolutionParams(geometry, polarization, omega)
-            closed = evolve_closed_form(InitialAngles(theta, phi), q, params)
-            numeric = integrate(closed_form_initial(theta, phi), spec, tau, cfg)
-            description = (
-                f"single-qubit theta={theta:.3f} phi={phi:.3f} "
-                f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
-            )
-
-        error = float(np.max(np.abs(closed - numeric)))
-        if error > max_error:
-            max_error = error
-            worst = description
+    for start in range(0, n_cases, _CHUNK):
+        cases = [_case(rng, index) for index in range(start, min(start + _CHUNK, n_cases))]
+        for case, error in zip(cases, _oracle_errors(cases, cfg)):
+            if case.re_gap is not None and case.re_gap > gap_max:
+                gap_max = case.re_gap
+                gap_case = f"{case.description}: |exact - closed form| = {case.re_gap:.3e}"
+            if error > max_error:
+                max_error = error
+                worst = case.description
 
     return ValidationReport(
         n_cases=n_cases,

@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coherence_bath.boundary import (
+    TERMWISE_U,
+    _series_coefficients,
     Geometry,
     PolarizationWeights,
     f_parallel,
@@ -56,6 +60,29 @@ def test_f_functions_against_mpmath(rng):
         assert f_parallel(u) == pytest.approx(float(_mp_f_parallel(u)), abs=1e-12)
         assert f_perpendicular(u) == pytest.approx(float(_mp_f_perpendicular(u)), abs=1e-12)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e100, 1.7976931348623157e308))
+@example(math.nextafter(TERMWISE_U, 0.0))  # the last u of the one-division form
+@example(2.3858351919610475e102)  # 16 u**3 = inf: the one-division form gave -0.0
+@example(1e200)  # u**3 raised OverflowError
+@example(1.7976931348623157e308)  # 2u = inf
+def test_f_functions_against_mpmath_up_to_max_float(u):
+    # Tolerance 1e-13 of the envelopes 3/(4u) and 3/(4u^2), plus a few
+    # subnormal ulps where they underflow.
+    par_envelope, perp_envelope = 3.0 / (4.0 * u), 3.0 / (4.0 * u) / u
+    assert abs(f_parallel(u) - float(_mp_f_parallel(u))) <= 1e-13 * par_envelope + 1e-322
+    assert abs(f_perpendicular(u) - float(_mp_f_perpendicular(u))) <= 1e-13 * perp_envelope + 1e-322
+
+
+def test_series_coefficients_equal_exact_fractions():
+    par, perp = _series_coefficients(30)
+    for m in range(30):
+        base = Fraction((-1 if m % 2 == 0 else 1) * 2 ** (2 * m + 3))
+        f1, f2, f3 = (Fraction(1, math.factorial(2 * m + k)) for k in (2, 3, 1))
+        assert par[m] == float(Fraction(3, 16) * base * (f1 - f2 - f3))
+        assert perp[m] == float(Fraction(3, 8) * base * (f1 - f2))
 
 def test_small_u_limits():
     assert f_parallel(1e-8) == pytest.approx(1.0, abs=1e-12)

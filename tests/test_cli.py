@@ -528,11 +528,15 @@ def test_parser_flags_mirror_field_tables():
 
 
 @pytest.mark.parametrize("command", [["single"], ["freeze", "--mode", "single"]])
-def test_far_mirror_overflow_is_invalid_input(capsys, command):
-    assert main(command + ["--geometry", "mirror", "--u", "1e200"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+def test_far_mirror_runs_where_u_cubed_overflows(capsys, command):
+    assert main(command + ["--geometry", "mirror", "--u", "1e200"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_surface_reaches_far_mirror(capsys):
+    assert main(["surface", "--u-stop", "1e300", "--u-count", "7", "--q-count", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.splitlines()[-1] == "1e+300,1.0,0.0"
 
 
 def test_validate_accepts_seed_zero(tmp_path, capsys):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from coherence_bath import lindblad
 from coherence_bath.boundary import Geometry, PolarizationWeights
 from coherence_bath.lindblad import (
     GeneratorSpec,
     InstabilityError,
     IntegratorConfig,
+    _integrate_stack,
+    _matrix_powers,
     build_rhs,
     closed_form_initial,
     integrate,
@@ -224,3 +228,115 @@ def test_validate_all_degenerate_theta_case():
 def test_validate_all_rejects_bad_count():
     with pytest.raises(ValueError):
         validate_all(1, 0)
+
+
+def test_validate_all_keeps_the_first_of_equal_errors(monkeypatch):
+    monkeypatch.setattr(lindblad, "_oracle_errors", lambda cases, cfg: [0.5] * len(cases))
+    report = validate_all(3, 130)
+    assert report.max_error == 0.5
+    assert report.worst_case.startswith("single-qubit theta=1.571 phi=0.300 mirror u=1e-07 (frozen)")
+
+
+def test_matrix_powers_take_numpys_products(rng):
+    counts = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 64, 100, 1023, 1024, 2999])
+    for dim in (4, 16):
+        noise = rng.normal(size=(2, len(counts), dim, dim))
+        a = np.eye(dim) + 0.05 * (noise[0] + 1j * noise[1])
+        powers = _matrix_powers(a, counts)
+        for k, n in enumerate(counts.tolist()):
+            assert powers[k].tobytes() == np.linalg.matrix_power(a[k], n).tobytes(), n
+
+
+@st.composite
+def _oracle_cases(draw, n_qubits):
+    """(spec, tau, state seed); the step counts cover tau = 0, matrix_power's
+    special cases 1-3 and bit patterns up to 3000 steps."""
+    a = draw(st.floats(0.0, 1.0))
+    spec = GeneratorSpec(a, draw(st.floats(-a, a)), draw(st.floats(-5.0, 5.0)), n_qubits)
+    n_steps = draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 3000)))
+    tau = 0.0 if n_steps == 0 else (n_steps - draw(st.floats(0.0, 0.999))) * 1e-3
+    return spec, tau, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([1, 2]).flatmap(lambda n: st.lists(_oracle_cases(n), min_size=1, max_size=6)))
+def test_stacked_integration_equals_per_case_bitwise(random_density, cases):
+    rhos = [random_density(np.random.default_rng(seed), spec.dim) for spec, _, seed in cases]
+    specs, taus = [spec for spec, _, _ in cases], [tau for _, tau, _ in cases]
+    stacked = _integrate_stack(np.array(rhos), specs, taus, IntegratorConfig())
+    for rho, spec, tau, out in zip(rhos, specs, taus, stacked):
+        assert out.tobytes() == integrate(rho, spec, tau).tobytes()
+
+
+def test_stacked_instability_names_the_first_failing_case():
+    rho0 = closed_form_initial(math.pi / 2, 0.0)
+    specs = [GeneratorSpec(0.25, 0.25), GeneratorSpec(500.0, 0.0), GeneratorSpec(900.0, 0.0)]
+    with pytest.raises(InstabilityError, match="at step 1.000e-02"):  # 9.950e-03 for the last
+        _integrate_stack(np.array([rho0] * 3), specs, [1.0, 1.0, 0.995], IntegratorConfig(1e-2))
+
+
+# (seed, cases) -> repr(max_error), worst case and relative-entropy gap case,
+# as validate reported them when it integrated one case at a time.
+_VALIDATE_GOLDEN = {
+    (1, 50): (
+        "4.645329470145888e-12",
+        "single-qubit theta=1.764 phi=4.887 mirror u=0.13 pol=parallel q=0.887 omega=3.507",
+        "two-qubit c=(-0.324,-0.736,-0.227) unbounded pol=perpendicular q=0.397 omega=0.177: "
+        "|exact - closed form| = 3.190e-01",
+    ),
+    (1, 400): (
+        "8.635936812844416e-12",
+        "two-qubit c=(-0.776,-0.990,-0.769) mirror u=1e-07 (near boundary) pol=parallel q=0.916 omega=3.940",
+        "two-qubit c=(0.685,-0.671,0.608) mirror u=1e-07 (near boundary) pol=parallel q=0.835 omega=3.994: "
+        "|exact - closed form| = 4.853e-01",
+    ),
+    (1, 2000): (
+        "9.118621548033539e-12",
+        "single-qubit theta=0.902 phi=1.441 mirror u=1e-07 (near boundary) pol=parallel q=0.941 omega=3.969",
+        "two-qubit c=(-0.713,0.882,0.629) mirror u=1e-07 (near boundary) pol=isotropic q=0.231 omega=3.084: "
+        "|exact - closed form| = 6.486e-01",
+    ),
+    (2, 50): (
+        "1.6447935123282783e-12",
+        "single-qubit theta=2.289 phi=3.795 unbounded pol=perpendicular q=0.874 omega=3.686",
+        "two-qubit c=(-0.630,0.563,0.432) mirror u=0.08208 pol=parallel q=0.752 omega=0.305: "
+        "|exact - closed form| = 4.158e-01",
+    ),
+    (2, 400): (
+        "2.170320884833127e-12",
+        "single-qubit theta=1.946 phi=5.959 unbounded pol=perpendicular q=0.890 omega=3.734",
+        "two-qubit c=(0.967,-0.734,0.752) mirror u=0.2242 pol=parallel q=0.135 omega=2.313: "
+        "|exact - closed form| = 7.656e-01",
+    ),
+    (2, 2000): (
+        "5.8351495999786775e-12",
+        "single-qubit theta=1.097 phi=5.022 mirror u=0.2828 pol=parallel q=0.918 omega=3.688",
+        "two-qubit c=(0.725,-0.978,0.737) mirror u=1e-07 (near boundary) pol=parallel q=0.142 omega=3.782: "
+        "|exact - closed form| = 7.870e-01",
+    ),
+    (3, 50): (
+        "1.0987615564452655e-12",
+        "single-qubit theta=1.959 phi=3.813 mirror u=4.243 pol=parallel q=0.924 omega=3.169",
+        "two-qubit c=(0.842,-0.588,0.702) mirror u=1e-07 (near boundary) pol=isotropic q=0.227 omega=0.803: "
+        "|exact - closed form| = 4.453e-01",
+    ),
+    (3, 400): (
+        "2.7258142294137413e-12",
+        "single-qubit theta=1.891 phi=5.315 unbounded pol=perpendicular q=0.782 omega=3.922",
+        "two-qubit c=(-0.723,0.858,0.647) mirror u=0.3138 pol=isotropic q=0.143 omega=3.349: "
+        "|exact - closed form| = 6.497e-01",
+    ),
+    (3, 2000): (
+        "8.13882158121931e-12",
+        "single-qubit theta=1.116 phi=3.439 mirror u=1e-07 (near boundary) pol=parallel q=0.908 omega=3.907",
+        "two-qubit c=(-0.924,0.882,0.898) mirror u=1e-07 (near boundary) pol=parallel q=0.913 omega=3.787: "
+        "|exact - closed form| = 7.922e-01",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, n_cases", sorted(_VALIDATE_GOLDEN))
+def test_validate_all_reports_are_unchanged(seed, n_cases):
+    report = validate_all(seed, n_cases)
+    reported = (repr(report.max_error), report.worst_case, report.re_formula_gap_case)
+    assert reported == _VALIDATE_GOLDEN[seed, n_cases]
