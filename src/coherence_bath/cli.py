@@ -24,12 +24,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .boundary import (
-    Geometry,
-    PolarizationWeights,
-    noise_to_damping,
-    rate_coefficients,
-)
+from .boundary import _PRESETS, Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
 from .single_qubit import InitialAngles, _check_q_grid, freezing_report, sweep
 from .single_qubit import c_l1_trajectory, c_re_trajectory
@@ -39,13 +34,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
-
-_PRESETS = {
-    "parallel": PolarizationWeights.parallel,
-    "perpendicular": PolarizationWeights.perpendicular,
-    "isotropic": PolarizationWeights.isotropic,
-}
-
 
 def _finite_float(text) -> float:
     value = float(text)
@@ -82,7 +70,7 @@ def parse_polarization(text) -> PolarizationWeights:
     """Accept a preset name or an explicit 'ax,ay,az' weight triple."""
     name = str(text).strip().lower()
     if name in _PRESETS:
-        return _PRESETS[name]()
+        return _PRESETS[name]
     parts = name.split(",")
     if len(parts) != 3:
         raise ValueError(
@@ -157,9 +145,12 @@ _FIELDS = {
 def _load_section(path: str, section: str) -> dict:
     import configparser  # only --config needs it
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # '%' is literal
     with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
+        try:
+            parser.read_file(handle)
+        except configparser.Error as exc:
+            raise ValueError(f"config file {path!r}: {' '.join(str(exc).splitlines())}") from None
     if not parser.has_section(section):
         return {}
     return dict(parser.items(section))
@@ -177,6 +168,8 @@ def resolve_spec(command: str, args: argparse.Namespace) -> dict:
     spec = {}
     for name, (convert, default) in fields.items():
         flag_value = getattr(args, name, None)
+        if flag_value == []:  # argparse of Python 3.11 reads --name=-- as no value, unconverted
+            raise ValueError(f"--{name.replace('_', '-')} needs a value")
         if flag_value is not None:
             spec[name] = flag_value
         elif name in config:
@@ -282,9 +275,11 @@ def cmd_surface(spec) -> int:
         )
     if spec["u_count"] < 2:
         raise ValueError(f"u_count must be at least 2, got {spec['u_count']}")
-    polarization = _PRESETS[spec["preset"]]()
+    polarization = _PRESETS[spec["preset"]]
     q_grid = _q_grid(spec)
-    u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
+    # Near max float an inner power of geomspace overflows; its endpoints are exact.
+    with np.errstate(over="ignore"):
+        u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
     values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in u_grid.tolist()]
     # Each u and each q is formatted once; u repeats down its block of rows.
@@ -356,15 +351,9 @@ def cmd_validate(spec) -> int:
     ]
     print("\n".join(lines))
     if spec["out"] not in (None, "-"):
-        payload = {
-            "n_cases": report.n_cases,
-            "seed": spec["seed"],
-            "max_error": report.max_error,
-            "worst_case": report.worst_case,
-            "re_formula_gap": report.re_formula_gap,
-            "re_formula_gap_case": report.re_formula_gap_case,
-            "passed": report.passed,
-        }
+        fields = dataclasses.asdict(report)
+        payload = {"n_cases": fields.pop("n_cases"), "seed": spec["seed"], **fields}
+        payload["passed"] = report.passed
         _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
@@ -422,6 +411,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except ArithmeticError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
+from .boundary import _PRESETS, Geometry, noise_to_damping, rate_coefficients
 from .qmath import PAULI, as_density_matrix
 from .single_qubit import EvolutionParams, InitialAngles, evolve_closed_form
 from .two_qubit import (
@@ -35,17 +35,6 @@ from .two_qubit import (
     c_re_bd,
     c_re_bd_closed_form,
 )
-
-__all__ = [
-    "GeneratorSpec",
-    "InstabilityError",
-    "IntegratorConfig",
-    "ValidationReport",
-    "build_rhs",
-    "integrate",
-    "liouvillian_matrix",
-    "validate_all",
-]
 
 VALIDATION_TOLERANCE = 1e-8
 
@@ -175,8 +164,9 @@ def integrate(
     """Propagate rho0 for proper time tau with the fixed-step RK4 scheme.
 
     The step count is ceil(tau / cfg.step) with a uniform step h <= cfg.step;
-    the global error is O(h^4).  Raises InstabilityError when the result
-    loses positivity, Hermiticity or trace beyond 1e-8.
+    the global error is O(h^4).  Raises ValueError when that count exceeds
+    2**53, and InstabilityError when the result loses positivity,
+    Hermiticity or trace beyond 1e-8.
     """
     rho = as_density_matrix(rho0)
     if rho.shape[0] != spec.dim:
@@ -201,11 +191,18 @@ def _integrate_stack(rho0: np.ndarray, specs, taus, cfg: IntegratorConfig) -> np
     moving = np.flatnonzero(taus > 0.0)
     if moving.size == 0:
         return out
-    n_steps = np.maximum(1, np.ceil(taus[moving] / cfg.step)).astype(np.int64)
+    with np.errstate(over="ignore"):  # a count beyond max float is inf, rejected below
+        counts = np.maximum(1.0, np.ceil(taus[moving] / cfg.step))
+    too_many = ~(counts <= 2.0**53)
+    if too_many.any():
+        tau = float(taus[moving[np.argmax(too_many)]])
+        raise ValueError(f"tau = {tau!r} at step {cfg.step!r} needs more than 2**53 RK4 steps")
+    n_steps = counts.astype(np.int64)
     h = taus[moving] / n_steps
     propagator = _rk4_step(h[:, None, None] * _liouvillians([specs[k] for k in moving]))
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = _matrix_powers(propagator, n_steps) @ out[moving].reshape(len(moving), -1, 1)
+        powers = np.array([np.linalg.matrix_power(m, n) for m, n in zip(propagator, n_steps.tolist())])
+        vec = powers @ out[moving].reshape(len(moving), -1, 1)
     evolved = vec.reshape((len(moving),) + out.shape[1:])
 
     finite = np.isfinite(evolved).all(axis=(1, 2))
@@ -239,38 +236,6 @@ def _rk4_step(hm: np.ndarray) -> np.ndarray:
     return eye + hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
 
 
-def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a[k] ** n[k] (n >= 1) by the products numpy.linalg.matrix_power takes for
-    one matrix, each taken once on the stack of cases that need it.
-
-    n = 1, 2, 3 give a, a @ a and (a @ a) @ a.  Larger n square a from the
-    lowest bit up and multiply each square with a set bit into the result,
-    stopping after the highest bit.
-    """
-    out = np.empty_like(a)
-    for power, product in ((1, lambda x: x), (2, lambda x: x @ x), (3, lambda x: (x @ x) @ x)):
-        pick = np.flatnonzero(n == power)
-        out[pick] = product(a[pick])
-    live = np.flatnonzero(n > 3)
-    square, bits = a[live], n[live]
-    result = np.empty_like(square)
-    started = np.zeros(len(live), dtype=bool)
-    while live.size:
-        odd = (bits & 1).astype(bool)
-        first, more = odd & ~started, odd & started
-        result[first] = square[first]
-        result[more] = result[more] @ square[more]
-        started |= odd
-        bits = bits >> 1
-        done = bits == 0
-        out[live[done]] = result[done]
-        keep = ~done
-        live, bits, result, started = live[keep], bits[keep], result[keep], started[keep]
-        kept = square[keep]
-        square = kept @ kept
-    return out
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a randomized closed-form versus integrator comparison."""
@@ -286,11 +251,7 @@ class ValidationReport:
         return self.max_error < VALIDATION_TOLERANCE
 
 
-_ARCHETYPES = (
-    ("parallel", PolarizationWeights.parallel()),
-    ("perpendicular", PolarizationWeights.perpendicular()),
-    ("isotropic", PolarizationWeights.isotropic()),
-)
+_ARCHETYPES = tuple(_PRESETS.items())
 
 
 def _random_bd(rng) -> BellDiagonalParams:

@@ -29,20 +29,6 @@ from .boundary import (
 )
 from .qmath import GROUND, _float_if_scalar, _positive_part, entropy_bits
 
-__all__ = [
-    "CoherenceTrace",
-    "EvolutionParams",
-    "FreezeReport",
-    "InitialAngles",
-    "c_l1_trajectory",
-    "c_re_trajectory",
-    "dq_c_l1",
-    "dq_c_re",
-    "evolve_closed_form",
-    "freezing_report",
-    "sweep",
-]
-
 # Predicate window for exact freezing and the numeric derivative bound the
 # classification is validated against.
 FREEZE_TOL = 1e-12
@@ -117,8 +103,7 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
     if not isinstance(angles, InitialAngles):
         angles = InitialAngles(*angles)
     q = float(q)
-    if not math.isfinite(q) or not 0.0 <= q <= 1.0:
-        raise ValueError(f"noise parameter q must lie in [0, 1], got {q}")
+    _in_unit_interval(q, "noise parameter q")
     gamma = rate_coefficients(params.geometry, params.polarization).gamma_eff
     if q == 1.0:
         if gamma == 0.0:

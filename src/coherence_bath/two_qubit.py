@@ -35,20 +35,6 @@ from .boundary import (
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
 from .single_qubit import _VALIDATION_GRID, CoherenceTrace, FreezeReport, _freeze_verdict
 
-__all__ = [
-    "BellDiagonalParams",
-    "OneSidedChannel",
-    "apply_one_sided_channel",
-    "bd_density",
-    "c_l1_bd",
-    "c_re_bd",
-    "c_re_bd_closed_form",
-    "channel_kraus",
-    "choi_matrix",
-    "freezing_report_bd",
-    "sweep_bd",
-]
-
 # Bell states land exactly on the physicality boundary; this absorbs the
 # round-off of user-supplied correlation vectors.
 PHYSICALITY_TOL = -1e-12
@@ -95,8 +81,7 @@ class OneSidedChannel:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.damping) or not 0.0 <= self.damping <= 1.0:
-            raise ValueError(f"damping must lie in [0, 1], got {self.damping}")
+        _in_unit_interval(self.damping, "damping")
         if not math.isfinite(self.phase):
             raise ValueError(f"phase must be finite, got {self.phase}")
 

@@ -1,13 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import coherence_bath
 from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
-from coherence_bath.cli import _FIELDS, _cells, _render, build_parser, main
+from coherence_bath.cli import _FIELDS, _REQUIRED, _cells, _render, build_parser, main
 from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
 from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
@@ -421,6 +428,20 @@ def test_mirror_requires_u(capsys):
     assert "requires a distance u" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["single", "--theta=--"], ["single", "--out=--"], ["validate", "--cases=--"], ["surface", "--preset=--"]]
+)
+def test_double_dash_value_is_invalid_input(capsys, argv):
+    # argparse of Python 3.11 passes --name=-- on as an empty list; later
+    # versions may reject the value themselves.
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
 
@@ -596,3 +617,125 @@ def test_dump_config_not_written_when_the_command_fails(tmp_path, capsys):
     dumped = tmp_path / "resolved.ini"
     assert main(["freeze", "--mode", "two", "--dump-config", str(dumped)]) == 2
     assert not dumped.exists()
+
+
+def test_validate_json_keeps_its_key_order(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["validate", "--cases", "3", "--seed", "2", "--out", str(out)]) == 0
+    keys = list(json.loads(out.read_text()))
+    assert keys == [
+        "n_cases", "seed", "max_error", "worst_case", "re_formula_gap", "re_formula_gap_case", "passed"
+    ]
+
+
+def test_config_keeps_percent_literal(tmp_path):
+    out, dumped = tmp_path / "run%1.csv", tmp_path / "resolved.ini"
+    assert main(["single", "--q-count", "5", "--out", str(out), "--dump-config", str(dumped)]) == 0
+    direct = out.read_bytes()
+    out.unlink()
+    assert main(["single", "--config", str(dumped)]) == 0
+    assert out.read_bytes() == direct
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["q_count = 4\n", "[single]\nq_count = 4\nq_count = 5\n", "[single]\n[single]\n", "[single\n"],
+)
+def test_unreadable_config_is_invalid_input(tmp_path, capsys, text):
+    config = tmp_path / "conf.ini"
+    config.write_text(text)
+    assert main(["single", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_validate_rejects_more_than_2_53_steps(capsys, step):
+    assert main(["validate", "--cases", "3", "--step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau = ") and f"at step {step} needs more than 2**53" in err
+
+
+def test_allocation_failure_is_invalid_input():
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024**3
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "coherence_bath.cli", "single", "--q-count", "1000000000000"],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_address_space,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+
+
+_FUZZ_FLOATS = st.one_of(
+    st.sampled_from(["0", "-0.0", "0.5", "1", "3.14", "10", "0.01", "1e-15", "5e-324", "-5e-324",
+                     "1.7976931348623157e308", "-1.7976931348623157e308"]),
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(-0.3, 0.3).map(repr),  # any three of these are a physical Bell-diagonal vector
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_FUZZ_BAD = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "", " ", "abc", "1e", "0x10", "1,2", "--"]),
+    st.text(max_size=6),
+)
+# Counts are capped to keep the runs short; allocation failure has its own test.
+_FUZZ_INTS = {"q_count": 64, "u_count": 64, "cases": 8, "seed": 2**64}
+_FUZZ_WORDS = {
+    "geometry": ["unbounded", "mirror", " Mirror "],
+    "format": ["csv", "json"],
+    "measure": ["l1", "re"],
+    "preset": ["parallel", "perpendicular", "isotropic"],
+    "mode": ["single", "two"],
+    "polarization": ["parallel", "perpendicular", "isotropic", "1,0,0", "0.2,0.3,0.5", "0.5,0.5,0.5",
+                     "-1,1,1", "nan,0,1", "1,0"],
+}
+
+
+def _fuzz_values(name, out_paths):
+    if name == "out":
+        return st.sampled_from(out_paths)
+    if name in _FUZZ_INTS:
+        return st.integers(-2, _FUZZ_INTS[name]).map(str)
+    if name in _FUZZ_WORDS:
+        return st.sampled_from(_FUZZ_WORDS[name])
+    return _FUZZ_FLOATS
+
+
+@pytest.mark.parametrize("command", sorted(_FIELDS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, command, data):
+    out_paths = ["-", str(tmp_path / "out.txt"), str(tmp_path / "missing" / "out.txt")]
+    fields = {name: _fuzz_values(name, out_paths) for name in _FIELDS[command]}
+    required = {name for name, (_, default) in _FIELDS[command].items() if default is _REQUIRED}
+    values = data.draw(
+        st.fixed_dictionaries(
+            {n: fields[n] for n in required}, optional={n: fields[n] for n in fields if n not in required}
+        )
+    )
+    # At most one flag is non-finite or garbage, so most runs get past argparse.
+    # The output path stays in tmp_path.
+    spoilable = sorted(set(values) - {"out"})
+    if spoilable and data.draw(st.booleans()):
+        values[data.draw(st.sampled_from(spoilable))] = data.draw(_FUZZ_BAD)
+    # --flag=value keeps argparse from reading a value such as -inf as a flag.
+    argv = [command, *(f"--{name.replace('_', '-')}={text}" for name, text in values.items())]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+            assert code == 2, argv
+    assert code in {0, 2, 3, 4}, argv
+    assert "Traceback" not in stderr.getvalue(), argv

@@ -11,7 +11,6 @@ from coherence_bath.lindblad import (
     InstabilityError,
     IntegratorConfig,
     _integrate_stack,
-    _matrix_powers,
     build_rhs,
     closed_form_initial,
     integrate,
@@ -237,14 +236,12 @@ def test_validate_all_keeps_the_first_of_equal_errors(monkeypatch):
     assert report.worst_case.startswith("single-qubit theta=1.571 phi=0.300 mirror u=1e-07 (frozen)")
 
 
-def test_matrix_powers_take_numpys_products(rng):
-    counts = np.array([1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 64, 100, 1023, 1024, 2999])
-    for dim in (4, 16):
-        noise = rng.normal(size=(2, len(counts), dim, dim))
-        a = np.eye(dim) + 0.05 * (noise[0] + 1j * noise[1])
-        powers = _matrix_powers(a, counts)
-        for k, n in enumerate(counts.tolist()):
-            assert powers[k].tobytes() == np.linalg.matrix_power(a[k], n).tobytes(), n
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau, step", [(1.0, 5e-324), (1.0, 1e-300), (1e14, 1e-2)])
+def test_integrate_rejects_more_than_2_53_steps(tau, step):
+    rho0 = closed_form_initial(math.pi / 2, 0.0)
+    with pytest.raises(ValueError, match=rf"tau = {tau!r} at step {step!r} needs more than 2\*\*53"):
+        integrate(rho0, UNBOUNDED_SPEC, tau, IntegratorConfig(step))
 
 
 @st.composite
