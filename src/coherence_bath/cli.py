@@ -10,7 +10,9 @@ tolerance failure.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -26,7 +28,7 @@ import numpy as np
 
 from .boundary import _PRESETS, Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
-from .single_qubit import InitialAngles, _check_q_grid, freezing_report, sweep
+from .single_qubit import InitialAngles, _check_q_grid, _l1_from_damping, _re_from_damping, freezing_report
 from .single_qubit import c_l1_trajectory, c_re_trajectory
 from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 
@@ -34,6 +36,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
+# Tables are computed, formatted and written this many rows at a time, so
+# peak memory does not grow with the grid.  A multiple of 64 keeps every
+# element in the SIMD lane of the whole-grid call, so the bits do not move.
+BLOCK_ROWS = 2**10
 
 def _finite_float(text) -> float:
     value = float(text)
@@ -142,29 +148,37 @@ _FIELDS = {
 }
 
 
-def _load_section(path: str, section: str) -> dict:
+def _load_section(path: str, command: str) -> dict:
+    """The raw values of the command's own section, over the [DEFAULT] keys
+    that the command declares.  ValueError on a file without that section and
+    on a key that the section's command, or for [DEFAULT] every command, lacks."""
     import configparser  # only --config needs it
 
-    parser = configparser.ConfigParser(interpolation=None)  # '%' is literal
+    # '%' is literal; no section name matches the empty default_section (an
+    # INI header needs a character), so [DEFAULT] reads as a plain section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path, "r", encoding="utf-8") as handle:
         try:
             parser.read_file(handle)
         except configparser.Error as exc:
             raise ValueError(f"config file {path!r}: {' '.join(str(exc).splitlines())}") from None
-    if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+    if not parser.has_section(command):
+        raise ValueError(f"config file {path!r} has no [{command}] section; found {parser.sections()}")
+    fields, own = _FIELDS[command], dict(parser.items(command))
+    unknown = set(own) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys in [{command}]: {sorted(unknown)}")
+    shared = dict(parser.items("DEFAULT")) if parser.has_section("DEFAULT") else {}
+    unknown = set(shared).difference(*_FIELDS.values())
+    if unknown:
+        raise ValueError(f"unknown config keys in [DEFAULT]: {sorted(unknown)}")
+    return {key: value for key, value in shared.items() if key in fields} | own
 
 
 def resolve_spec(command: str, args: argparse.Namespace) -> dict:
     """Merge flag values, config-file values and defaults into one spec dict."""
     fields = _FIELDS[command]
-    config = {}
-    if getattr(args, "config", None):
-        config = _load_section(args.config, command)
-        unknown = set(config) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown config keys in [{command}]: {sorted(unknown)}")
+    config = _load_section(args.config, command) if getattr(args, "config", None) else {}
     spec = {}
     for name, (convert, default) in fields.items():
         flag_value = getattr(args, name, None)
@@ -223,48 +237,67 @@ def _cells(column) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
-def _render(columns: dict, fmt: str) -> str:
-    """Equal-length text columns (see _cells) as CSV, or as the JSON list of row
-    objects that json.dumps(rows, indent=2) writes, byte for byte."""
-    rows = zip(*columns.values())
-    if fmt == "csv":
-        return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
-    fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in columns)
-    template = "  {\n" + fields + "\n  }"
-    return "[\n" + ",\n".join([template % row for row in rows]) + "\n]\n"
+def _output(out: str):
+    """The output stream: stdout for '-', else the file, opened for writing."""
+    if out in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8")
 
 
 def _write_text(out: str, text: str) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text)
+    with _output(out) as handle:
+        handle.write(text)
+
+
+def _write_table(spec: dict, names, blocks) -> None:
+    """Write blocks of equal-length text columns (see _cells) to spec["out"] as
+    CSV, or as the JSON list of row objects that json.dumps(rows, indent=2)
+    writes, byte for byte.  Each block is written before the next is computed."""
+    csv = spec["format"] == "csv"
+    if csv:
+        head, sep, row = ",".join(names) + "\n", "\n", ",".join
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in names)
+        head, sep, row = "[\n", ",\n", ("  {\n" + fields + "\n  }").__mod__
+    with _output(spec["out"]) as handle:
+        handle.write(head)
+        for index, columns in enumerate(blocks):
+            text = sep.join(map(row, zip(*columns)))
+            # A CSV block ends its last line; a JSON block is joined to the one before.
+            handle.write(text + "\n" if csv else (sep if index else "") + text)
+        if not csv:
+            handle.write("\n]\n")
+
+
+def _write_sweep(spec: dict, names, kernels) -> int:
+    """Write q and each kernel of q' = noise_to_damping(q, gamma_eff), BLOCK_ROWS rows at a time."""
+    geometry = _geometry_from_spec(spec)
+    gamma = rate_coefficients(geometry, parse_polarization(spec["polarization"])).gamma_eff
+    grid = _q_grid(spec)  # every whole-grid check runs before the output is opened
+
+    def blocks():
+        for start in range(0, len(grid), BLOCK_ROWS):
+            q = grid[start : start + BLOCK_ROWS]
+            qp = noise_to_damping(q, gamma)  # once per block for every kernel
+            yield [_cells(q), *(_cells(kernel(qp)) for kernel in kernels)]
+
+    _write_table(spec, names, blocks())
+    return EXIT_OK
 
 
 def cmd_single(spec) -> int:
     """Sweep both coherence measures of a single qubit over q."""
-    InitialAngles(spec["theta"], spec["phi"])  # range check; phases drop out below
-    geometry = _geometry_from_spec(spec)
-    polarization = parse_polarization(spec["polarization"])
-    trace = sweep(spec["theta"], geometry, polarization, _q_grid(spec))
-    columns = {"q": _cells(trace.q), "c_l1": _cells(trace.c_l1), "c_re": _cells(trace.c_re)}
-    _write_text(spec["out"], _render(columns, spec["format"]))
-    return EXIT_OK
+    theta = spec["theta"]
+    InitialAngles(theta, spec["phi"])  # range check; phases drop out below
+    kernels = (functools.partial(_l1_from_damping, theta), functools.partial(_re_from_damping, theta))
+    return _write_sweep(spec, ("q", "c_l1", "c_re"), kernels)
 
 
 def cmd_two(spec) -> int:
     """Sweep a Bell-diagonal pair, including the closed-form comparison column."""
     bd = BellDiagonalParams(spec["c1"], spec["c2"], spec["c3"])
-    geometry = _geometry_from_spec(spec)
-    polarization = parse_polarization(spec["polarization"])
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
-    q = _q_grid(spec)
-    qp = noise_to_damping(q, gamma)  # once for all three kernels
-    columns = {"q": _cells(q), "c_l1": _cells(c_l1_bd(bd, qp)), "c_re": _cells(c_re_bd(bd, qp))}
-    columns["c_re_closed_form"] = _cells(c_re_bd_closed_form(bd, qp))
-    _write_text(spec["out"], _render(columns, spec["format"]))
-    return EXIT_OK
+    kernels = [functools.partial(kernel, bd) for kernel in (c_l1_bd, c_re_bd, c_re_bd_closed_form)]
+    return _write_sweep(spec, ("q", "c_l1", "c_re", "c_re_closed_form"), kernels)
 
 
 def cmd_surface(spec) -> int:
@@ -281,12 +314,17 @@ def cmd_surface(spec) -> int:
     with np.errstate(over="ignore"):
         u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
-    values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in u_grid.tolist()]
-    # Each u and each q is formatted once; u repeats down its block of rows.
+    # Each q is formatted once; a block holds whole u rows, each u formatted once.
     q_cells = _cells(q_grid)
-    columns = {"u": [cell for cell in _cells(u_grid) for _ in q_cells], "q": q_cells * len(u_grid)}
-    columns["value"] = _cells(np.concatenate(values))
-    _write_text(spec["out"], _render(columns, spec["format"]))
+    per_block = max(1, BLOCK_ROWS // len(q_cells))
+
+    def blocks():
+        for start in range(0, len(u_grid), per_block):
+            us = u_grid[start : start + per_block].tolist()
+            values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in us]
+            yield [c for c in _cells(us) for _ in q_cells], q_cells * len(us), _cells(np.concatenate(values))
+
+    _write_table(spec, ("u", "q", "value"), blocks())
     return EXIT_OK
 
 

@@ -219,10 +219,18 @@ def _integrate_stack(rho0: np.ndarray, specs, taus, cfg: IntegratorConfig) -> np
             raise InstabilityError(
                 f"integration diverged at step {step:.3e}; retry with step <= {step / 10:.3e}"
             )
+        # The RK4 map is a polynomial in a generator that keeps trace and
+        # Hermiticity, so it keeps them exactly: their drift is round-off,
+        # which grows with the step count, and a larger step cuts it.
+        drift = max(hermiticity_drift[k], trace_drift[k])
+        if drift > 1e-8:
+            advice = f"round-off dominates; retry with step >= {min(1e-2, step * drift / 1e-9):.3e}"
+        else:
+            advice = f"retry with step <= {step / 2:.3e}"
         raise InstabilityError(
             f"integration unstable at step {step:.3e} "
             f"(hermiticity drift {hermiticity_drift[k]:.2e}, trace drift {trace_drift[k]:.2e}, "
-            f"min eigenvalue {min_eig[k]:.2e}); retry with step <= {step / 2:.3e}"
+            f"min eigenvalue {min_eig[k]:.2e}); {advice}"
         )
     out[moving] = evolved
     return out

@@ -89,7 +89,7 @@ class CoherenceTrace:
 def _check_q_grid(q) -> None:
     """ValueError unless every q lies in [0, 1] (NaN rejected) and q strictly increases."""
     _in_unit_interval(q, "trace q values")
-    if np.any(np.diff(q) <= 0.0):
+    if np.any(q[1:] <= q[:-1]):  # no float difference column; q is finite here
         raise ValueError("trace q values must be strictly increasing")
 
 

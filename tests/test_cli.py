@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coherence_bath
+import coherence_bath.cli as cli
 from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
-from coherence_bath.cli import _FIELDS, _REQUIRED, _cells, _render, build_parser, main
-from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
+from coherence_bath.cli import BLOCK_ROWS, _FIELDS, _REQUIRED, _cells, _write_table, build_parser, main
+from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory, sweep
 from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
 UNBOUNDED = Geometry.unbounded()
@@ -461,17 +462,27 @@ _HEADERS = [("q", "c_l1", "c_re"), ("u", "q", "value"), ("q", "c_l1", "c_re", "c
 
 @st.composite
 def tables(draw):
+    """A header, its rows, and the rows cut into non-empty blocks at random."""
     header = draw(st.sampled_from(_HEADERS))
-    return header, draw(st.lists(st.tuples(*(finite for _ in header)), min_size=2, max_size=50))
+    rows = draw(st.lists(st.tuples(*(finite for _ in header)), min_size=2, max_size=50))
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1))))
+    return header, rows, [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+
+
+def _written(fmt, header, blocks):
+    text = io.StringIO()
+    columns = ([_cells(column) for column in zip(*block)] for block in blocks)
+    with contextlib.redirect_stdout(text):
+        _write_table({"out": "-", "format": fmt}, header, columns)
+    return text.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
 @given(tables())
 def test_render_matches_repr_rows_and_json_dumps(table):
-    header, rows = table
-    columns = {name: _cells([row[i] for row in rows]) for i, name in enumerate(header)}
-    assert _render(columns, "csv") == _csv_text(header, rows)
-    assert _render(columns, "json") == _json_text(header, rows)
+    header, rows, blocks = table
+    assert _written("csv", header, blocks) == _csv_text(header, rows)
+    assert _written("json", header, blocks) == _json_text(header, rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -536,6 +547,144 @@ def test_surface_bytes_match_per_point_functions(tmp_path, measure, fmt, preset)
     ]
     text = _csv_text if fmt == "csv" else _json_text
     assert out.read_text() == text(["u", "q", "value"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_single_blocks_match_whole_grid(tmp_path, count, fmt):
+    out = tmp_path / f"single.{fmt}"
+    args = ["single", "--theta", "1.1", "--geometry", "mirror", "--u", "0.05", "--q-count", str(count)]
+    assert main(args + ["--format", fmt, "--out", str(out)]) == 0
+    trace = sweep(1.1, Geometry.mirror(0.05), PARALLEL, np.linspace(0.0, 1.0, count))
+    rows = list(zip(trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))
+    text = _csv_text if fmt == "csv" else _json_text
+    assert out.read_text() == text(["q", "c_l1", "c_re"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_two_blocks_match_whole_grid(tmp_path, count, fmt):
+    out = tmp_path / f"two.{fmt}"
+    args = ["two", "--c1", "0.3", "--c2", "-0.4", "--c3", "0.2", "--geometry", "mirror", "--u", "2.5"]
+    args += ["--polarization", "isotropic", "--q-count", str(count), "--format", fmt]
+    assert main(args + ["--out", str(out)]) == 0
+    bd = BellDiagonalParams(0.3, -0.4, 0.2)
+    gamma = rate_coefficients(Geometry.mirror(2.5), PolarizationWeights.isotropic()).gamma_eff
+    q = np.linspace(0.0, 1.0, count)
+    qp = noise_to_damping(q, gamma)
+    columns = [q, c_l1_bd(bd, qp), c_re_bd(bd, qp), c_re_bd_closed_form(bd, qp)]
+    text = _csv_text if fmt == "csv" else _json_text
+    assert out.read_text() == text(["q", "c_l1", "c_re", "c_re_closed_form"], zip(*(c.tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("q_count", [300, BLOCK_ROWS + 1])  # 3 u rows per block, then 1
+def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
+    out = tmp_path / f"surface.{fmt}"
+    args = ["surface", "--measure", "re", "--preset", "perpendicular", "--format", fmt, "--u-start", "0.02"]
+    args += ["--u-stop", "30", "--u-count", "7", "--q-count", str(q_count), "--out", str(out)]
+    assert main(args) == 0
+    q = np.linspace(0.0, 1.0, q_count)
+    rows = []
+    for u in np.geomspace(0.02, 30.0, 7).tolist():
+        values = c_re_trajectory(math.pi / 2, q, Geometry.mirror(u), PolarizationWeights.perpendicular())
+        rows += [(u, qv, value) for qv, value in zip(q.tolist(), values.tolist())]
+    text = _csv_text if fmt == "csv" else _json_text
+    assert out.read_text() == text(["u", "q", "value"], rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, monkeypatch, fmt):
+    calls = []
+    kernel = cli._re_from_damping
+
+    def nan_in_second_block(theta, qp):
+        calls.append(len(qp))
+        values = kernel(theta, qp)
+        return np.full_like(values, np.nan) if len(calls) == 2 else values
+
+    monkeypatch.setattr(cli, "_re_from_damping", nan_in_second_block)
+    out = tmp_path / f"single.{fmt}"
+    count = 2 * BLOCK_ROWS + 1
+    assert main(["single", "--q-count", str(count), "--format", fmt, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: refusing to write a non-finite value: nan\n"
+    assert calls == [BLOCK_ROWS, BLOCK_ROWS]  # the third block is never computed
+    trace = sweep(math.pi / 2, UNBOUNDED, PARALLEL, np.linspace(0.0, 1.0, count))
+    rows = list(zip(trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))[:BLOCK_ROWS]
+    if fmt == "csv":
+        assert out.read_text() == _csv_text(["q", "c_l1", "c_re"], rows)
+    else:  # the list is never closed, so the file is not valid JSON
+        assert out.read_text() == _json_text(["q", "c_l1", "c_re"], rows)[: -len("\n]\n")]
+
+
+def test_reader_closing_the_pipe_mid_stream_is_io_error():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
+    argv = [sys.executable, "-m", "coherence_bath.cli", "single", "--q-count", str(100 * BLOCK_ROWS)]
+    with subprocess.Popen(
+        argv, env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as child:
+        assert child.stdout.readline() == "q,c_l1,c_re\n"
+        child.stdout.close()  # as `| head -1` does
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 3
+    assert err == "i/o error: [Errno 32] Broken pipe\n"
+
+
+def test_peak_memory_is_flat_in_grid_size(tmp_path):
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
+    # A fresh interpreter runs the CLI and reports the peak RSS of its one child.
+    probe = (
+        "import resource, subprocess, sys; "
+        "subprocess.run([sys.executable, '-m', 'coherence_bath.cli', *sys.argv[1:]], check=True); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+
+    def peak_kib(count):
+        argv = ["single", "--q-count", str(count), "--out", str(tmp_path / "out.csv")]
+        done = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        return int(done.stdout)
+
+    assert peak_kib(300001) - peak_kib(10001) <= 16 * 1024
+
+
+def test_config_default_section_serves_only_commands_with_the_field(tmp_path, capsys):
+    config = tmp_path / "conf.ini"
+    config.write_text("[DEFAULT]\nq_count = 3\n[validate]\ncases = 2\n[single]\ntheta = 0.0\n")
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("cases: 2 (seed 42)\n")
+    out = tmp_path / "single.csv"
+    assert main(["single", "--config", str(config), "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 3 and all(row["c_l1"] == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[DEFAULT]\nq_count = 3\n[validate]\nq_count = 3\n", "unknown config keys in [validate]: ['q_count']"),
+        ("[DEFAULT]\nq_cont = 3\n[validate]\n", "unknown config keys in [DEFAULT]: ['q_cont']"),
+    ],
+)
+def test_config_unknown_key_in_section_or_default_rejected(tmp_path, capsys, text, message):
+    config = tmp_path / "conf.ini"
+    config.write_text(text)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_without_the_command_section_rejected(tmp_path, capsys):
+    config = tmp_path / "conf.ini"
+    config.write_text("[DEFAULT]\nq_count = 3\n[two]\nc1 = 0.1\n")
+    out = tmp_path / "out.csv"
+    assert main(["single", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config file {str(config)!r} has no [single] section; found ['DEFAULT', 'two']\n"
+    assert not out.exists()
 
 
 def test_parser_flags_mirror_field_tables():
@@ -647,6 +796,14 @@ def test_unreadable_config_is_invalid_input(tmp_path, capsys, text):
     assert main(["single", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config file ") and err.count("\n") == 1
+
+
+def test_validate_round_off_advises_a_larger_step(capsys):
+    # Trace drift is round-off: RK4 keeps the trace of this generator exactly.
+    assert main(["validate", "--cases", "3", "--step", "1e-15"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "round-off dominates; retry with step >= " in err
+    assert float(err.rsplit(">= ", 1)[1]) >= 1e-14
 
 
 @pytest.mark.filterwarnings("error")
