@@ -221,7 +221,9 @@ def rate_coefficients(geometry: Geometry, polarization: PolarizationWeights) -> 
 
 
 def _decay_rate(f: float) -> float:
-    """gamma_eff = 1 - f for a suppression factor f, round-off below zero clamped to 0."""
+    """gamma_eff = 1 - f for a finite suppression factor f, round-off below zero clamped to 0."""
+    if not math.isfinite(f):
+        raise ValueError(f"suppression factor f must be finite, got {f}")
     gamma = 1.0 - f
     if gamma < 0.0:
         if gamma < GAMMA_CLAMP:

@@ -8,9 +8,13 @@ assembled directly from the sigma-operator dissipator
     a_ij = A delta_ij - i B eps_ij3 - A delta_i3 delta_j3,
 
 plus the commutator with (Omega/2) sigma_3, never from the amplitude-damping
-shortcut the closed forms rely on.  For two qubits the generator acts on the
-A factor tensored with identity.  Times are in units of the inverse
-free-space decay rate; Omega is in units of that rate.
+shortcut the closed forms rely on.  For two qubits the sigmas act on the A
+factor tensored with identity.  On row-major vectorized matrices, where
+vec(X rho Y) = (X kron Y^T) vec rho, the Liouvillian is Omega H + A D_A + B D_B
+with three constant superoperators: H = -i/2 [sigma_3, .], the A part
+D_A = sigma_1 . sigma_1 + sigma_2 . sigma_2 - 2, and the B part
+D_B = i (sigma_1 . sigma_2 - sigma_2 . sigma_1) - {sigma_3, .}.  Times are in
+units of the inverse free-space decay rate; Omega is in units of that rate.
 
 The generator is a constant linear map, so the classical fixed-step RK4
 update reduces exactly to the degree-4 Taylor propagator of the Liouvillian;
@@ -89,44 +93,18 @@ class IntegratorConfig:
 
 
 @functools.cache
-def _sigmas(n_qubits: int) -> tuple[np.ndarray, ...]:
-    """sigma_x, sigma_y, sigma_z acting on qubit A: the Pauli matrices, or each tensored with I."""
-    if n_qubits == 1:
-        return PAULI
-    eye = np.eye(2, dtype=complex)
-    return tuple(np.kron(s, eye) for s in PAULI)
+def _superoperators(n_qubits: int) -> tuple[np.ndarray, ...]:
+    """H, D_A and D_B of the module docstring, on row-major vectorized matrices."""
+    sx, sy, sz = (np.kron(s, np.eye(2 ** (n_qubits - 1))) for s in PAULI)
+    one = np.eye(len(sz))
 
+    def sandwich(left, right):  # rho -> left rho right
+        return np.kron(left, right.T)
 
-def _rhs(a_coeff, b_coeff, omega, n_qubits: int):
-    """The map rho -> d rho / d tau of the generators with these coefficients.
-
-    The coefficients are floats, or arrays of one shape S for a stack of
-    generators.  A matrix or stack of matrices of shape R + (d, d) then maps
-    to S + R + (d, d); each entry takes the arithmetic of its own generator.
-    """
-    sx, sy, sz = _sigmas(n_qubits)
-    a, b, omega = (np.asarray(x, dtype=float) for x in (a_coeff, b_coeff, omega))
-    shape = a.shape
-    hamiltonian = np.reshape(0.5 * omega, shape + (1, 1)) * sz
-    # Nonzero Kossakowski entries: a_11 = a_22 = A, a_12 = -iB, a_21 = +iB.
-    # Each term carries a_ij together with (sigma_j, sigma_i) so the jump
-    # part reads a_ij sigma_j rho sigma_i.
-    a = a.astype(complex)
-    terms = [(a, sx, sx), (a, sy, sy), (-1.0j * b, sy, sx), (1.0j * b, sx, sy)]
-    # C = 1/2 sum_ij a_ij sigma_i sigma_j collects both anticommutator halves.
-    anticomm = 0.5 * sum(np.reshape(coeff, shape + (1, 1)) * (right @ left) for coeff, left, right in terms)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        lead = shape + (1,) * (rho.ndim - 2)
-        ham = hamiltonian.reshape(lead + sz.shape)
-        anti = anticomm.reshape(lead + sz.shape)
-        out = -1.0j * (ham @ rho - rho @ ham)
-        for coeff, jump_left, jump_right in terms:
-            out = out + np.reshape(coeff, lead + (1, 1)) * (jump_left @ rho @ jump_right)
-        return out - anti @ rho - rho @ anti
-
-    return rhs
+    hamiltonian = -0.5j * (sandwich(sz, one) - sandwich(one, sz))
+    d_a = sandwich(sx, sx) + sandwich(sy, sy) - 2.0 * sandwich(one, one)
+    d_b = 1.0j * (sandwich(sx, sy) - sandwich(sy, sx)) - sandwich(sz, one) - sandwich(one, sz)
+    return hamiltonian, d_a, d_b
 
 
 def build_rhs(spec: GeneratorSpec):
@@ -134,19 +112,22 @@ def build_rhs(spec: GeneratorSpec):
 
     The returned function preserves Hermiticity and trace identically and is
     linear, so it may be applied to arbitrary (not necessarily positive)
-    matrices, or a stack of them along the first axis, when assembling
-    superoperators.
+    matrices, or a stack of them along the leading axes.
     """
-    return _rhs(spec.a_coeff, spec.b_coeff, spec.omega, spec.n_qubits)
+    liouvillian = liouvillian_matrix(spec)
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        rho = np.asarray(rho, dtype=complex)
+        return (liouvillian @ rho.reshape(rho.shape[:-2] + (-1, 1))).reshape(rho.shape)
+
+    return rhs
 
 
 def _liouvillians(specs) -> np.ndarray:
     """liouvillian_matrix of each spec, stacked; the specs share one n_qubits."""
-    dim = specs[0].dim
-    n = dim * dim
-    a, b, omega = np.array([(s.a_coeff, s.b_coeff, s.omega) for s in specs]).T
-    basis = np.eye(n, dtype=complex).reshape(n, dim, dim)
-    return _rhs(a, b, omega, specs[0].n_qubits)(basis).reshape(len(specs), n, n).swapaxes(1, 2)
+    hamiltonian, d_a, d_b = _superoperators(specs[0].n_qubits)
+    a, b, omega = np.array([(s.a_coeff, s.b_coeff, s.omega) for s in specs]).T[:, :, None, None]
+    return omega * hamiltonian + a * d_a + b * d_b
 
 
 def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:
@@ -182,34 +163,31 @@ def _integrate_stack(rho0: np.ndarray, specs, taus, cfg: IntegratorConfig) -> np
 
     The specs share one n_qubits; states and times are taken as already
     checked.  Each case goes through the floating-point operations of a
-    stack of one, so slicing a stack does not change a bit.  A time of 0
-    returns the state unchecked.  InstabilityError describes the first
-    failing case.
+    stack of one, so slicing a stack does not change a bit.  A time of 0 is
+    one step of length 0, whose propagator is the identity, and its result
+    passes the same checks as any other.  InstabilityError describes the
+    first failing case.
     """
     taus = np.asarray(taus, dtype=float)
-    out = np.array(rho0, dtype=complex)
-    moving = np.flatnonzero(taus > 0.0)
-    if moving.size == 0:
-        return out
+    rho0 = np.asarray(rho0, dtype=complex)
     with np.errstate(over="ignore"):  # a count beyond max float is inf, rejected below
-        counts = np.maximum(1.0, np.ceil(taus[moving] / cfg.step))
+        counts = np.maximum(1.0, np.ceil(taus / cfg.step))
     too_many = ~(counts <= 2.0**53)
     if too_many.any():
-        tau = float(taus[moving[np.argmax(too_many)]])
+        tau = float(taus[np.argmax(too_many)])
         raise ValueError(f"tau = {tau!r} at step {cfg.step!r} needs more than 2**53 RK4 steps")
     n_steps = counts.astype(np.int64)
-    h = taus[moving] / n_steps
-    propagator = _rk4_step(h[:, None, None] * _liouvillians([specs[k] for k in moving]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    h = taus / n_steps
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent step is inf or nan, rejected below
+        propagator = _rk4_step(h[:, None, None] * _liouvillians(specs))
         powers = np.array([np.linalg.matrix_power(m, n) for m, n in zip(propagator, n_steps.tolist())])
-        vec = powers @ out[moving].reshape(len(moving), -1, 1)
-    evolved = vec.reshape((len(moving),) + out.shape[1:])
+        evolved = (powers @ rho0.reshape(len(rho0), -1, 1)).reshape(rho0.shape)
 
     finite = np.isfinite(evolved).all(axis=(1, 2))
     adjoint = evolved.conj().swapaxes(1, 2)
     hermiticity_drift = np.max(np.abs(evolved - adjoint), axis=(1, 2))
     trace_drift = np.abs(np.trace(evolved, axis1=1, axis2=2) - 1.0)
-    min_eig = np.zeros(len(moving))
+    min_eig = np.zeros(len(evolved))
     min_eig[finite] = np.min(np.linalg.eigvalsh(0.5 * (evolved + adjoint)[finite]), axis=1)
     failed = ~finite | (hermiticity_drift > 1e-8) | (trace_drift > 1e-8) | (min_eig < -1e-8)
     if failed.any():
@@ -232,8 +210,7 @@ def _integrate_stack(rho0: np.ndarray, specs, taus, cfg: IntegratorConfig) -> np
             f"(hermiticity drift {hermiticity_drift[k]:.2e}, trace drift {trace_drift[k]:.2e}, "
             f"min eigenvalue {min_eig[k]:.2e}); {advice}"
         )
-    out[moving] = evolved
-    return out
+    return evolved
 
 
 def _rk4_step(hm: np.ndarray) -> np.ndarray:
@@ -263,16 +240,14 @@ _ARCHETYPES = tuple(_PRESETS.items())
 
 
 def _random_bd(rng) -> BellDiagonalParams:
+    """A uniform draw of (c1, c2, c3) from the cube, redrawn until its spectrum is nonnegative."""
     while True:
-        c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
-        smallest = min(
-            1.0 + c3 + (c1 - c2),
-            1.0 + c3 - (c1 - c2),
-            1.0 - c3 + (c1 + c2),
-            1.0 - c3 - (c1 + c2),
-        )
-        if smallest >= 0.0:
-            return BellDiagonalParams(float(c1), float(c2), float(c3))
+        try:
+            bd = BellDiagonalParams(*(float(c) for c in rng.uniform(-1.0, 1.0, size=3)))
+        except ValueError:  # an eigenvalue below PHYSICALITY_TOL
+            continue
+        if min(bd.eigenvalues().values()) >= 0.0:
+            return bd
 
 
 def _case_geometry(rng) -> tuple[str, Geometry]:

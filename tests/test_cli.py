@@ -885,7 +885,23 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, command, data):
     if spoilable and data.draw(st.booleans()):
         values[data.draw(st.sampled_from(spoilable))] = data.draw(_FUZZ_BAD)
     # --flag=value keeps argparse from reading a value such as -inf as a flag.
+    dumped = tmp_path / "resolved.ini"
     argv = [command, *(f"--{name.replace('_', '-')}={text}" for name, text in values.items())]
+    result = _run_main(argv + [f"--dump-config={dumped}"])
+    assert result[0] in {0, 2, 3, 4}, argv
+    assert "Traceback" not in result[2], argv
+    # A successful run replays from its dumped spec: same stdout and stderr, same bytes.
+    if result[0] == 0:
+        replay = tmp_path / "replay.txt"
+        to_file = values.get("out", "-") != "-"
+        replay_argv = [command, f"--config={dumped}"] + ([f"--out={replay}"] if to_file else [])
+        assert _run_main(replay_argv) == result, argv
+        if to_file:
+            assert replay.read_bytes() == (tmp_path / "out.txt").read_bytes(), argv
+
+
+def _run_main(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, with every warning an error."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -894,5 +910,4 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, command, data):
         except SystemExit as exc:  # argparse rejects a flag value
             code = exc.code
             assert code == 2, argv
-    assert code in {0, 2, 3, 4}, argv
-    assert "Traceback" not in stderr.getvalue(), argv
+    return code, stdout.getvalue(), stderr.getvalue()

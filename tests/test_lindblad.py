@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from coherence_bath.lindblad import (
     liouvillian_matrix,
     validate_all,
 )
+from coherence_bath.qmath import PAULI
 from coherence_bath.single_qubit import EvolutionParams, InitialAngles, evolve_closed_form
 from coherence_bath.two_qubit import OneSidedChannel, apply_one_sided_channel, bd_density
 
@@ -98,6 +100,43 @@ def test_liouvillian_equals_basis_probe_bitwise(rng, n_qubits):
             unit[k // d, k % d] = 1.0
             probe[:, k] = rhs(unit).reshape(-1)
         assert np.ascontiguousarray(liouvillian_matrix(spec)).tobytes() == probe.tobytes()
+
+
+def _docstring_generator(spec, rho):
+    """The module docstring's L[rho], summed term by term over i, j = 1..3."""
+    sigmas = [np.kron(s, np.eye(spec.dim // 2)) for s in PAULI]
+    a, b = spec.a_coeff, spec.b_coeff
+    # a_ij = A delta_ij - i B eps_ij3 - A delta_i3 delta_j3
+    kossakowski = np.array([[a, -1.0j * b, 0.0], [1.0j * b, a, 0.0], [0.0, 0.0, a - a]])
+    out = -1.0j * (0.5 * spec.omega) * (sigmas[2] @ rho - rho @ sigmas[2])
+    for i, s_i in enumerate(sigmas):
+        for j, s_j in enumerate(sigmas):
+            term = 2.0 * (s_j @ rho @ s_i) - (s_i @ s_j) @ rho - rho @ (s_i @ s_j)
+            out = out + 0.5 * kossakowski[i, j] * term
+    return out
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_liouvillian_equals_the_docstring_generator(rng, random_density, n_qubits):
+    # Reference: the sigma-operator dissipator plus commutator, one matrix unit at a time.
+    for trial in range(100):
+        a = float(rng.uniform(0.0, 1.0))
+        b = a if trial % 2 else float(rng.uniform(-a, a))
+        spec = GeneratorSpec(a, b, float(rng.uniform(-5.0, 5.0)), n_qubits)
+        d = spec.dim
+        reference = np.zeros((d * d, d * d), dtype=complex)
+        for k in range(d * d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[k // d, k % d] = 1.0
+            reference[:, k] = _docstring_generator(spec, unit).reshape(-1)
+        mat = liouvillian_matrix(spec)
+        if a == b:  # every validate case: rate_coefficients gives A = B
+            assert mat.tobytes() == reference.tobytes()
+        else:
+            assert np.max(np.abs(mat - reference)) <= 1e-15
+        rhos = np.array([random_density(rng, d) for _ in range(3)])
+        rhs = build_rhs(spec)
+        assert rhs(rhos).tobytes() == np.array([rhs(rho) for rho in rhos]).tobytes()
 
 
 def test_integrate_zero_time_identity(rng, random_density):
@@ -191,6 +230,13 @@ def test_instability_raises_with_suggestion():
     rho0 = closed_form_initial(math.pi / 2, 0.0)
     with pytest.raises(InstabilityError, match="retry with step"):
         integrate(rho0, GeneratorSpec(500.0, 0.0), 1.0, IntegratorConfig(1e-2))
+
+
+def test_overflowing_generator_raises_instability_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InstabilityError, match="diverged"):
+            integrate(np.eye(2) / 2, GeneratorSpec(0.25, 0.25, 1e308), 0.01)
 
 
 def test_frozen_generator_keeps_initial_state():

@@ -295,6 +295,13 @@ def test_derivatives_clamp_round_off_rate():
         dq_c_re(math.pi / 2, 0.5, 1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("f", [math.nan, -math.inf, math.inf])
+def test_derivatives_reject_non_finite_suppression(f):
+    for derivative in (dq_c_l1, dq_c_re):
+        with pytest.raises(ValueError, match="suppression factor f must be finite"):
+            derivative(1.0, 0.5, f)
+
+
 def test_sweep_trace_contract():
     trace = sweep(1.0, UNBOUNDED, PARALLEL, np.linspace(0.0, 1.0, 11))
     assert len(trace.q) == len(trace.c_l1) == len(trace.c_re) == 11
