@@ -249,9 +249,10 @@ def _write_text(out: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_table(spec: dict, names, blocks) -> None:
-    """Write blocks of equal-length text columns (see _cells) to spec["out"] as
-    CSV, or as the JSON list of row objects that json.dumps(rows, indent=2)
+def _write_table(spec: dict, names, grid, per_block: int, columns) -> None:
+    """Write the equal-length text columns (see _cells) that ``columns`` gives
+    for each slice of ``per_block`` rows of the leading ``grid``, to spec["out"]
+    as CSV, or as the JSON list of row objects that json.dumps(rows, indent=2)
     writes, byte for byte.  Each block is written before the next is computed."""
     csv = spec["format"] == "csv"
     if csv:
@@ -261,10 +262,10 @@ def _write_table(spec: dict, names, blocks) -> None:
         head, sep, row = "[\n", ",\n", ("  {\n" + fields + "\n  }").__mod__
     with _output(spec["out"]) as handle:
         handle.write(head)
-        for index, columns in enumerate(blocks):
-            text = sep.join(map(row, zip(*columns)))
+        for start in range(0, len(grid), per_block):
+            text = sep.join(map(row, zip(*columns(grid[start : start + per_block]))))
             # A CSV block ends its last line; a JSON block is joined to the one before.
-            handle.write(text + "\n" if csv else (sep if index else "") + text)
+            handle.write(text + "\n" if csv else (sep if start else "") + text)
         if not csv:
             handle.write("\n]\n")
 
@@ -273,15 +274,13 @@ def _write_sweep(spec: dict, names, kernels) -> int:
     """Write q and each kernel of q' = noise_to_damping(q, gamma_eff), BLOCK_ROWS rows at a time."""
     geometry = _geometry_from_spec(spec)
     gamma = rate_coefficients(geometry, parse_polarization(spec["polarization"])).gamma_eff
-    grid = _q_grid(spec)  # every whole-grid check runs before the output is opened
 
-    def blocks():
-        for start in range(0, len(grid), BLOCK_ROWS):
-            q = grid[start : start + BLOCK_ROWS]
-            qp = noise_to_damping(q, gamma)  # once per block for every kernel
-            yield [_cells(q), *(_cells(kernel(qp)) for kernel in kernels)]
+    def columns(q):
+        qp = noise_to_damping(q, gamma)  # once per block for every kernel
+        return [_cells(q), *(_cells(kernel(qp)) for kernel in kernels)]
 
-    _write_table(spec, names, blocks())
+    # every whole-grid check runs before the output is opened
+    _write_table(spec, names, _q_grid(spec), BLOCK_ROWS, columns)
     return EXIT_OK
 
 
@@ -316,15 +315,12 @@ def cmd_surface(spec) -> int:
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
     # Each q is formatted once; a block holds whole u rows, each u formatted once.
     q_cells = _cells(q_grid)
-    per_block = max(1, BLOCK_ROWS // len(q_cells))
 
-    def blocks():
-        for start in range(0, len(u_grid), per_block):
-            us = u_grid[start : start + per_block].tolist()
-            values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in us]
-            yield [c for c in _cells(us) for _ in q_cells], q_cells * len(us), _cells(np.concatenate(values))
+    def columns(us):
+        values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in us.tolist()]
+        return [c for c in _cells(us) for _ in q_cells], q_cells * len(us), _cells(np.concatenate(values))
 
-    _write_table(spec, ("u", "q", "value"), blocks())
+    _write_table(spec, ("u", "q", "value"), u_grid, max(1, BLOCK_ROWS // len(q_cells)), columns)
     return EXIT_OK
 
 

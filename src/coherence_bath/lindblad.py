@@ -124,10 +124,16 @@ def build_rhs(spec: GeneratorSpec):
 
 
 def _liouvillians(specs) -> np.ndarray:
-    """liouvillian_matrix of each spec, stacked; the specs share one n_qubits."""
+    """liouvillian_matrix of each spec, stacked; the specs share one n_qubits.
+    ValueError names the first spec whose generator has an entry beyond max float."""
     hamiltonian, d_a, d_b = _superoperators(specs[0].n_qubits)
     a, b, omega = np.array([(s.a_coeff, s.b_coeff, s.omega) for s in specs]).T[:, :, None, None]
-    return omega * hamiltonian + a * d_a + b * d_b
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
+        stack = omega * hamiltonian + a * d_a + b * d_b
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"the generator of {specs[int(np.argmin(finite))]} overflows a float")
+    return stack
 
 
 def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:

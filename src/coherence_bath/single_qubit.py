@@ -126,10 +126,12 @@ def c_l1_trajectory(theta: float, q, geometry: Geometry, polarization: Polarizat
 
 
 def _l1_from_damping(theta: float, qp):
+    InitialAngles(theta)  # ValueError unless theta lies in [0, pi]
     return _float_if_scalar(abs(math.sin(theta)) * np.sqrt(1.0 - qp))
 
 
 def _re_from_damping(theta: float, qp):
+    InitialAngles(theta)
     cos_t = math.cos(theta)
     bz = cos_t * (1.0 - qp) - qp
     radius2 = (1.0 - cos_t * cos_t) * (1.0 - qp) + bz * bz
@@ -161,6 +163,7 @@ def dq_c_l1(theta: float, q: float, f: float) -> float:
     incoherent initial state or a fully suppressed bath (f = 1).  The rate
     1 - f is gamma_eff with the clamp of ``rate_coefficients``.
     """
+    InitialAngles(theta)
     _check_open_interval(q)
     gamma = _decay_rate(f)
     if gamma == 0.0:
@@ -175,6 +178,7 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     (1-f)(1-q)^(-f), the outer one the analytic q'-derivative of the
     entropy difference.  The rate 1 - f is clamped as in ``dq_c_l1``.
     """
+    InitialAngles(theta)
     _check_open_interval(q)
     gamma = _decay_rate(f)
     sin_t, cos_t = math.sin(theta), math.cos(theta)

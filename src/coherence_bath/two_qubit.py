@@ -13,6 +13,8 @@ entropy is computed from the exact block eigenvalues
     [1 + c3(1-q') +- sqrt(q'^2 + (1-q')(c1-c2)^2)] / 4     (outer block)
     [1 - c3(1-q') +- sqrt(q'^2 + (1-q')(c1+c2)^2)] / 4     (inner block)
 
+against the dephased diagonal, the same four slots with both gaps equal to q'.
+
 ``c_re_bd_closed_form`` keeps the compact single-gap expression that reuses
 the inner-block gap in all four slots; it is exact only when c1 * c2 = 0
 and is retained purely as a cross-check column.
@@ -140,35 +142,26 @@ def c_l1_bd(c: BellDiagonalParams, q_prime):
     return _float_if_scalar(0.5 * np.sqrt(1.0 - qp) * (abs(c.c1 + c.c2) + abs(c.c1 - c.c2)))
 
 
-def _evolved_diagonal(c: BellDiagonalParams, qp) -> np.ndarray:
+def _spectra(c: BellDiagonalParams, q_prime, outer):
+    """Dephased and evolved spectra at damping q': the slots (1 + a +- g_outer)/4
+    and (1 - a +- g_inner)/4 with a = c3 (1 - q'), dephased with both gaps q',
+    evolved with the gaps sqrt(q'^2 + (1 - q') x^2) for x = ``outer``, c1 + c2."""
+    qp = _in_unit_interval(q_prime, "damping q'")
     a = c.c3 * (1.0 - qp)
-    slots = [1.0 + a - qp, 1.0 - a - qp, 1.0 - a + qp, 1.0 + a + qp]
-    return np.stack([0.25 * slot for slot in slots], axis=-1)
 
+    def slots(g_outer, g_inner):
+        return np.stack([0.25 * (1.0 + a + g_outer), 0.25 * (1.0 + a - g_outer),
+                         0.25 * (1.0 - a + g_inner), 0.25 * (1.0 - a - g_inner)], axis=-1)
 
-def _block_spectrum(c: BellDiagonalParams, qp, outer: float) -> np.ndarray:
-    """Evolved spectrum; the inner gap uses c1 + c2, the outer gap ``outer``
-    (c1 - c2 for the exact blocks, c1 + c2 again for the compact form)."""
-    a = c.c3 * (1.0 - qp)
-    gap_outer = np.sqrt(qp * qp + (1.0 - qp) * outer**2)
-    gap_inner = np.sqrt(qp * qp + (1.0 - qp) * (c.c1 + c.c2) ** 2)
-    return np.stack(
-        [
-            0.25 * (1.0 + a + gap_outer),
-            0.25 * (1.0 + a - gap_outer),
-            0.25 * (1.0 - a + gap_inner),
-            0.25 * (1.0 - a - gap_inner),
-        ],
-        axis=-1,
-    )
+    gaps = (np.sqrt(qp * qp + (1.0 - qp) * x**2) for x in (outer, c.c1 + c.c2))
+    return slots(qp, qp), slots(*gaps)
 
 
 def c_re_bd(c: BellDiagonalParams, q_prime):
     """Relative entropy of coherence of the evolved state, from exact blocks."""
     c = _as_bd(c)
-    qp = _in_unit_interval(q_prime, "damping q'")
-    spectrum = _block_spectrum(c, qp, c.c1 - c.c2)
-    return _positive_part(entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum))
+    dephased, evolved = _spectra(c, q_prime, c.c1 - c.c2)
+    return _positive_part(entropy_bits(dephased) - entropy_bits(evolved))
 
 
 def c_re_bd_closed_form(c: BellDiagonalParams, q_prime):
@@ -179,12 +172,11 @@ def c_re_bd_closed_form(c: BellDiagonalParams, q_prime):
     as the authoritative value.
     """
     c = _as_bd(c)
-    qp = _in_unit_interval(q_prime, "damping q'")
-    spectrum = _block_spectrum(c, qp, c.c1 + c.c2)
+    dephased, evolved = _spectra(c, q_prime, c.c1 + c.c2)
     # The symmetric gap can push a slot slightly negative for states near
     # the physicality boundary; clamp like any other spectral round-off.
-    spectrum = np.where(spectrum < 0.0, 0.0, spectrum)
-    return _float_if_scalar(entropy_bits(_evolved_diagonal(c, qp)) - entropy_bits(spectrum))
+    evolved = np.where(evolved < 0.0, 0.0, evolved)
+    return _float_if_scalar(entropy_bits(dephased) - entropy_bits(evolved))
 
 
 def freezing_report_bd(

@@ -462,27 +462,28 @@ _HEADERS = [("q", "c_l1", "c_re"), ("u", "q", "value"), ("q", "c_l1", "c_re", "c
 
 @st.composite
 def tables(draw):
-    """A header, its rows, and the rows cut into non-empty blocks at random."""
+    """A header, its rows, and a block size from one row to more than all of them."""
     header = draw(st.sampled_from(_HEADERS))
     rows = draw(st.lists(st.tuples(*(finite for _ in header)), min_size=2, max_size=50))
-    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1))))
-    return header, rows, [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    return header, rows, draw(st.integers(1, len(rows) + 1))
 
 
-def _written(fmt, header, blocks):
+def _written(fmt, header, rows, per_block):
     text = io.StringIO()
-    columns = ([_cells(column) for column in zip(*block)] for block in blocks)
     with contextlib.redirect_stdout(text):
-        _write_table({"out": "-", "format": fmt}, header, columns)
+        _write_table(
+            {"out": "-", "format": fmt}, header, rows, per_block,
+            lambda block: [_cells(column) for column in zip(*block)],
+        )
     return text.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
 @given(tables())
 def test_render_matches_repr_rows_and_json_dumps(table):
-    header, rows, blocks = table
-    assert _written("csv", header, blocks) == _csv_text(header, rows)
-    assert _written("json", header, blocks) == _json_text(header, rows)
+    header, rows, per_block = table
+    assert _written("csv", header, rows, per_block) == _csv_text(header, rows)
+    assert _written("json", header, rows, per_block) == _json_text(header, rows)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -239,6 +239,17 @@ def test_overflowing_generator_raises_instability_without_warnings():
             integrate(np.eye(2) / 2, GeneratorSpec(0.25, 0.25, 1e308), 0.01)
 
 
+@pytest.mark.parametrize("spec", [GeneratorSpec(1e308, 1e308), GeneratorSpec(1e308, -1e308, 1e308, 2)])
+def test_overflowing_liouvillian_raises_value_error_without_warnings(spec):
+    # No step size can fix a generator whose entries overflow, so it is an input error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            liouvillian_matrix(spec)
+        with pytest.raises(ValueError, match="overflows"):
+            integrate(np.eye(spec.dim) / spec.dim, spec, 0.01)
+
+
 def test_frozen_generator_keeps_initial_state():
     rho0 = closed_form_initial(math.pi / 2, 0.9)
     out = integrate(rho0, GeneratorSpec(2e-15, 2e-15, omega=0.0), 2.0)

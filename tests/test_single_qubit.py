@@ -213,6 +213,21 @@ def test_derivative_domain_errors():
             dq_c_re(1.0, q, 0.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.1, 3.2])
+def test_theta_outside_zero_pi_rejected(theta):
+    calls = [
+        lambda: c_l1_trajectory(theta, 0.5, UNBOUNDED, PARALLEL),
+        lambda: c_re_trajectory(theta, 0.5, UNBOUNDED, PARALLEL),
+        lambda: dq_c_l1(theta, 0.5, 0.0),
+        lambda: dq_c_re(theta, 0.5, 0.0),
+        lambda: freezing_report(theta, UNBOUNDED, PARALLEL),
+        lambda: sweep(theta, UNBOUNDED, PARALLEL, [0.0, 0.5, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+            call()
+
+
 def test_l1_strictly_decreasing_when_decaying():
     grid = np.linspace(0.0, 0.95, 40)
     for geometry, polarization in [
