@@ -24,7 +24,7 @@ _EXPORTS = {
         ("lindblad", "GeneratorSpec InstabilityError IntegratorConfig ValidationReport build_rhs "
                      "integrate liouvillian_matrix validate_all"),
         ("measures", "c_l1 c_re"),
-        ("qmath", "PositivityError diagonal_part von_neumann_entropy"),
+        ("qmath", "PositivityError von_neumann_entropy"),
         ("single_qubit", "CoherenceTrace EvolutionParams FreezeReport InitialAngles c_l1_trajectory "
                          "c_re_trajectory dq_c_l1 dq_c_re evolve_closed_form freezing_report sweep"),
         ("two_qubit", "BellDiagonalParams OneSidedChannel apply_one_sided_channel bd_density c_l1_bd "

@@ -312,6 +312,8 @@ def cmd_surface(spec) -> int:
     # Near max float an inner power of geomspace overflows; its endpoints are exact.
     with np.errstate(over="ignore"):
         u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
+    if np.any(u_grid[1:] <= u_grid[:-1]):  # a range narrower than a few ulps repeats u values
+        raise ValueError(f"u grid repeats values: [{spec['u_start']}, {spec['u_stop']}] is too narrow")
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
     # Each q is formatted once; a block holds whole u rows, each u formatted once.
     q_cells = _cells(q_grid)

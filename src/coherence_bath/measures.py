@@ -22,10 +22,9 @@ def c_l1(m) -> float:
 def c_re(m) -> float:
     """Relative entropy of coherence: S(dephased state) - S(state), in bits.
 
-    Computed from exact eigen-decompositions, never from model-specific
-    closed forms; the dynamics modules carry those as cross-checks.
+    The dephased spectrum is the diagonal; the state's spectrum comes from
+    LAPACK, never from model-specific closed forms, which the dynamics
+    modules carry as cross-checks.
     """
     rho = qmath.as_density_matrix(m)
-    s_diag = qmath.von_neumann_entropy(qmath.diagonal_part(rho))
-    s_full = qmath.von_neumann_entropy(rho)
-    return max(0.0, s_diag - s_full)
+    return max(0.0, qmath.entropy_bits(np.diag(rho).real) - qmath.entropy_bits(np.linalg.eigvalsh(rho)))

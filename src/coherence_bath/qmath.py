@@ -26,12 +26,11 @@ class PositivityError(ValueError):
     """A supposed density matrix has an eigenvalue below the round-off floor."""
 
 
-def as_density_matrix(m, *, check_positive: bool = True) -> np.ndarray:
+def as_density_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a complex density matrix array.
 
-    Checks finiteness, shape (2x2 or 4x4), Hermiticity, unit trace and,
-    unless ``check_positive`` is disabled, positive semidefiniteness down to
-    the round-off floor.
+    Checks finiteness, shape (2x2 or 4x4), Hermiticity, unit trace and
+    positive semidefiniteness down to the round-off floor.
     """
     rho = np.asarray(m, dtype=complex)
     if rho.ndim != 2 or rho.shape not in ((2, 2), (4, 4)):
@@ -42,23 +41,12 @@ def as_density_matrix(m, *, check_positive: bool = True) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:
         raise ValueError(f"density matrix trace {rho.trace():.17g} is not 1 within 1e-12")
-    if check_positive:
-        smallest = float(np.min(np.linalg.eigvalsh(rho)))
-        if smallest < EIGENVALUE_FLOOR:
-            raise PositivityError(
-                f"density matrix has eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
-            )
+    smallest = float(np.min(np.linalg.eigvalsh(rho)))
+    if smallest < EIGENVALUE_FLOOR:
+        raise PositivityError(
+            f"density matrix has eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
+        )
     return rho
-
-
-def _eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a checked 2x2 or 4x4 Hermitian matrix, descending: the
-    closed quadratic form for 2x2, LAPACK's symmetric solver for 4x4."""
-    if rho.shape == (2, 2):
-        mid = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-        disc = np.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
-        return np.array([mid + disc, mid - disc])
-    return np.linalg.eigvalsh(rho)[::-1].copy()
 
 
 def entropy_bits(values):
@@ -95,10 +83,4 @@ def _positive_part(x):
 
 def von_neumann_entropy(m) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
-    return entropy_bits(_eigenvalues(as_density_matrix(m, check_positive=False)))
-
-
-def diagonal_part(m) -> np.ndarray:
-    """The fully dephased copy of ``m``: same diagonal, zero off-diagonal."""
-    rho = np.asarray(m, dtype=complex)
-    return np.diag(np.diag(rho))
+    return entropy_bits(np.linalg.eigvalsh(as_density_matrix(m)))

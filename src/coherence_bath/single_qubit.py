@@ -171,6 +171,12 @@ def dq_c_l1(theta: float, q: float, f: float) -> float:
     return 0.5 * abs(math.sin(theta)) * gamma * (1.0 - q) ** (-0.5 * (1.0 + f))
 
 
+def _log2_ratio(a: float, b: float) -> float:
+    """log2(a / b) for positive a and b, also where a / b leaves the float range."""
+    ratio = a / b
+    return math.log2(ratio) if 0.0 < ratio < math.inf else math.log2(a) - math.log2(b)
+
+
 def dq_c_re(theta: float, q: float, f: float) -> float:
     """Magnitude of the q-derivative of the relative-entropy trajectory.
 
@@ -189,17 +195,15 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
         return 0.0
     dqp_dq = gamma * (1.0 - q) ** (-f)
     one_plus = 1.0 + cos_t
-    if qp == 1.0:
-        # For gamma > 1, q' rounds to 1 while q < 1; take 1 - q' from the
-        # power itself and 1 +- bz from their exact forms so the logarithms
-        # below keep nonzero arguments.
-        one_minus_qp = math.exp(gamma * math.log1p(-q))
+    # For gamma > 1, q' rounds to 1 while q < 1; take 1 - q' from the power.
+    one_minus_qp = math.exp(gamma * math.log1p(-q)) if qp == 1.0 else 1.0 - qp
+    bz = cos_t * one_minus_qp - qp
+    one_plus_bz, one_minus_bz = 1.0 + bz, 1.0 - bz
+    if qp == 1.0 or one_plus_bz * one_minus_bz == 0.0:
+        # 1 +- bz cancel once q' or cos(theta) rounds to +-1; their exact
+        # forms keep the logarithms below nonzero arguments.
         one_plus_bz = one_plus * one_minus_qp
-        one_minus_bz = 2.0 - one_plus_bz
-    else:
-        one_minus_qp = 1.0 - qp
-        bz = cos_t * one_minus_qp - qp
-        one_plus_bz, one_minus_bz = 1.0 + bz, 1.0 - bz
+        one_minus_bz = 2.0 * math.sin(0.5 * theta) ** 2 * one_minus_qp + 2.0 * qp
     # 1 - |Bloch|^2 = q'(1-q')(1+cos theta)^2 exactly for this channel; the
     # direct radius expression cancels catastrophically near q' = 0, which
     # would wreck the spectral-gap logarithm below.
@@ -209,11 +213,14 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     # d S_diag / dq' and d S / dq'; the dephased populations move at rate
     # (1 + cos theta)/2 while the spectrum radius obeys
     # d(radius^2)/dq' = (1 + cos theta)^2 (2 q' - 1).
-    ds_diag = 0.5 * one_plus * math.log2(one_plus_bz / one_minus_bz)
+    ds_diag = 0.5 * one_plus * _log2_ratio(one_plus_bz, one_minus_bz)
     if radius == 0.0:
         log_ratio_over_radius = 2.0 / math.log(2.0)
+    elif one_minus_r == 0.0:
+        # 1 - |Bloch|^2 underflowed, so radius = 1 and 1 - radius is half of it.
+        log_ratio_over_radius = 2.0 - math.log2(qp * one_minus_qp) - 2.0 * math.log2(one_plus)
     else:
-        log_ratio_over_radius = math.log2((1.0 + radius) / one_minus_r) / radius
+        log_ratio_over_radius = _log2_ratio(1.0 + radius, one_minus_r) / radius
     ds_full = -(one_plus * one_plus) * (2.0 * qp - 1.0) / 4.0 * log_ratio_over_radius
     return abs(dqp_dq * (ds_diag - ds_full))
 

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import coherence_bath
 import coherence_bath.cli as cli
@@ -502,6 +502,38 @@ def test_grid_with_repeated_q_rejected(tmp_path, capsys, command):
     assert main([*command, *grid, "--out", str(out)]) == 2
     assert "trace q values must be strictly increasing" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_surface_with_repeated_u_rejected(tmp_path, capsys):
+    # geomspace over a span of one ulp repeats u values.
+    out = tmp_path / "out.csv"
+    grid = ["--u-start", "1", "--u-stop", "1.0000000000000002", "--u-count", "5", "--q-count", "2"]
+    assert main(["surface", "--measure", "l1", *grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: u grid repeats values: [1.0, 1.0000000000000002] is too narrow\n"
+    assert not out.exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theta=st.floats(0.0, math.pi),
+    u=st.floats(-10.0, 300.0).map(lambda exponent: 10.0**exponent),
+    preset=st.sampled_from(["parallel", "perpendicular", "isotropic"]),
+)
+@example(theta=0.0, u=1e-8, preset="parallel")
+@example(theta=5e-324, u=1e-8, preset="parallel")
+@example(theta=1e-12, u=1e-8, preset="parallel")
+@example(theta=1e-8, u=1e-8, preset="parallel")  # not trivially frozen
+@example(theta=math.pi, u=1e-8, preset="parallel")
+def test_freeze_single_consistent_over_the_domain(theta, u, preset):
+    # Near the mirror cos(theta) and q' round to 1, where 1 - bz once
+    # rounded to zero and the relative-entropy derivative divided by it.
+    args = ["freeze", "--mode", "single", "--theta", repr(theta), "--geometry", "mirror", "--u", repr(u)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*args, "--polarization", preset])
+    assert (code, stderr.getvalue()) == (0, "")
+    assert "numeric check: consistent" in stdout.getvalue()
 
 
 def test_single_bytes_match_per_point_functions(tmp_path):

@@ -7,9 +7,7 @@ from coherence_bath.qmath import (
     GROUND,
     PAULI,
     PositivityError,
-    _eigenvalues,
     as_density_matrix,
-    diagonal_part,
     entropy_bits,
     von_neumann_entropy,
 )
@@ -21,54 +19,51 @@ EVOLVED_EXAMPLE = np.array([[0.125, 0.25], [0.25, 0.875]], dtype=complex)
 EVOLVED_EIGS = (0.95069390943299866, 0.04930609056700134)
 
 
-def eigenvalues(m):
-    """The spectrum von_neumann_entropy takes the entropy of, descending."""
-    return _eigenvalues(as_density_matrix(m, check_positive=False))
-
-
 def test_eigenvalues_maximally_mixed():
-    assert eigenvalues(np.eye(2) / 2) == pytest.approx([0.5, 0.5], abs=1e-15)
+    # equal mixtures of the X eigenstates of one and of two qubits: full-rank
+    # spectra of matrices whose off-diagonal entries cancel
+    plus, minus = np.array([1.0, 1.0]) / math.sqrt(2), np.array([1.0, -1.0]) / math.sqrt(2)
+    pairs = [np.kron(a, b) for a in (plus, minus) for b in (plus, minus)]
+    for states, bits in (((plus, minus), 1.0), (pairs, 2.0)):
+        rho = sum(np.outer(v, v) for v in states) / len(states)
+        assert von_neumann_entropy(rho) == pytest.approx(bits, abs=1e-14)
 
 
 def test_eigenvalues_pure_diagonal():
-    assert eigenvalues(np.diag([1.0, 0.0])) == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
+    assert von_neumann_entropy(np.diag([0.0, 0.0, 1.0, 0.0])) == 0.0
 
 
 def test_eigenvalues_evolved_example():
-    eigs = eigenvalues(EVOLVED_EXAMPLE)
-    assert eigs == pytest.approx(EVOLVED_EIGS, abs=1e-14)
-    # independent route: numpy's generic solver on the same matrix
-    reference = np.sort(np.linalg.eigvalsh(EVOLVED_EXAMPLE))[::-1]
-    assert eigs == pytest.approx(reference, abs=1e-14)
+    assert von_neumann_entropy(EVOLVED_EXAMPLE) == pytest.approx(entropy_bits(EVOLVED_EIGS), abs=1e-14)
 
 
-def test_eigenvalues_descending_and_sum_to_trace(rng, random_density):
+def test_entropy_random_states_match_independent_spectra(rng, random_density):
+    # 2x2: the closed quadratic spectrum; 2x2 and 4x4: the singular values,
+    # which equal the eigenvalues of a positive semidefinite matrix
     for dim in (2, 4):
         for _ in range(20):
             rho = random_density(rng, dim)
-            eigs = eigenvalues(rho)
-            assert np.all(np.diff(eigs) <= 0)
-            assert abs(eigs.sum() - 1.0) < 1e-10
-
-
-def test_eigenvector_residual_dim4(rng, random_density):
-    # the 4x4 path must come from a converging symmetric solver
-    rho = random_density(rng, 4)
-    vals, vecs = np.linalg.eigh(rho)
-    residual = np.max(np.abs(rho @ vecs - vecs * vals))
-    assert residual < 1e-10
+            entropy = von_neumann_entropy(rho)
+            assert entropy == pytest.approx(entropy_bits(np.linalg.svd(rho, compute_uv=False)), abs=1e-13)
+            if dim == 2:
+                mid = 0.5 * (rho[0, 0].real + rho[1, 1].real)
+                disc = math.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1]))
+                assert entropy == pytest.approx(entropy_bits([mid + disc, mid - disc]), abs=1e-13)
 
 
 def test_eigenvalues_reject_non_hermitian():
     bad = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigenvalues(bad)
+    for check in (as_density_matrix, von_neumann_entropy):
+        with pytest.raises(ValueError, match="Hermitian"):
+            check(bad)
 
 
 def test_eigenvalues_reject_nan():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        eigenvalues(bad)
+    for check in (as_density_matrix, von_neumann_entropy):
+        with pytest.raises(ValueError, match="NaN"):
+            check(bad)
 
 
 def test_entropy_maximally_mixed_qubit():
@@ -111,19 +106,6 @@ def test_entropy_invariant_under_diagonal_permutation(rng):
     base = von_neumann_entropy(np.diag(probs).astype(complex))
     shuffled = von_neumann_entropy(np.diag(rng.permutation(probs)).astype(complex))
     assert base == pytest.approx(shuffled, abs=1e-13)
-
-
-def test_diagonal_part_idempotent_and_trace_preserving(rng, random_density):
-    rho = random_density(rng, 4)
-    dephased = diagonal_part(rho)
-    assert np.array_equal(dephased, diagonal_part(dephased))
-    assert dephased.trace() == pytest.approx(rho.trace(), abs=1e-14)
-    assert np.all(dephased[~np.eye(4, dtype=bool)] == 0)
-
-
-def test_diagonal_part_plus_state():
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    assert np.allclose(diagonal_part(plus), np.eye(2) / 2)
 
 
 def _bloch_state(b):
