@@ -16,6 +16,7 @@ the configuration that freezes coherence.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,8 +189,7 @@ class Geometry:
         return self.u is not None
 
 
-@dataclass(frozen=True)
-class RateCoefficients:
+class RateCoefficients(NamedTuple):
     """Dissipator coefficients in units of the free-space emission rate.
 
     At zero temperature a_coeff = b_coeff = gamma_eff / 4; the dynamics is an

@@ -11,7 +11,6 @@ tolerance failure.
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -361,7 +360,7 @@ def cmd_freeze(spec) -> int:
         ]
 
     lines.append(f"numeric check: {'consistent' if report.numeric_consistent else 'INCONSISTENT'}")
-    fields = dataclasses.asdict(report)
+    fields = report._asdict()
     del fields["frozen"]  # written as the flag keys of the mode
     payload = {**head, "geometry": geometry_label, **flags, **fields}
     print("\n".join(lines))
@@ -387,7 +386,7 @@ def cmd_validate(spec) -> int:
     ]
     print("\n".join(lines))
     if spec["out"] not in (None, "-"):
-        fields = dataclasses.asdict(report)
+        fields = report._asdict()
         payload = {"n_cases": fields.pop("n_cases"), "seed": spec["seed"], **fields}
         payload["passed"] = report.passed
         _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")

@@ -23,6 +23,7 @@ one step is that matrix, and n uniform steps are its n-th power.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -227,8 +228,7 @@ def _rk4_step(hm: np.ndarray) -> np.ndarray:
     return eye + hm + hm2 / 2.0 + (hm2 @ hm) / 6.0 + (hm2 @ hm2) / 24.0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a randomized closed-form versus integrator comparison."""
 
     n_cases: int
@@ -244,12 +244,93 @@ class ValidationReport:
 
 _ARCHETYPES = tuple(_PRESETS.items())
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: each call scrambles one 32-bit word with the next hash constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_state(seed) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for a non-negative int seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer, got seed {seed}")
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool + pool))
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+class _PCG64:
+    """numpy's ``default_rng(seed)`` stream for the draws validate makes, in pure
+    Python: validate then loads neither numpy.random nor OpenSSL, and its cases
+    do not move with numpy's version.  PCG64 is a 128-bit LCG with XSL-RR output
+    (O'Neill, HMC-CS-2014-0905, 2014).  A 32-bit draw is the low half of a fresh
+    64-bit output and keeps the high half for the next 32-bit draw."""
+
+    def __init__(self, seed):
+        w0, w1, w2, w3 = _seed_state(seed)
+        self._inc, self._state, self._kept32 = ((w2 << 64 | w3) << 1 | 1) & _MASK128, 0, None
+        self._next64()
+        self._state += w0 << 64 | w1
+        self._next64()
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * 0x2360ED051FC65DA44385DF649FCCF645 + self._inc) & _MASK128
+        word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._kept32 is None:
+            word = self._next64()
+            self._kept32 = word >> 32
+            return word & _MASK32
+        word, self._kept32 = self._kept32, None
+        return word
+
+    def uniform(self, low: float, high: float) -> float:
+        """Generator.uniform(low, high); numpy's ``size=n`` makes n such draws in turn."""
+        return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
+
+    def integers(self, low: int, high: int) -> int:
+        """Generator.integers(low, high) for 2 <= high - low < 2**32: Lemire's bounded draw."""
+        span = high - low
+        product = self._next32() * span
+        if product & _MASK32 < span:
+            threshold = (2**32 - span) % span
+            while product & _MASK32 < threshold:
+                product = self._next32() * span
+        return low + (product >> 32)
+
 
 def _random_bd(rng) -> BellDiagonalParams:
     """A uniform draw of (c1, c2, c3) from the cube, redrawn until its spectrum is nonnegative."""
     while True:
         try:
-            bd = BellDiagonalParams(*(float(c) for c in rng.uniform(-1.0, 1.0, size=3)))
+            bd = BellDiagonalParams(*(rng.uniform(-1.0, 1.0) for _ in range(3)))
         except ValueError:  # an eigenvalue below PHYSICALITY_TOL
             continue
         if min(bd.eigenvalues().values()) >= 0.0:
@@ -257,7 +338,7 @@ def _random_bd(rng) -> BellDiagonalParams:
 
 
 def _case_geometry(rng) -> tuple[str, Geometry]:
-    kind = int(rng.integers(0, 3))
+    kind = rng.integers(0, 3)
     if kind == 0:
         return "unbounded", Geometry.unbounded()
     if kind == 1:
@@ -292,10 +373,10 @@ def _case(rng, index: int) -> _Case:
         theta, phi, q, omega = 0.0, 0.0, 0.5, 1.0
     else:
         label, geometry = _case_geometry(rng)
-        theta = float(rng.uniform(0.0, math.pi))
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        q = float(rng.uniform(0.05, 0.95))
-        omega = float(rng.uniform(0.1, 4.0))
+        theta = rng.uniform(0.0, math.pi)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        q = rng.uniform(0.05, 0.95)
+        omega = rng.uniform(0.1, 4.0)
     pol_name, polarization = _ARCHETYPES[index % 3]
     rate = rate_coefficients(geometry, polarization)
     tau = -math.log1p(-q)
@@ -347,7 +428,7 @@ def validate_all(
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
 
     max_error = -1.0
     worst = "none"

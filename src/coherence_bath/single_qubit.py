@@ -15,6 +15,7 @@ effective level spacing Omega, which only rotates the off-diagonal phase.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .qmath import GROUND, _float_if_scalar, _positive_part, entropy_bits
 FREEZE_TOL = 1e-12
 FREEZE_SUP_BOUND = 1e-8
 _VALIDATION_GRID = np.linspace(0.01, 0.99, 99)
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,6 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     if gamma == 0.0 or sin_t == 0.0 or 1.0 + cos_t == 0.0:
         return 0.0
     qp = -math.expm1(gamma * math.log1p(-q))
-    if qp == 0.0:
-        return 0.0
     dqp_dq = gamma * (1.0 - q) ** (-f)
     one_plus = 1.0 + cos_t
     # For gamma > 1, q' rounds to 1 while q < 1; take 1 - q' from the power.
@@ -204,6 +204,12 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
         # forms keep the logarithms below nonzero arguments.
         one_plus_bz = one_plus * one_minus_qp
         one_minus_bz = 2.0 * math.sin(0.5 * theta) ** 2 * one_minus_qp + 2.0 * qp
+        if one_minus_bz < _SMALLEST_NORMAL:
+            # 1 - bz = 2 (sin^2(theta/2) + q') left the normal range, so cos(theta)
+            # and 1 - q' are 1, q' is gamma q, and d(S_diag - S)/dq' reduces to
+            # -log2(1 + sin^2(theta/2) / q').
+            half = math.sin(0.5 * theta)
+            return dqp_dq * math.log1p(half / q * (half / gamma)) / math.log(2.0)
     # 1 - |Bloch|^2 = q'(1-q')(1+cos theta)^2 exactly for this channel; the
     # direct radius expression cancels catastrophically near q' = 0, which
     # would wreck the spectral-gap logarithm below.
@@ -216,17 +222,19 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     ds_diag = 0.5 * one_plus * _log2_ratio(one_plus_bz, one_minus_bz)
     if radius == 0.0:
         log_ratio_over_radius = 2.0 / math.log(2.0)
-    elif one_minus_r == 0.0:
+    elif one_minus_r == 0.0 or qp < _SMALLEST_NORMAL:
         # 1 - |Bloch|^2 underflowed, so radius = 1 and 1 - radius is half of it.
-        log_ratio_over_radius = 2.0 - math.log2(qp * one_minus_qp) - 2.0 * math.log2(one_plus)
+        # A subnormal or zero q' is gamma q, and 1 - q' is 1, to double precision.
+        small = qp < _SMALLEST_NORMAL
+        log2_qp_pq = math.log2(gamma) + math.log2(q) if small else math.log2(qp * one_minus_qp)
+        log_ratio_over_radius = 2.0 - log2_qp_pq - 2.0 * math.log2(one_plus)
     else:
         log_ratio_over_radius = _log2_ratio(1.0 + radius, one_minus_r) / radius
     ds_full = -(one_plus * one_plus) * (2.0 * qp - 1.0) / 4.0 * log_ratio_over_radius
     return abs(dqp_dq * (ds_diag - ds_full))
 
 
-@dataclass(frozen=True)
-class FreezeReport:
+class FreezeReport(NamedTuple):
     """Freezing classification of one or two qubits, one verdict for both
     measures, with the numeric derivative bounds backing it."""
 

@@ -12,6 +12,7 @@ from coherence_bath.lindblad import (
     InstabilityError,
     IntegratorConfig,
     _integrate_stack,
+    _PCG64,
     build_rhs,
     closed_form_initial,
     integrate,
@@ -284,6 +285,50 @@ def test_validate_all_degenerate_theta_case():
 def test_validate_all_rejects_bad_count():
     with pytest.raises(ValueError):
         validate_all(1, 0)
+
+
+def _case_draws(rng, cube) -> list:
+    """The draw kinds of one random case, in the order ``_case`` makes them;
+    ``cube`` draws the three Bell-diagonal coefficients."""
+    return [
+        int(rng.integers(0, 3)),
+        float(rng.uniform(math.log(0.05), math.log(5.0))),
+        float(rng.uniform(0.0, math.pi)),
+        float(rng.uniform(0.0, 2.0 * math.pi)),
+        float(rng.uniform(0.05, 0.95)),
+        float(rng.uniform(0.1, 4.0)),
+        cube(rng),
+        int(rng.integers(0, 3)),
+    ]
+
+
+def test_case_stream_matches_numpy_default_rng():
+    edge = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200 + 12345]
+    seeds = edge + np.random.default_rng(2024).integers(0, 2**63, size=1000).tolist()
+    for seed in seeds:
+        ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            expected = _case_draws(numpys, lambda rng: rng.uniform(-1.0, 1.0, size=3).tolist())
+            assert _case_draws(ours, lambda rng: [rng.uniform(-1.0, 1.0) for _ in range(3)]) == expected, seed
+
+
+def test_case_stream_of_seed_1_is_pinned():
+    # numpy's default_rng(1) gave these; a 64-bit draw between two 32-bit
+    # ones keeps the high half of the first 32-bit draw for the second
+    rng = _PCG64(1)
+    draws = [rng.integers(0, 3), rng.uniform(0.0, 1.0), rng.integers(0, 3), rng.integers(0, 3)]
+    draws += [rng.uniform(-1.0, 1.0) for _ in range(3)] + [rng.integers(0, 3)]
+    assert draws == [
+        1, 0.9504636963259353, 1, 0, 0.8972988942744877, -0.3763370959790291, -0.1533471020548487, 0
+    ]
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError)])
+def test_validate_all_rejects_a_seed_default_rng_rejects(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        validate_all(seed, 1)
 
 
 def test_validate_all_keeps_the_first_of_equal_errors(monkeypatch):

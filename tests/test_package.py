@@ -57,3 +57,15 @@ def test_cli_keeps_the_users_blas_threads():
 
 def test_cli_import_skips_configparser_and_fractions():
     assert _probe()[2:] == ["False", "False"]
+
+
+def test_validate_loads_neither_numpy_random_nor_openssl():
+    probe = (
+        "import contextlib, io, sys; from coherence_bath import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['validate', '--cases', '3'])\n"
+        "print(code, *(name in sys.modules for name in ('numpy.random', 'secrets', '_hashlib')))"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "False", "False", "False"]

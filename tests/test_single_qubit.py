@@ -397,3 +397,18 @@ def test_dq_c_re_where_rounding_empties_a_logarithm(theta, q, f, reference):
     # 1 - bz or 1 - r rounds to zero or the subnormal range; the references
     # evaluate the same analytic derivative in 400-digit mpmath
     assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "theta, q, f, reference",
+    [
+        (1.0, 5e-324, 0.5, 318.360616062008),  # gamma q rounds q' to 0
+        (2.0, 1e-320, 0.9, 9.15505362582263),  # q' is subnormal
+        (1e-200, 5e-324, 0.5, 7.30011817778022e-78),  # and so is 1 - bz = 2 (sin^2(theta/2) + q')
+        (1e-160, 1e-320, 0.0, 0.321931307171615),
+    ],
+)
+def test_dq_c_re_where_damping_underflows(theta, q, f, reference):
+    # q' = gamma q (1 + O(q)) below the normal range; the references evaluate
+    # the derivative of the relative entropy in 400-digit mpmath
+    assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-9, abs=0.0)
