@@ -25,8 +25,9 @@ _EXPORTS = {
                      "integrate liouvillian_matrix validate_all"),
         ("measures", "c_l1 c_re"),
         ("qmath", "PositivityError von_neumann_entropy"),
-        ("single_qubit", "CoherenceTrace EvolutionParams FreezeReport InitialAngles c_l1_trajectory "
-                         "c_re_trajectory dq_c_l1 dq_c_re evolve_closed_form freezing_report sweep"),
+        ("single_qubit", "CoherenceTrace EvolutionParams FreezeReport InitialAngles c_l1_single "
+                         "c_l1_trajectory c_re_single c_re_trajectory dq_c_l1 dq_c_re evolve_closed_form "
+                         "freezing_report sweep"),
         ("two_qubit", "BellDiagonalParams OneSidedChannel apply_one_sided_channel bd_density c_l1_bd "
                       "c_re_bd c_re_bd_closed_form choi_matrix freezing_report_bd sweep_bd"),
     )

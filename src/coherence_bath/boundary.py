@@ -251,21 +251,15 @@ def noise_to_damping(q, gamma_eff: float):
     A frozen configuration (gamma_eff = 0) gives q' = 0 for every q,
     including the q = 1 endpoint.  Each element goes through libm's
     log1p/expm1: numpy's vectorised log1p rounds some arguments differently,
-    and the sweep outputs are pinned to the libm bits.  The product with
-    gamma_eff is one numpy multiply, the same IEEE rounding as a float
-    product.  A scalar q takes the same path and comes back as a float.
+    and the sweep outputs are pinned to the libm bits.  A scalar q takes the
+    same path and comes back as a float.
     """
     qs = _in_unit_interval(q, "noise parameter q")
     if not math.isfinite(gamma_eff) or gamma_eff < 0.0:
         raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
     if gamma_eff == 0.0:
         return _float_if_scalar(np.zeros(qs.shape))
-    ends = qs == 1.0  # log1p(-1) is a domain error; q' = 1 there
-    with np.errstate(over="ignore"):  # a product that overflows to -inf gives q' = 1
-        qp = -_libm(math.expm1, gamma_eff * _libm(math.log1p, -np.where(ends, 0.0, qs)))
-    return _float_if_scalar(np.where(ends, 1.0, qp))
-
-
-def _libm(func, values: np.ndarray) -> np.ndarray:
-    flat = values.ravel().tolist()
-    return np.fromiter(map(func, flat), float, len(flat)).reshape(values.shape)
+    # log1p(-1) is a domain error, so q = 1 maps to 1 directly; a product
+    # that overflows is -inf, whose expm1 is -1, so q' = 1 there too.
+    qp = [1.0 if x == 1.0 else -math.expm1(gamma_eff * math.log1p(-x)) for x in qs.ravel().tolist()]
+    return _float_if_scalar(np.array(qp).reshape(qs.shape))

@@ -11,7 +11,6 @@ tolerance failure.
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
@@ -27,7 +26,7 @@ import numpy as np
 
 from .boundary import _PRESETS, Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
-from .single_qubit import InitialAngles, _check_q_grid, _l1_from_damping, _re_from_damping, freezing_report
+from .single_qubit import InitialAngles, _check_q_grid, c_l1_single, c_re_single, freezing_report
 from .single_qubit import c_l1_trajectory, c_re_trajectory
 from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 
@@ -47,18 +46,14 @@ def _finite_float(text) -> float:
     return value
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value <= 0:
-        raise ValueError(f"value must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def convert(text) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"value must be an integer of at least {low}, got {text!r}")
+        return value
 
-
-def _nonnegative_int(text) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"value must be a non-negative integer, got {text!r}")
-    return value
+    return convert
 
 
 def _choice(options):
@@ -85,14 +80,15 @@ def parse_polarization(text) -> PolarizationWeights:
 
 
 # Field tables: name -> (converter, default).  Each field is the config key
-# ``name`` and the flag ``--name`` with dashes for underscores.  _REQUIRED
-# defaults must be supplied by flag or config.
+# ``name`` and the flag ``--name`` with dashes for underscores.  The converter
+# takes the field's text from either source and holds every rule on that one
+# value.  _REQUIRED defaults must be supplied by flag or config.
 _REQUIRED = object()
 
 _GRID_FIELDS = {
     "q_start": (_finite_float, 0.0),
     "q_stop": (_finite_float, 1.0),
-    "q_count": (_positive_int, 101),
+    "q_count": (_int_at_least(2), 101),
 }
 _ENV_FIELDS = {
     "geometry": (_choice({"unbounded", "mirror"}), "unbounded"),
@@ -126,7 +122,7 @@ _FIELDS = {
         **_GRID_FIELDS,
         "u_start": (_finite_float, 1e-2),
         "u_stop": (_finite_float, 10.0),
-        "u_count": (_positive_int, 80),
+        "u_count": (_int_at_least(2), 80),
         **_OUT_FIELDS,
     },
     "freeze": {
@@ -139,8 +135,8 @@ _FIELDS = {
         "out": (str, "-"),
     },
     "validate": {
-        "seed": (_nonnegative_int, 42),
-        "cases": (_positive_int, 50),
+        "seed": (_int_at_least(0), 42),
+        "cases": (_int_at_least(1), 50),
         "step": (_finite_float, 1e-3),
         "out": (str, "-"),
     },
@@ -175,18 +171,20 @@ def _load_section(path: str, command: str) -> dict:
 
 
 def resolve_spec(command: str, args: argparse.Namespace) -> dict:
-    """Merge flag values, config-file values and defaults into one spec dict."""
+    """Merge defaults and the flag, else config-file, text of each field, converted once, into one spec."""
     fields = _FIELDS[command]
     config = _load_section(args.config, command) if getattr(args, "config", None) else {}
     spec = {}
     for name, (convert, default) in fields.items():
-        flag_value = getattr(args, name, None)
-        if flag_value == []:  # argparse of Python 3.11 reads --name=-- as no value, unconverted
+        text = getattr(args, name, None)
+        if text == []:  # argparse of Python 3.11 reads --name=-- as no value
             raise ValueError(f"--{name.replace('_', '-')} needs a value")
-        if flag_value is not None:
-            spec[name] = flag_value
-        elif name in config:
-            spec[name] = convert(config[name])
+        text = config.get(name) if text is None else text
+        if text is not None:
+            try:
+                spec[name] = convert(text)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
         elif default is _REQUIRED:
             raise ValueError(f"missing required field '{name}' for '{command}'")
         else:
@@ -216,8 +214,6 @@ def _geometry_from_spec(spec: dict) -> Geometry:
 
 def _q_grid(spec: dict) -> np.ndarray:
     start, stop, count = spec["q_start"], spec["q_stop"], spec["q_count"]
-    if count < 2:
-        raise ValueError(f"q_count must be at least 2, got {count}")
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"q grid must satisfy 0 <= start < stop <= 1, got [{start}, {stop}]")
     grid = np.linspace(start, stop, count)
@@ -269,14 +265,14 @@ def _write_table(spec: dict, names, grid, per_block: int, columns) -> None:
             handle.write("\n]\n")
 
 
-def _write_sweep(spec: dict, names, kernels) -> int:
-    """Write q and each kernel of q' = noise_to_damping(q, gamma_eff), BLOCK_ROWS rows at a time."""
+def _write_sweep(spec: dict, names, state, kernels) -> int:
+    """Write q and each kernel(state, q') at q' = noise_to_damping(q, gamma_eff), BLOCK_ROWS rows at a time."""
     geometry = _geometry_from_spec(spec)
     gamma = rate_coefficients(geometry, parse_polarization(spec["polarization"])).gamma_eff
 
     def columns(q):
         qp = noise_to_damping(q, gamma)  # once per block for every kernel
-        return [_cells(q), *(_cells(kernel(qp)) for kernel in kernels)]
+        return [_cells(q), *(_cells(kernel(state, qp)) for kernel in kernels)]
 
     # every whole-grid check runs before the output is opened
     _write_table(spec, names, _q_grid(spec), BLOCK_ROWS, columns)
@@ -287,15 +283,14 @@ def cmd_single(spec) -> int:
     """Sweep both coherence measures of a single qubit over q."""
     theta = spec["theta"]
     InitialAngles(theta, spec["phi"])  # range check; phases drop out below
-    kernels = (functools.partial(_l1_from_damping, theta), functools.partial(_re_from_damping, theta))
-    return _write_sweep(spec, ("q", "c_l1", "c_re"), kernels)
+    return _write_sweep(spec, ("q", "c_l1", "c_re"), theta, (c_l1_single, c_re_single))
 
 
 def cmd_two(spec) -> int:
     """Sweep a Bell-diagonal pair, including the closed-form comparison column."""
     bd = BellDiagonalParams(spec["c1"], spec["c2"], spec["c3"])
-    kernels = [functools.partial(kernel, bd) for kernel in (c_l1_bd, c_re_bd, c_re_bd_closed_form)]
-    return _write_sweep(spec, ("q", "c_l1", "c_re", "c_re_closed_form"), kernels)
+    kernels = (c_l1_bd, c_re_bd, c_re_bd_closed_form)
+    return _write_sweep(spec, ("q", "c_l1", "c_re", "c_re_closed_form"), bd, kernels)
 
 
 def cmd_surface(spec) -> int:
@@ -304,8 +299,6 @@ def cmd_surface(spec) -> int:
         raise ValueError(
             f"u grid must satisfy 0 < u_start < u_stop, got [{spec['u_start']}, {spec['u_stop']}]"
         )
-    if spec["u_count"] < 2:
-        raise ValueError(f"u_count must be at least 2, got {spec['u_count']}")
     polarization = _PRESETS[spec["preset"]]
     q_grid = _q_grid(spec)
     # Near max float an inner power of geomspace overflows; its endpoints are exact.
@@ -415,26 +408,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     for command, fields in _FIELDS.items():
-        func, help_text = _COMMANDS[command]
-        p = sub.add_parser(command, help=help_text)
-        for name, (convert, _) in fields.items():
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, dest=name, type=convert, help=_FLAG_HELP.get(name))
+        p = sub.add_parser(command, help=_COMMANDS[command][1])
+        for name in fields:  # resolve_spec converts the text
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FLAG_HELP.get(name))
         p.add_argument("--config", help="INI config file; flags override file values")
         p.add_argument("--dump-config", help="write the fully resolved spec to this path")
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_help()
         return EXIT_INVALID
     try:
         spec = resolve_spec(args.command, args)
-        code = args.func(spec)
+        code = _COMMANDS[args.command][0](spec)
         if args.dump_config:
             dump_spec(args.command, spec, args.dump_config)
         return code

@@ -53,9 +53,10 @@ def entropy_bits(values):
     """Shannon entropy in bits of a probability-like vector, or of each
     vector along the last axis of an array (a 1-D input gives a float).
 
-    Values in (EIGENVALUE_FLOOR, 0) are clamped to zero (round-off from
-    diagonalization); values below the floor raise PositivityError, NaN or
-    Inf raises ValueError.  Values are summed in sorted order, so equal
+    Values in (EIGENVALUE_FLOOR, 0) are clamped to zero and values in
+    (1, 1 - EIGENVALUE_FLOOR) to one (round-off from diagonalization); values
+    below the floor raise PositivityError, values above 1 - EIGENVALUE_FLOOR,
+    NaN or Inf raise ValueError.  Values are summed in sorted order, so equal
     multisets give bitwise-equal entropies regardless of input ordering.
     """
     vals = np.asarray(values, dtype=float)
@@ -65,6 +66,8 @@ def entropy_bits(values):
         raise PositivityError(
             f"probability {float(vals.min()):.3e} below the {EIGENVALUE_FLOOR} floor"
         )
+    if np.any(vals > 1.0 - EIGENVALUE_FLOOR):
+        raise ValueError(f"probability {float(vals.max())!r} above 1")
     vals = np.sort(np.clip(vals, 0.0, 1.0), axis=-1)
     # Zero slots add an exact 0.0 to the running sum, as if absent.
     positive = np.where(vals > 0.0, vals, 1.0)

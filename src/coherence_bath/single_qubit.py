@@ -124,19 +124,21 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
 def c_l1_trajectory(theta: float, q, geometry: Geometry, polarization: PolarizationWeights):
     """Closed-form l1 coherence |sin(theta)| (1-q)^((1-f)/2) at sweep point(s) q."""
     gamma = rate_coefficients(geometry, polarization).gamma_eff
-    return _l1_from_damping(theta, noise_to_damping(q, gamma))
+    return c_l1_single(theta, noise_to_damping(q, gamma))
 
 
-def _l1_from_damping(theta: float, qp):
+def c_l1_single(theta: float, q_prime):
+    """l1 coherence |sin(theta)| sqrt(1-q') of the evolved qubit at damping q' (a float or an array)."""
     InitialAngles(theta)  # ValueError unless theta lies in [0, pi]
-    return _float_if_scalar(abs(math.sin(theta)) * np.sqrt(1.0 - qp))
+    return _float_if_scalar(abs(math.sin(theta)) * np.sqrt(1.0 - q_prime))
 
 
-def _re_from_damping(theta: float, qp):
+def c_re_single(theta: float, q_prime):
+    """Relative entropy of coherence of the evolved qubit at damping q' (a float or an array)."""
     InitialAngles(theta)
     cos_t = math.cos(theta)
-    bz = cos_t * (1.0 - qp) - qp
-    radius2 = (1.0 - cos_t * cos_t) * (1.0 - qp) + bz * bz
+    bz = cos_t * (1.0 - q_prime) - q_prime
+    radius2 = (1.0 - cos_t * cos_t) * (1.0 - q_prime) + bz * bz
     radius = np.minimum(np.sqrt(radius2), 1.0)
     s_diag = entropy_bits(np.stack([0.5 * (1.0 + bz), 0.5 * (1.0 - bz)], axis=-1))
     s_full = entropy_bits(np.stack([0.5 * (1.0 + radius), 0.5 * (1.0 - radius)], axis=-1))
@@ -150,7 +152,7 @@ def c_re_trajectory(theta: float, q, geometry: Geometry, polarization: Polarizat
     and the exact spectrum (1 +- |Bloch vector|)/2 at the mapped damping q'.
     """
     gamma = rate_coefficients(geometry, polarization).gamma_eff
-    return _re_from_damping(theta, noise_to_damping(q, gamma))
+    return c_re_single(theta, noise_to_damping(q, gamma))
 
 
 def _check_open_interval(q: float):
@@ -289,4 +291,4 @@ def sweep(
     """Evaluate both coherence trajectories over an increasing q grid."""
     q = np.asarray(q_grid, dtype=float)
     qp = noise_to_damping(q, rate_coefficients(geometry, polarization).gamma_eff)
-    return CoherenceTrace(q, _l1_from_damping(theta, qp), _re_from_damping(theta, qp))
+    return CoherenceTrace(q, c_l1_single(theta, qp), c_re_single(theta, qp))

@@ -414,9 +414,54 @@ def test_unwritable_output_is_io_error(tmp_path):
 
 
 def test_nan_rejected_at_parse_time(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["single", "--theta", "nan"])
-    assert excinfo.value.code == 2
+    assert main(["single", "--theta", "nan"]) == 2
+    assert capsys.readouterr().err == "error: theta: value must be finite, got 'nan'\n"
+
+
+_BAD_FIELD_VALUES = [
+    ("single", "q_count", "1", "value must be an integer of at least 2, got '1'"),
+    ("surface", "u_count", "1", "value must be an integer of at least 2, got '1'"),
+    ("validate", "seed", "-1", "value must be an integer of at least 0, got '-1'"),
+    ("validate", "cases", "0", "value must be an integer of at least 1, got '0'"),
+    ("surface", "measure", "foo", "expected one of ['l1', 're'], got 'foo'"),
+    ("single", "theta", "nan", "value must be finite, got 'nan'"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "section", "DEFAULT"])
+@pytest.mark.parametrize("command, name, text, message", _BAD_FIELD_VALUES)
+def test_bad_value_is_one_error_line_naming_the_field(tmp_path, source, command, name, text, message):
+    if source == "flag":
+        argv = [command, f"--{name.replace('_', '-')}={text}"]
+    else:
+        config = tmp_path / "conf.ini"
+        entry = f"{name} = {text}\n"
+        config.write_text(f"[{command}]\n{entry}" if source == "section" else f"[DEFAULT]\n{entry}[{command}]\n")
+        argv = [command, "--config", str(config)]
+    # one line from either source: no usage dump, no traceback, no converter's name
+    assert _run_main(argv) == (2, "", f"error: {name}: {message}\n")
+
+
+def test_bad_polarization_triple_rejected(capsys):
+    assert main(["single", "--polarization", "1,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: polarization must be one of ") and err.endswith(" got '1,0'\n")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (ZeroDivisionError("float division by zero"), "error: ZeroDivisionError: float division by zero\n"),
+        (MemoryError("no room"), "error: out of memory: no room\n"),
+    ],
+)
+def test_arithmetic_and_memory_errors_in_a_handler_are_invalid_input(monkeypatch, capsys, exc, line):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "freezing_report", fail)
+    assert main(["freeze", "--mode", "single"]) == 2
+    assert capsys.readouterr() == ("", line)
 
 
 def test_invalid_grid_rejected(capsys):
@@ -629,14 +674,14 @@ def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, monkeypatch, fmt):
     calls = []
-    kernel = cli._re_from_damping
+    kernel = cli.c_re_single
 
     def nan_in_second_block(theta, qp):
         calls.append(len(qp))
         values = kernel(theta, qp)
         return np.full_like(values, np.nan) if len(calls) == 2 else values
 
-    monkeypatch.setattr(cli, "_re_from_damping", nan_in_second_block)
+    monkeypatch.setattr(cli, "c_re_single", nan_in_second_block)
     out = tmp_path / f"single.{fmt}"
     count = 2 * BLOCK_ROWS + 1
     assert main(["single", "--q-count", str(count), "--format", fmt, "--out", str(out)]) == 2
@@ -912,7 +957,7 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, command, data):
             {n: fields[n] for n in required}, optional={n: fields[n] for n in fields if n not in required}
         )
     )
-    # At most one flag is non-finite or garbage, so most runs get past argparse.
+    # At most one flag is non-finite or garbage, so most runs get past resolve_spec.
     # The output path stays in tmp_path.
     spoilable = sorted(set(values) - {"out"})
     if spoilable and data.draw(st.booleans()):
@@ -940,7 +985,7 @@ def _run_main(argv) -> tuple[int, str, str]:
         warnings.simplefilter("error")
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag value
+        except SystemExit as exc:  # argparse rejects the flag syntax
             code = exc.code
             assert code == 2, argv
     return code, stdout.getvalue(), stderr.getvalue()

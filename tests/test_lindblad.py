@@ -233,6 +233,22 @@ def test_instability_raises_with_suggestion():
         integrate(rho0, GeneratorSpec(500.0, 0.0), 1.0, IntegratorConfig(1e-2))
 
 
+def test_instability_within_round_off_asks_for_half_the_step():
+    with pytest.raises(InstabilityError, match=r"retry with step <= 5\.000e-03"):
+        integrate(np.diag([1, 0]), GeneratorSpec(72.5, 72.5), 0.1, IntegratorConfig(0.01))
+
+
+def test_integrate_rejects_a_mismatched_state():
+    with pytest.raises(ValueError, match="state dimension 4 does not match spec dim 2"):
+        integrate(np.eye(4) / 4, UNBOUNDED_SPEC, 0.1)
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan])
+def test_integrate_rejects_a_bad_time(tau):
+    with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+        integrate(np.eye(2) / 2, UNBOUNDED_SPEC, tau)
+
+
 def test_overflowing_generator_raises_instability_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -321,6 +337,16 @@ def test_case_stream_of_seed_1_is_pinned():
     assert draws == [
         1, 0.9504636963259353, 1, 0, 0.8972988942744877, -0.3763370959790291, -0.1533471020548487, 0
     ]
+
+
+def test_bounded_draw_redraws_below_the_threshold(monkeypatch):
+    # A first word of 0 leaves 0 in the low half, below (2**32 - 3) % 3 = 1,
+    # so Lemire's method draws again and keeps the high half of 3 w.
+    rng, w = _PCG64(1), 0x9E3779B9
+    words = iter([0, w])
+    monkeypatch.setattr(rng, "_next32", lambda: next(words))
+    assert rng.integers(0, 3) == (3 * w) >> 32
+    assert next(words, None) is None  # both words consumed
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError), (1.5, TypeError)])

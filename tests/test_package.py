@@ -34,6 +34,10 @@ def test_every_export_resolves():
         assert getattr(sys.modules[value.__module__], name) is value
 
 
+def test_dir_lists_every_export():
+    assert set(coherence_bath.__all__) <= set(dir(coherence_bath))
+
+
 def test_star_import():
     namespace = {}
     exec("from coherence_bath import *", namespace)

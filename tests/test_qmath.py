@@ -91,6 +91,19 @@ def test_entropy_rejects_genuine_negativity():
     rho = np.diag([1.1, -0.1])
     with pytest.raises(PositivityError):
         von_neumann_entropy(rho)
+    with pytest.raises(PositivityError):
+        entropy_bits([-0.5, 1.5])
+
+
+@pytest.mark.parametrize("values", [[2.0, 0.5], [1.5]])
+def test_entropy_rejects_values_above_one(values):
+    # clipped to 1 they gave the plausible entropies 0.5 and -0.0
+    with pytest.raises(ValueError, match="above 1"):
+        entropy_bits(values)
+
+
+def test_entropy_clamps_round_off_above_one():
+    assert entropy_bits([1.0 + 1e-12, 0.0]) == 0.0
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,12 @@ def test_evolve_worked_example():
     assert abs(rho[0, 1]) == pytest.approx(0.25, abs=1e-15)
 
 
+def test_evolve_takes_an_angle_tuple():
+    params = _params()
+    expected = evolve_closed_form(InitialAngles(1.0, 0.3), 0.4, params)
+    assert np.array_equal(evolve_closed_form((1.0, 0.3), 0.4, params), expected)
+
+
 def test_evolve_rejects_bad_q():
     with pytest.raises(ValueError):
         evolve_closed_form(InitialAngles(1.0), 1.2, _params())

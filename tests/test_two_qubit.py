@@ -98,6 +98,11 @@ def test_channel_identity_at_zero_damping(rng, random_density):
     assert np.allclose(apply_one_sided_channel(rho, OneSidedChannel(0.0, 0.0)), rho, atol=1e-15)
 
 
+def test_channel_rejects_a_single_qubit_state():
+    with pytest.raises(ValueError, match="acts on 4x4"):
+        apply_one_sided_channel(GROUND, OneSidedChannel(0.5, 0.0))
+
+
 def test_channel_full_damping_factorizes(rng, random_density, partial_trace_a):
     rho = random_density(rng, 4)
     out = apply_one_sided_channel(rho, OneSidedChannel(1.0, 0.0))
