@@ -23,8 +23,7 @@ _EXPORTS = {
                      "noise_to_damping rate_coefficients suppression_factor"),
         ("lindblad", "GeneratorSpec InstabilityError IntegratorConfig ValidationReport build_rhs "
                      "integrate liouvillian_matrix validate_all"),
-        ("measures", "c_l1 c_re"),
-        ("qmath", "PositivityError von_neumann_entropy"),
+        ("qmath", "PositivityError c_l1 c_re von_neumann_entropy"),
         ("single_qubit", "CoherenceTrace EvolutionParams FreezeReport InitialAngles c_l1_single "
                          "c_l1_trajectory c_re_single c_re_trajectory dq_c_l1 dq_c_re evolve_closed_form "
                          "freezing_report sweep"),

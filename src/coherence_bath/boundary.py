@@ -173,8 +173,7 @@ class Geometry:
 
     def __post_init__(self):
         if self.u is not None:
-            if not math.isfinite(self.u) or self.u <= 0.0:
-                raise ValueError(f"mirror distance u must be finite and positive, got {self.u}")
+            object.__setattr__(self, "u", _check_u(self.u))
 
     @classmethod
     def unbounded(cls) -> "Geometry":

@@ -4,6 +4,10 @@ Basis convention used throughout the package: the excited level comes first,
 so a single qubit lives in the ordered basis {|1>, |0>} and two qubits in the
 Kronecker basis {|11>, |10>, |01>, |00>}.  sigma_z is diagonal with the
 excited state as its +1 eigenvector.  Entropies are in bits (log base 2).
+
+The reference coherence measures ``c_l1`` and ``c_re`` always take this
+energy basis as their reference basis, so they take no basis argument: they
+vanish exactly on diagonal states and are invariant under diagonal phases.
 """
 
 import numpy as np
@@ -87,3 +91,22 @@ def _positive_part(x):
 def von_neumann_entropy(m) -> float:
     """Von Neumann entropy of a density matrix, in bits."""
     return entropy_bits(np.linalg.eigvalsh(as_density_matrix(m)))
+
+
+def c_l1(m) -> float:
+    """l1 norm of coherence: the sum of all off-diagonal magnitudes."""
+    rho = as_density_matrix(m)
+    off = rho.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.abs(off).sum())
+
+
+def c_re(m) -> float:
+    """Relative entropy of coherence: S(dephased state) - S(state), in bits.
+
+    The dephased spectrum is the diagonal; the state's spectrum comes from
+    LAPACK, never from model-specific closed forms, which the dynamics
+    modules carry as cross-checks.
+    """
+    rho = as_density_matrix(m)
+    return max(0.0, entropy_bits(np.diag(rho).real) - entropy_bits(np.linalg.eigvalsh(rho)))

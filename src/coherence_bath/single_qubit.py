@@ -105,15 +105,14 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
     if not isinstance(angles, InitialAngles):
         angles = InitialAngles(*angles)
     q = float(q)
-    _in_unit_interval(q, "noise parameter q")
     gamma = rate_coefficients(params.geometry, params.polarization).gamma_eff
+    qp = noise_to_damping(q, gamma)
     if q == 1.0:
         if gamma == 0.0:
             return evolve_closed_form(angles, 0.0, params)
         return GROUND.copy()
     cos_t, sin_t = math.cos(angles.theta), math.sin(angles.theta)
     tau = -math.log1p(-q)
-    qp = noise_to_damping(q, gamma)
     population = 0.5 * (1.0 + cos_t * (1.0 - qp) - qp)
     off = 0.5 * sin_t * math.sqrt(1.0 - qp) * np.exp(
         -1.0j * (params.omega * tau + angles.phi)
@@ -130,12 +129,14 @@ def c_l1_trajectory(theta: float, q, geometry: Geometry, polarization: Polarizat
 def c_l1_single(theta: float, q_prime):
     """l1 coherence |sin(theta)| sqrt(1-q') of the evolved qubit at damping q' (a float or an array)."""
     InitialAngles(theta)  # ValueError unless theta lies in [0, pi]
+    q_prime = _in_unit_interval(q_prime, "damping q'")
     return _float_if_scalar(abs(math.sin(theta)) * np.sqrt(1.0 - q_prime))
 
 
 def c_re_single(theta: float, q_prime):
     """Relative entropy of coherence of the evolved qubit at damping q' (a float or an array)."""
     InitialAngles(theta)
+    q_prime = _in_unit_interval(q_prime, "damping q'")
     cos_t = math.cos(theta)
     bz = cos_t * (1.0 - q_prime) - q_prime
     radius2 = (1.0 - cos_t * cos_t) * (1.0 - q_prime) + bz * bz

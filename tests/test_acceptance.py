@@ -15,6 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
@@ -34,7 +35,6 @@ from coherence_bath.lindblad import (
     closed_form_initial,
     integrate,
 )
-from coherence_bath.measures import c_l1, c_re
 from coherence_bath.single_qubit import (
     EvolutionParams,
     InitialAngles,

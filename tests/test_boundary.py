@@ -160,14 +160,16 @@ def test_polarization_validation():
 
 
 def test_geometry_validation():
-    with pytest.raises(ValueError):
+    message = "boundary distance u must be finite and positive"
+    with pytest.raises(ValueError, match=message):
         Geometry.mirror(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         Geometry.mirror(-2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         Geometry.mirror(math.inf)
     assert not Geometry.unbounded().has_boundary
     assert Geometry.mirror(0.3).has_boundary
+    assert type(Geometry(np.float64(0.3)).u) is float  # the value _check_u returns
 
 
 def test_suppression_factor_cases():

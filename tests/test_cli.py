@@ -474,6 +474,15 @@ def test_mirror_requires_u(capsys):
     assert "requires a distance u" in capsys.readouterr().err
 
 
+def test_bad_mirror_distance_is_the_boundary_message():
+    # Geometry, the response functions and --u share one rule and one message.
+    assert _run_main(["single", "--geometry", "mirror", "--u", "-1"]) == (
+        2,
+        "",
+        "error: boundary distance u must be finite and positive, got -1.0\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [["single", "--theta=--"], ["single", "--out=--"], ["validate", "--cases=--"], ["surface", "--preset=--"]]
 )

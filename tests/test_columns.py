@@ -7,13 +7,21 @@ from 0.0), because the CLI prints them with ``repr``.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
-from coherence_bath.single_qubit import CoherenceTrace, c_l1_trajectory, c_re_trajectory, sweep
+from coherence_bath.single_qubit import (
+    CoherenceTrace,
+    c_l1_single,
+    c_l1_trajectory,
+    c_re_single,
+    c_re_trajectory,
+    sweep,
+)
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
     c_l1_bd,
@@ -112,11 +120,21 @@ def test_trace_rejects_nan_and_ragged_columns():
         trace.c_l1[0] = 2.0  # columns are read-only
 
 
-def test_kernels_reject_out_of_range_arrays():
+def test_damping_map_rejects_out_of_range_arrays():
     with pytest.raises(ValueError, match="noise parameter q must lie in \\[0, 1\\], got 1.5"):
         noise_to_damping(np.array([0.2, 1.5]), 1.0)
-    with pytest.raises(ValueError, match="damping q' must lie in \\[0, 1\\], got nan"):
-        c_re_bd((0.3, -0.4, 0.2), np.array([0.1, float("nan")]))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan, -math.inf])
+@pytest.mark.parametrize(
+    "kernel, state",
+    [(c_l1_single, 1.0), (c_re_single, 1.0), (c_l1_bd, (0.3, -0.4, 0.2)), (c_re_bd, (0.3, -0.4, 0.2))],
+)
+def test_kernels_reject_out_of_range_arrays(kernel, state, bad, as_array):
+    q_prime = np.array([0.1, bad]) if as_array else bad
+    with pytest.raises(ValueError, match=re.escape(f"damping q' must lie in [0, 1], got {bad}")):
+        kernel(state, q_prime)
 
 
 # Grids with the ends of the unit interval, the largest q below 1 and the

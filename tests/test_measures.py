@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import Geometry, PolarizationWeights
-from coherence_bath.measures import c_l1, c_re
 from coherence_bath.single_qubit import (
     EvolutionParams,
     InitialAngles,

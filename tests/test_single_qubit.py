@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
@@ -12,7 +13,6 @@ from coherence_bath.boundary import (
     suppression_factor,
 )
 from coherence_bath.lindblad import GeneratorSpec, closed_form_initial, integrate
-from coherence_bath.measures import c_l1, c_re
 from coherence_bath.single_qubit import (
     CoherenceTrace,
     EvolutionParams,
@@ -103,9 +103,9 @@ def test_evolve_takes_an_angle_tuple():
 
 
 def test_evolve_rejects_bad_q():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"noise parameter q must lie in \[0, 1\]"):
         evolve_closed_form(InitialAngles(1.0), 1.2, _params())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"noise parameter q must lie in \[0, 1\]"):
         evolve_closed_form(InitialAngles(1.0), math.nan, _params())
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
@@ -11,7 +12,6 @@ from coherence_bath.boundary import (
     rate_coefficients,
 )
 from coherence_bath.lindblad import GeneratorSpec, integrate
-from coherence_bath.measures import c_l1, c_re
 from coherence_bath.qmath import GROUND
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
