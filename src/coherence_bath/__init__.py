@@ -19,16 +19,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("boundary", "Geometry PolarizationWeights RateCoefficients f_parallel f_perpendicular "
-                     "noise_to_damping rate_coefficients suppression_factor"),
-        ("lindblad", "GeneratorSpec InstabilityError IntegratorConfig ValidationReport build_rhs "
-                     "integrate liouvillian_matrix validate_all"),
+        ("boundary", "Geometry PolarizationWeights decay_rate f_parallel f_perpendicular "
+                     "noise_to_damping suppression_factor"),
+        ("lindblad", "GeneratorSpec InstabilityError IntegratorConfig ValidationReport integrate "
+                     "liouvillian_matrix validate_all"),
         ("qmath", "PositivityError c_l1 c_re von_neumann_entropy"),
         ("single_qubit", "CoherenceTrace EvolutionParams FreezeReport InitialAngles c_l1_single "
                          "c_l1_trajectory c_re_single c_re_trajectory dq_c_l1 dq_c_re evolve_closed_form "
-                         "freezing_report sweep"),
+                         "freezing_report"),
         ("two_qubit", "BellDiagonalParams OneSidedChannel apply_one_sided_channel bd_density c_l1_bd "
-                      "c_re_bd c_re_bd_closed_form choi_matrix freezing_report_bd sweep_bd"),
+                      "c_re_bd c_re_bd_closed_form choi_matrix freezing_report_bd"),
     )
     for name in names.split()
 }

@@ -1,4 +1,4 @@
-"""Reflecting-boundary physics: response functions and decay coefficients.
+"""Reflecting-boundary physics: response functions and the effective decay rate.
 
 A perfectly reflecting plane modifies the vacuum fluctuations seen by a
 static two-level atom at distance z0.  With the dimensionless separation
@@ -16,7 +16,6 @@ the configuration that freezes coherence.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -188,18 +187,6 @@ class Geometry:
         return self.u is not None
 
 
-class RateCoefficients(NamedTuple):
-    """Dissipator coefficients in units of the free-space emission rate.
-
-    At zero temperature a_coeff = b_coeff = gamma_eff / 4; the dynamics is an
-    amplitude damping channel at rate gamma_eff.
-    """
-
-    a_coeff: float
-    b_coeff: float
-    gamma_eff: float
-
-
 def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) -> float:
     """Polarization-weighted boundary response sum.
 
@@ -212,14 +199,7 @@ def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) ->
     return (polarization.ax + polarization.ay) * fp + polarization.az * f_perpendicular(geometry.u)
 
 
-def rate_coefficients(geometry: Geometry, polarization: PolarizationWeights) -> RateCoefficients:
-    """Effective decay rate and dissipator coefficients for a configuration."""
-    gamma = _decay_rate(suppression_factor(geometry, polarization))
-    quarter = 0.25 * gamma
-    return RateCoefficients(a_coeff=quarter, b_coeff=quarter, gamma_eff=gamma)
-
-
-def _decay_rate(f: float) -> float:
+def decay_rate(f: float) -> float:
     """gamma_eff = 1 - f for a finite suppression factor f, round-off below zero clamped to 0."""
     if not math.isfinite(f):
         raise ValueError(f"suppression factor f must be finite, got {f}")

@@ -24,7 +24,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .boundary import _PRESETS, Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
+from .boundary import _PRESETS, Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
 from .single_qubit import InitialAngles, _check_q_grid, c_l1_single, c_re_single, freezing_report
 from .single_qubit import c_l1_trajectory, c_re_trajectory
@@ -71,12 +71,13 @@ def parse_polarization(text) -> PolarizationWeights:
     name = str(text).strip().lower()
     if name in _PRESETS:
         return _PRESETS[name]
-    parts = name.split(",")
-    if len(parts) != 3:
+    try:
+        ax, ay, az = map(float, name.split(","))
+    except ValueError:  # not three numbers; PolarizationWeights rejects inf and nan by name
         raise ValueError(
             f"polarization must be one of {sorted(_PRESETS)} or 'ax,ay,az', got {text!r}"
-        )
-    return PolarizationWeights(*(_finite_float(p) for p in parts))
+        ) from None
+    return PolarizationWeights(ax, ay, az)
 
 
 # Field tables: name -> (converter, default).  Each field is the config key
@@ -268,7 +269,7 @@ def _write_table(spec: dict, names, grid, per_block: int, columns) -> None:
 def _write_sweep(spec: dict, names, state, kernels) -> int:
     """Write q and each kernel(state, q') at q' = noise_to_damping(q, gamma_eff), BLOCK_ROWS rows at a time."""
     geometry = _geometry_from_spec(spec)
-    gamma = rate_coefficients(geometry, parse_polarization(spec["polarization"])).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, parse_polarization(spec["polarization"])))
 
     def columns(q):
         qp = noise_to_damping(q, gamma)  # once per block for every kernel

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import _PRESETS, Geometry, noise_to_damping, rate_coefficients
+from .boundary import _PRESETS, Geometry, decay_rate, noise_to_damping, suppression_factor
 from .qmath import PAULI, as_density_matrix
 from .single_qubit import EvolutionParams, InitialAngles, evolve_closed_form
 from .two_qubit import (
@@ -106,22 +106,6 @@ def _superoperators(n_qubits: int) -> tuple[np.ndarray, ...]:
     d_a = sandwich(sx, sx) + sandwich(sy, sy) - 2.0 * sandwich(one, one)
     d_b = 1.0j * (sandwich(sx, sy) - sandwich(sy, sx)) - sandwich(sz, one) - sandwich(one, sz)
     return hamiltonian, d_a, d_b
-
-
-def build_rhs(spec: GeneratorSpec):
-    """Return the map rho -> d rho / d tau for the given generator.
-
-    The returned function preserves Hermiticity and trace identically and is
-    linear, so it may be applied to arbitrary (not necessarily positive)
-    matrices, or a stack of them along the leading axes.
-    """
-    liouvillian = liouvillian_matrix(spec)
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return (liouvillian @ rho.reshape(rho.shape[:-2] + (-1, 1))).reshape(rho.shape)
-
-    return rhs
 
 
 def _liouvillians(specs) -> np.ndarray:
@@ -378,18 +362,19 @@ def _case(rng, index: int) -> _Case:
         q = rng.uniform(0.05, 0.95)
         omega = rng.uniform(0.1, 4.0)
     pol_name, polarization = _ARCHETYPES[index % 3]
-    rate = rate_coefficients(geometry, polarization)
+    gamma = decay_rate(suppression_factor(geometry, polarization))
+    quarter = 0.25 * gamma  # zero temperature: A = B = gamma_eff / 4
     tau = -math.log1p(-q)
     setting = f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
     if index < 2 or index % 2 == 0:  # single qubit
-        spec = GeneratorSpec(rate.a_coeff, rate.b_coeff, omega, 1)
+        spec = GeneratorSpec(quarter, quarter, omega, 1)
         params = EvolutionParams(geometry, polarization, omega)
         closed = evolve_closed_form(InitialAngles(theta, phi), q, params)
         description = f"single-qubit theta={theta:.3f} phi={phi:.3f} {setting}"
         return _Case(description, spec, tau, closed_form_initial(theta, phi), closed, None)
     bd = _random_bd(rng)
-    spec = GeneratorSpec(rate.a_coeff, rate.b_coeff, omega, 2)
-    channel = OneSidedChannel(noise_to_damping(q, rate.gamma_eff), omega * tau)
+    spec = GeneratorSpec(quarter, quarter, omega, 2)
+    channel = OneSidedChannel(noise_to_damping(q, gamma), omega * tau)
     rho0 = bd_density(bd)
     closed = apply_one_sided_channel(rho0, channel)
     description = f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) {setting}"

@@ -22,10 +22,9 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
-    _decay_rate,
     _in_unit_interval,
+    decay_rate,
     noise_to_damping,
-    rate_coefficients,
     suppression_factor,
 )
 from .qmath import GROUND, _float_if_scalar, _positive_part, entropy_bits
@@ -72,7 +71,9 @@ class EvolutionParams:
 
 @dataclass(frozen=True, eq=False)
 class CoherenceTrace:
-    """Sweep output: read-only columns q, c_l1, c_re of one length, q strictly increasing."""
+    """Read-only columns q, c_l1, c_re of one length, q strictly increasing.
+
+    No function of the package builds one; bench/spans.py wraps its __init__ by name."""
 
     q: np.ndarray
     c_l1: np.ndarray
@@ -105,7 +106,7 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
     if not isinstance(angles, InitialAngles):
         angles = InitialAngles(*angles)
     q = float(q)
-    gamma = rate_coefficients(params.geometry, params.polarization).gamma_eff
+    gamma = decay_rate(suppression_factor(params.geometry, params.polarization))
     qp = noise_to_damping(q, gamma)
     if q == 1.0:
         if gamma == 0.0:
@@ -122,7 +123,7 @@ def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams)
 
 def c_l1_trajectory(theta: float, q, geometry: Geometry, polarization: PolarizationWeights):
     """Closed-form l1 coherence |sin(theta)| (1-q)^((1-f)/2) at sweep point(s) q."""
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, polarization))
     return c_l1_single(theta, noise_to_damping(q, gamma))
 
 
@@ -152,7 +153,7 @@ def c_re_trajectory(theta: float, q, geometry: Geometry, polarization: Polarizat
     Evaluates the binary-entropy difference between the dephased populations
     and the exact spectrum (1 +- |Bloch vector|)/2 at the mapped damping q'.
     """
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, polarization))
     return c_re_single(theta, noise_to_damping(q, gamma))
 
 
@@ -166,11 +167,11 @@ def dq_c_l1(theta: float, q: float, f: float) -> float:
 
     Equals |sin(theta)| (1-f) (1-q)^(-(1+f)/2) / 2; identically zero for an
     incoherent initial state or a fully suppressed bath (f = 1).  The rate
-    1 - f is gamma_eff with the clamp of ``rate_coefficients``.
+    1 - f is gamma_eff with the clamp of ``decay_rate``.
     """
     InitialAngles(theta)
     _check_open_interval(q)
-    gamma = _decay_rate(f)
+    gamma = decay_rate(f)
     if gamma == 0.0:
         return 0.0
     return 0.5 * abs(math.sin(theta)) * gamma * (1.0 - q) ** (-0.5 * (1.0 + f))
@@ -191,7 +192,7 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     """
     InitialAngles(theta)
     _check_open_interval(q)
-    gamma = _decay_rate(f)
+    gamma = decay_rate(f)
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     if gamma == 0.0 or sin_t == 0.0 or 1.0 + cos_t == 0.0:
         return 0.0
@@ -284,12 +285,3 @@ def freezing_report(
     sup_l1 = float(max(dq_c_l1(theta, float(q), f) for q in _VALIDATION_GRID))
     sup_re = float(max(dq_c_re(theta, float(q), f) for q in _VALIDATION_GRID))
     return _freeze_verdict(abs(math.sin(theta)), f, sup_l1, sup_re)
-
-
-def sweep(
-    theta: float, geometry: Geometry, polarization: PolarizationWeights, q_grid
-) -> CoherenceTrace:
-    """Evaluate both coherence trajectories over an increasing q grid."""
-    q = np.asarray(q_grid, dtype=float)
-    qp = noise_to_damping(q, rate_coefficients(geometry, polarization).gamma_eff)
-    return CoherenceTrace(q, c_l1_single(theta, qp), c_re_single(theta, qp))

@@ -28,14 +28,13 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
-    _decay_rate,
     _in_unit_interval,
+    decay_rate,
     noise_to_damping,
-    rate_coefficients,
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import _VALIDATION_GRID, CoherenceTrace, FreezeReport, _freeze_verdict
+from .single_qubit import _VALIDATION_GRID, FreezeReport, _freeze_verdict
 
 # Bell states land exactly on the physicality boundary; this absorbs the
 # round-off of user-supplied correlation vectors.
@@ -191,7 +190,7 @@ def freezing_report_bd(
     """
     c = _as_bd(c)
     f = suppression_factor(geometry, polarization)
-    gamma = _decay_rate(f)
+    gamma = decay_rate(f)
     step = 1e-5
     plus = noise_to_damping(_VALIDATION_GRID + step, gamma)
     minus = noise_to_damping(_VALIDATION_GRID - step, gamma)
@@ -200,13 +199,3 @@ def freezing_report_bd(
         for kernel in (c_l1_bd, c_re_bd)
     )
     return _freeze_verdict(c_l1_bd(c, 0.0), f, sup_l1, sup_re)
-
-
-def sweep_bd(
-    c: BellDiagonalParams, geometry: Geometry, polarization: PolarizationWeights, q_grid
-) -> CoherenceTrace:
-    """Evaluate both Bell-diagonal trajectories over an increasing q grid."""
-    c = _as_bd(c)
-    q = np.asarray(q_grid, dtype=float)
-    qp = noise_to_damping(q, rate_coefficients(geometry, polarization).gamma_eff)
-    return CoherenceTrace(q, c_l1_bd(c, qp), c_re_bd(c, qp))

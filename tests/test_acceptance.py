@@ -19,6 +19,7 @@ from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
+    decay_rate,
     f_parallel,
     f_parallel_direct,
     f_parallel_series,
@@ -26,7 +27,6 @@ from coherence_bath.boundary import (
     f_perpendicular_direct,
     f_perpendicular_series,
     noise_to_damping,
-    rate_coefficients,
     suppression_factor,
 )
 from coherence_bath.lindblad import (
@@ -98,7 +98,7 @@ def test_criterion_1_single_qubit_oracle_equivalence():
         for q in np.arange(0.1, 0.95, 0.1):
             for geometry in GEOMETRIES.values():
                 for polarization in PRESETS.values():
-                    gamma = rate_coefficients(geometry, polarization).gamma_eff
+                    gamma = decay_rate(suppression_factor(geometry, polarization))
                     params = EvolutionParams(geometry, polarization, omega=1.0)
                     closed = evolve_closed_form(InitialAngles(float(theta), phi), float(q), params)
                     numeric = integrate(
@@ -158,7 +158,7 @@ def test_criterion_2_two_qubit_oracle_equivalence():
 def test_criterion_3_boundary_freezing_as_stated():
     geometry = Geometry.mirror(1e-3)
     parallel = PRESETS["parallel"]
-    gamma = rate_coefficients(geometry, parallel).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, parallel))
     # default 101-point grid; the q = 1 endpoint is excluded because for any
     # gamma_eff > 0 it is the discontinuous tau = infinity limit (ground
     # state), per the q = 1 design decision
@@ -226,7 +226,7 @@ def test_criterion_4_unbounded_recovery_at_large_distance():
 def test_criterion_5_perpendicular_enhancement():
     geometry = Geometry.mirror(0.05)
     perpendicular = PRESETS["perpendicular"]
-    gamma = rate_coefficients(geometry, perpendicular).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, perpendicular))
     mirror_value = c_l1_trajectory(math.pi / 2, 0.5, geometry, perpendicular)
     unbounded_value = c_l1_trajectory(math.pi / 2, 0.5, Geometry.unbounded(), perpendicular)
     ok = 1.9 <= gamma <= 2.0 and mirror_value < unbounded_value

@@ -17,8 +17,8 @@ from coherence_bath.boundary import (
     f_perpendicular,
     f_perpendicular_direct,
     f_perpendicular_series,
+    decay_rate,
     noise_to_damping,
-    rate_coefficients,
     suppression_factor,
 )
 
@@ -183,22 +183,18 @@ def test_suppression_factor_cases():
     )
 
 
-def test_rate_coefficients_unbounded_exact():
-    rc = rate_coefficients(Geometry.unbounded(), PolarizationWeights.isotropic())
-    assert rc.gamma_eff == 1.0
-    assert rc.a_coeff == 0.25
-    assert rc.b_coeff == 0.25
+def test_decay_rate_unbounded_exact():
+    assert decay_rate(suppression_factor(Geometry.unbounded(), PolarizationWeights.isotropic())) == 1.0
 
 
-def test_rate_coefficients_boundary_cases():
+def test_decay_rate_boundary_cases():
     near = Geometry.mirror(1e-7)
-    frozen = rate_coefficients(near, PolarizationWeights.parallel())
-    assert frozen.gamma_eff == pytest.approx(0.0, abs=1e-12)
-    doubled = rate_coefficients(near, PolarizationWeights.perpendicular())
-    assert doubled.gamma_eff == pytest.approx(2.0, abs=1e-12)
-    rc = rate_coefficients(Geometry.mirror(0.7), PolarizationWeights.isotropic())
-    assert rc.a_coeff == rc.b_coeff == pytest.approx(rc.gamma_eff / 4.0, abs=0.0)
-    assert rc.gamma_eff >= 0.0
+    assert decay_rate(suppression_factor(near, PolarizationWeights.parallel())) == pytest.approx(0.0, abs=1e-12)
+    assert decay_rate(suppression_factor(near, PolarizationWeights.perpendicular())) == pytest.approx(2.0, abs=1e-12)
+    assert decay_rate(suppression_factor(Geometry.mirror(0.7), PolarizationWeights.isotropic())) >= 0.0
+    assert decay_rate(1.0 + 9.2e-14) == 0.0  # round-off below zero is clamped
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        decay_rate(1.0 + 1e-9)
 
 
 def test_noise_to_damping_mapping():

@@ -14,9 +14,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import coherence_bath
 import coherence_bath.cli as cli
-from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
+from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from coherence_bath.cli import BLOCK_ROWS, _FIELDS, _REQUIRED, _cells, _write_table, build_parser, main
-from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory, sweep
+from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
 from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
 UNBOUNDED = Geometry.unbounded()
@@ -442,10 +442,22 @@ def test_bad_value_is_one_error_line_naming_the_field(tmp_path, source, command,
     assert _run_main(argv) == (2, "", f"error: {name}: {message}\n")
 
 
-def test_bad_polarization_triple_rejected(capsys):
-    assert main(["single", "--polarization", "1,0"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: polarization must be one of ") and err.endswith(" got '1,0'\n")
+_NOT_A_TRIPLE = "polarization must be one of ['isotropic', 'parallel', 'perpendicular'] or 'ax,ay,az'"
+
+
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ("1,0", f"{_NOT_A_TRIPLE}, got '1,0'"),
+        ("a,b,c", f"{_NOT_A_TRIPLE}, got 'a,b,c'"),
+        ("1,,0", f"{_NOT_A_TRIPLE}, got '1,,0'"),
+        ("inf,0,0", "polarization weight ax must be finite, got inf"),
+    ],
+    ids=["1,0", "a,b,c", "1,,0", "inf,0,0"],
+)
+def test_bad_polarization_triple_rejected(capsys, triple, message):
+    assert main(["single", "--polarization", triple]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -608,7 +620,7 @@ def test_two_bytes_match_per_point_functions(tmp_path):
     args += ["--u", "2.5", "--polarization", "isotropic", "--q-count", "31"]
     assert main(args + ["--out", str(out)]) == 0
     bd = BellDiagonalParams(0.3, -0.4, 0.2)
-    gamma = rate_coefficients(Geometry.mirror(2.5), PolarizationWeights.isotropic()).gamma_eff
+    gamma = decay_rate(suppression_factor(Geometry.mirror(2.5), PolarizationWeights.isotropic()))
     rows = []
     for q in map(float, np.linspace(0.0, 1.0, 31)):
         qp = noise_to_damping(q, gamma)
@@ -642,8 +654,9 @@ def test_single_blocks_match_whole_grid(tmp_path, count, fmt):
     out = tmp_path / f"single.{fmt}"
     args = ["single", "--theta", "1.1", "--geometry", "mirror", "--u", "0.05", "--q-count", str(count)]
     assert main(args + ["--format", fmt, "--out", str(out)]) == 0
-    trace = sweep(1.1, Geometry.mirror(0.05), PARALLEL, np.linspace(0.0, 1.0, count))
-    rows = list(zip(trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))
+    q = np.linspace(0.0, 1.0, count)
+    columns = [q, *(f(1.1, q, Geometry.mirror(0.05), PARALLEL) for f in (c_l1_trajectory, c_re_trajectory))]
+    rows = list(zip(*(c.tolist() for c in columns)))
     text = _csv_text if fmt == "csv" else _json_text
     assert out.read_text() == text(["q", "c_l1", "c_re"], rows)
 
@@ -656,7 +669,7 @@ def test_two_blocks_match_whole_grid(tmp_path, count, fmt):
     args += ["--polarization", "isotropic", "--q-count", str(count), "--format", fmt]
     assert main(args + ["--out", str(out)]) == 0
     bd = BellDiagonalParams(0.3, -0.4, 0.2)
-    gamma = rate_coefficients(Geometry.mirror(2.5), PolarizationWeights.isotropic()).gamma_eff
+    gamma = decay_rate(suppression_factor(Geometry.mirror(2.5), PolarizationWeights.isotropic()))
     q = np.linspace(0.0, 1.0, count)
     qp = noise_to_damping(q, gamma)
     columns = [q, c_l1_bd(bd, qp), c_re_bd(bd, qp), c_re_bd_closed_form(bd, qp)]
@@ -697,8 +710,9 @@ def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert err == "error: refusing to write a non-finite value: nan\n"
     assert calls == [BLOCK_ROWS, BLOCK_ROWS]  # the third block is never computed
-    trace = sweep(math.pi / 2, UNBOUNDED, PARALLEL, np.linspace(0.0, 1.0, count))
-    rows = list(zip(trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))[:BLOCK_ROWS]
+    q = np.linspace(0.0, 1.0, count)
+    columns = [q, *(f(math.pi / 2, q, UNBOUNDED, PARALLEL) for f in (c_l1_trajectory, c_re_trajectory))]
+    rows = list(zip(*(c.tolist() for c in columns)))[:BLOCK_ROWS]
     if fmt == "csv":
         assert out.read_text() == _csv_text(["q", "c_l1", "c_re"], rows)
     else:  # the list is never closed, so the file is not valid JSON
@@ -817,7 +831,7 @@ def test_freeze_two_bytes_match_per_point_differences(tmp_path, capsys, c, geome
     payload = json.loads(twin.read_text())
     bd = BellDiagonalParams(*c)
     env = Geometry.mirror(float(geometry[-1])) if geometry else UNBOUNDED
-    gamma = rate_coefficients(env, getattr(PolarizationWeights, preset)()).gamma_eff
+    gamma = decay_rate(suppression_factor(env, getattr(PolarizationWeights, preset)()))
     step = 1e-5
 
     def sup(kernel):

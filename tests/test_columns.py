@@ -1,6 +1,6 @@
 """The array path of every coherence kernel against its per-point use.
 
-Sweeps and the Bell-diagonal kernels evaluate whole grids at once; the
+The trajectories and the Bell-diagonal kernels evaluate whole grids at once; the
 per-point public functions are the same kernels on one value.  Both must
 give the same bits (compared through ``float.hex``, which also tells -0.0
 from 0.0), because the CLI prints them with ``repr``.
@@ -13,21 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coherence_bath.boundary import Geometry, PolarizationWeights, noise_to_damping, rate_coefficients
+from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from coherence_bath.single_qubit import (
     CoherenceTrace,
     c_l1_single,
     c_l1_trajectory,
     c_re_single,
     c_re_trajectory,
-    sweep,
 )
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
     c_l1_bd,
     c_re_bd,
     c_re_bd_closed_form,
-    sweep_bd,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -78,15 +76,12 @@ def _grid(interior):
     polarizations(),
     st.lists(unit, max_size=30),
 )
-def test_sweep_columns_match_per_point_trajectories(theta, geometry, polarization, interior):
+def test_trajectory_columns_match_per_point_values(theta, geometry, polarization, interior):
     q_grid = _grid(interior)
-    trace = sweep(theta, geometry, polarization, q_grid)
-    assert _bits(trace.q) == _bits(q_grid)
-    per_point_l1 = [c_l1_trajectory(theta, q, geometry, polarization) for q in q_grid.tolist()]
-    per_point_re = [c_re_trajectory(theta, q, geometry, polarization) for q in q_grid.tolist()]
-    assert all(type(v) is float for v in per_point_l1 + per_point_re)
-    assert _bits(trace.c_l1) == _bits(per_point_l1)
-    assert _bits(trace.c_re) == _bits(per_point_re)
+    for trajectory in (c_l1_trajectory, c_re_trajectory):
+        per_point = [trajectory(theta, q, geometry, polarization) for q in q_grid.tolist()]
+        assert all(type(v) is float for v in per_point)
+        assert _bits(trajectory(theta, q_grid, geometry, polarization)) == _bits(per_point)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,13 +96,12 @@ def test_bd_kernels_on_arrays_match_per_element(bd, interior):
 
 @settings(max_examples=30, deadline=None)
 @given(physical_bd(), geometries(), polarizations(), st.lists(unit, max_size=30))
-def test_sweep_bd_columns_match_per_point_kernels(bd, geometry, polarization, interior):
+def test_bd_kernels_at_mapped_damping_match_per_point(bd, geometry, polarization, interior):
     q_grid = _grid(interior)
-    trace = sweep_bd(bd, geometry, polarization, q_grid)
-    gamma = rate_coefficients(geometry, polarization).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, polarization))
     damping = [noise_to_damping(q, gamma) for q in q_grid.tolist()]
-    assert _bits(trace.c_l1) == _bits([c_l1_bd(bd, qp) for qp in damping])
-    assert _bits(trace.c_re) == _bits([c_re_bd(bd, qp) for qp in damping])
+    for kernel in (c_l1_bd, c_re_bd):
+        assert _bits(kernel(bd, noise_to_damping(q_grid, gamma))) == _bits([kernel(bd, qp) for qp in damping])
 
 
 def test_trace_rejects_nan_and_ragged_columns():

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coherence_bath import lindblad
-from coherence_bath.boundary import Geometry, PolarizationWeights
+from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate
 from coherence_bath.lindblad import (
     GeneratorSpec,
     InstabilityError,
     IntegratorConfig,
     _integrate_stack,
     _PCG64,
-    build_rhs,
     closed_form_initial,
     integrate,
     liouvillian_matrix,
@@ -42,20 +41,22 @@ def test_integrator_config_validation():
         IntegratorConfig(0.0)
 
 
+def _generator(spec, rho):
+    """d rho / d tau: the Liouvillian times the row-major vec rho."""
+    return (liouvillian_matrix(spec) @ rho.reshape(-1)).reshape(rho.shape)
+
+
 def test_rhs_zero_generator():
-    rhs = build_rhs(GeneratorSpec(0.0, 0.0, omega=0.0))
     rho = closed_form_initial(1.1, 0.4)
-    assert np.max(np.abs(rhs(rho))) == 0.0
+    assert np.max(np.abs(_generator(GeneratorSpec(0.0, 0.0, omega=0.0), rho))) == 0.0
 
 
 def test_rhs_ground_state_stationary():
-    rhs = build_rhs(UNBOUNDED_SPEC)
-    assert np.max(np.abs(rhs(np.diag([0.0, 1.0]).astype(complex)))) < 1e-15
+    assert np.max(np.abs(_generator(UNBOUNDED_SPEC, np.diag([0.0, 1.0]).astype(complex)))) < 1e-15
 
 
 def test_rhs_excited_state_decay_rate():
-    rhs = build_rhs(UNBOUNDED_SPEC)
-    derivative = rhs(np.diag([1.0, 0.0]).astype(complex))
+    derivative = _generator(UNBOUNDED_SPEC, np.diag([1.0, 0.0]).astype(complex))
     assert derivative[0, 0].real == pytest.approx(-1.0, abs=1e-14)
     assert derivative[1, 1].real == pytest.approx(1.0, abs=1e-14)
 
@@ -63,10 +64,8 @@ def test_rhs_excited_state_decay_rate():
 def test_rhs_preserves_trace_and_hermiticity(rng, random_density):
     for n_qubits, omega in ((1, 2.4), (2, 1.7)):
         spec = GeneratorSpec(0.3, 0.2, omega=omega, n_qubits=n_qubits)
-        rhs = build_rhs(spec)
         for _ in range(10):
-            rho = random_density(rng, spec.dim)
-            out = rhs(rho)
+            out = _generator(spec, random_density(rng, spec.dim))
             assert abs(out.trace()) < 1e-14
             assert np.max(np.abs(out - out.conj().T)) < 1e-13
 
@@ -74,33 +73,8 @@ def test_rhs_preserves_trace_and_hermiticity(rng, random_density):
 def test_rhs_two_qubit_acts_on_a_only(rng, random_density):
     # ground-A tensor anything is stationary for the damping generator
     spec = GeneratorSpec(0.25, 0.25, omega=0.7, n_qubits=2)
-    rhs = build_rhs(spec)
-    rho_b = random_density(rng, 2)
-    rho = np.kron(np.diag([0.0, 1.0]).astype(complex), rho_b)
-    assert np.max(np.abs(rhs(rho))) < 1e-14
-
-
-def test_liouvillian_reproduces_rhs(rng, random_density):
-    spec = GeneratorSpec(0.3, 0.1, omega=1.2, n_qubits=1)
-    rhs = build_rhs(spec)
-    mat = liouvillian_matrix(spec)
-    rho = random_density(rng, 2)
-    assert np.allclose(mat @ rho.reshape(-1), rhs(rho).reshape(-1), atol=1e-14)
-
-
-@pytest.mark.parametrize("n_qubits", [1, 2])
-def test_liouvillian_equals_basis_probe_bitwise(rng, n_qubits):
-    # Reference: build_rhs applied to one matrix unit at a time, as columns.
-    for _ in range(50):
-        a = float(rng.uniform(0.0, 2.0))
-        spec = GeneratorSpec(a, float(rng.uniform(-a, a)), float(rng.uniform(-5.0, 5.0)), n_qubits)
-        rhs, d = build_rhs(spec), spec.dim
-        probe = np.zeros((d * d, d * d), dtype=complex)
-        for k in range(d * d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[k // d, k % d] = 1.0
-            probe[:, k] = rhs(unit).reshape(-1)
-        assert np.ascontiguousarray(liouvillian_matrix(spec)).tobytes() == probe.tobytes()
+    rho = np.kron(np.diag([0.0, 1.0]).astype(complex), random_density(rng, 2))
+    assert np.max(np.abs(_generator(spec, rho))) < 1e-14
 
 
 def _docstring_generator(spec, rho):
@@ -118,7 +92,7 @@ def _docstring_generator(spec, rho):
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
-def test_liouvillian_equals_the_docstring_generator(rng, random_density, n_qubits):
+def test_liouvillian_equals_the_docstring_generator(rng, n_qubits):
     # Reference: the sigma-operator dissipator plus commutator, one matrix unit at a time.
     for trial in range(100):
         a = float(rng.uniform(0.0, 1.0))
@@ -131,13 +105,10 @@ def test_liouvillian_equals_the_docstring_generator(rng, random_density, n_qubit
             unit[k // d, k % d] = 1.0
             reference[:, k] = _docstring_generator(spec, unit).reshape(-1)
         mat = liouvillian_matrix(spec)
-        if a == b:  # every validate case: rate_coefficients gives A = B
+        if a == b:  # every validate case: A = B = gamma_eff / 4
             assert mat.tobytes() == reference.tobytes()
         else:
             assert np.max(np.abs(mat - reference)) <= 1e-15
-        rhos = np.array([random_density(rng, d) for _ in range(3)])
-        rhs = build_rhs(spec)
-        assert rhs(rhos).tobytes() == np.array([rhs(rho) for rho in rhos]).tobytes()
 
 
 def test_integrate_zero_time_identity(rng, random_density):
@@ -301,6 +272,18 @@ def test_validate_all_degenerate_theta_case():
 def test_validate_all_rejects_bad_count():
     with pytest.raises(ValueError):
         validate_all(1, 0)
+
+
+def test_validate_cases_use_the_zero_temperature_generator(monkeypatch):
+    # A = B = gamma_eff / 4 (Benatti, Floreani & Piani, PRL 91, 070402 (2003))
+    rates = []
+    monkeypatch.setattr(lindblad, "decay_rate", lambda f: rates.append(decay_rate(f)) or rates[-1])
+    rng = _PCG64(3)
+    cases = [lindblad._case(rng, index) for index in range(40)]
+    assert {case.spec.n_qubits for case in cases} == {1, 2}
+    for case, gamma in zip(cases, rates, strict=True):
+        assert case.spec.a_coeff == case.spec.b_coeff == 0.25 * gamma
+    assert cases[1].spec.a_coeff == 0.25  # unbounded: gamma_eff = 1
 
 
 def _case_draws(rng, cube) -> list:

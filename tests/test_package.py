@@ -1,6 +1,10 @@
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +77,78 @@ def test_validate_loads_neither_numpy_random_nor_openssl():
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["0", "False", "False", "False"]
+
+
+def _bench_constant(script: str, name: str):
+    """The literal value that ``name`` is assigned at the top of ``bench/<script>``, read without running it."""
+    tree = ast.parse((Path(SRC).parent / "bench" / script).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"bench/{script} assigns no {name}")
+
+
+def test_layout_that_the_benchmark_harness_reads():
+    """What ``bench/run.py`` and ``bench/spans.py`` read of the package layout.
+
+    Tier-1 does not collect ``bench/``, and the benchmark runs untraced, so
+    without this test a change could break ``bench/run.py --trace 1`` and no
+    check would fail.  A benchmark change that moves these couplings updates
+    this test together with the harness.
+    """
+    # run.py times its set-up code under -X importtime and reads these three rows.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [sys.executable, "-X", "importtime", "-c", _bench_constant("run.py", "SETUP_CODE")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == coherence_bath.__file__
+    imported = set()
+    for line in done.stderr.splitlines():
+        parts = line.split("|")
+        if len(parts) == 3 and parts[0].startswith("import time:") and parts[1].strip().isdigit():
+            imported.add(parts[2].strip())
+    assert {"numpy", "coherence_bath", "coherence_bath.cli"} <= imported
+    # spans.install takes each wrapped module from sys.modules after the CLI import.
+    wrapped = _bench_constant("spans.py", "WRAPPED_MODULES")
+    assert {f"coherence_bath.{short}" for short in wrapped} <= imported
+    # The names spans.py wraps or hooks, with the parameters its hooks read.
+    modules = {short: importlib.import_module(f"coherence_bath.{short}") for short in wrapped}
+    assert inspect.isfunction(modules["single_qubit"].CoherenceTrace.__init__)
+    for short, name in [
+        ("boundary", "suppression_factor"),
+        ("qmath", "entropy_bits"),
+        ("single_qubit", "freezing_report"),
+        ("two_qubit", "freezing_report_bd"),
+        ("lindblad", "liouvillian_matrix"),
+        ("lindblad", "integrate"),
+    ]:
+        fn = getattr(modules[short], name)
+        assert inspect.isfunction(fn) and fn.__module__ == modules[short].__name__, (short, name)
+    assert list(inspect.signature(modules["boundary"].suppression_factor).parameters) == ["geometry", "polarization"]
+    assert {"tau", "cfg"} <= set(inspect.signature(modules["lindblad"].integrate).parameters)
+
+
+def _unread_imports(source: str) -> list[str]:
+    """Names that an ``import`` or ``from ... import`` in ``source`` binds and no expression reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound.append(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(bound) - read)
+
+
+def test_unread_imports_are_found():
+    assert _unread_imports("import os, sys as system\nfrom typing import NamedTuple\nsystem.exit()\n") == [
+        "NamedTuple",
+        "os",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(coherence_bath.__file__).parent.glob("*.py")))
+def test_every_import_is_read(module):
+    source = (Path(coherence_bath.__file__).parent / module).read_text(encoding="utf-8")
+    assert _unread_imports(source) == []

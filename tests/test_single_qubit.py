@@ -8,8 +8,8 @@ from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
+    decay_rate,
     noise_to_damping,
-    rate_coefficients,
     suppression_factor,
 )
 from coherence_bath.lindblad import GeneratorSpec, closed_form_initial, integrate
@@ -17,14 +17,15 @@ from coherence_bath.single_qubit import (
     CoherenceTrace,
     EvolutionParams,
     InitialAngles,
+    c_l1_single,
     c_l1_trajectory,
+    c_re_single,
     c_re_trajectory,
     dq_c_l1,
     dq_c_re,
     _freeze_verdict,
     evolve_closed_form,
     freezing_report,
-    sweep,
 )
 
 UNBOUNDED = Geometry.unbounded()
@@ -164,7 +165,7 @@ def test_closed_form_matches_integrator_spot_checks():
         (0.7, 0.85, Geometry.mirror(3.0), PolarizationWeights.isotropic()),
     ]
     for theta, q, geometry, polarization in cases:
-        gamma = rate_coefficients(geometry, polarization).gamma_eff
+        gamma = decay_rate(suppression_factor(geometry, polarization))
         params = EvolutionParams(geometry, polarization, omega=1.5)
         closed = evolve_closed_form(InitialAngles(theta, 0.2), q, params)
         numeric = integrate(
@@ -227,7 +228,8 @@ def test_theta_outside_zero_pi_rejected(theta):
         lambda: dq_c_l1(theta, 0.5, 0.0),
         lambda: dq_c_re(theta, 0.5, 0.0),
         lambda: freezing_report(theta, UNBOUNDED, PARALLEL),
-        lambda: sweep(theta, UNBOUNDED, PARALLEL, [0.0, 0.5, 1.0]),
+        lambda: c_l1_single(theta, [0.0, 0.5, 1.0]),
+        lambda: c_re_single(theta, [0.0, 0.5, 1.0]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
@@ -249,8 +251,7 @@ def test_trajectories_independent_of_omega():
     traces = []
     for omega in (50.0, 100.0, 200.0):
         EvolutionParams(UNBOUNDED, PARALLEL, omega=omega)  # valid params
-        trace = sweep(1.1, UNBOUNDED, PARALLEL, q_grid)
-        traces.append((trace.q.tolist(), trace.c_l1.tolist(), trace.c_re.tolist()))
+        traces.append([f(1.1, q_grid, UNBOUNDED, PARALLEL).tolist() for f in (c_l1_trajectory, c_re_trajectory)])
     assert traces[0] == traces[1] == traces[2]
     # measures of the evolved matrix agree across omega up to round-off
     for q in (0.2, 0.6, 0.9):
@@ -308,7 +309,7 @@ def test_freeze_verdict_flags_contradicting_suprema():
 
 
 def test_derivatives_clamp_round_off_rate():
-    # f = 1 + 9.2e-14: gamma_eff is clamped to 0 as in rate_coefficients.
+    # f = 1 + 9.2e-14: gamma_eff is clamped to 0 by decay_rate.
     f = 1.0 + 9.2e-14
     assert dq_c_l1(math.pi / 2, 0.5, f) == 0.0
     assert dq_c_re(math.pi / 2, 0.5, f) == 0.0
@@ -323,10 +324,7 @@ def test_derivatives_reject_non_finite_suppression(f):
             derivative(1.0, 0.5, f)
 
 
-def test_sweep_trace_contract():
-    trace = sweep(1.0, UNBOUNDED, PARALLEL, np.linspace(0.0, 1.0, 11))
-    assert len(trace.q) == len(trace.c_l1) == len(trace.c_re) == 11
-    assert np.all(np.diff(trace.q) > 0)
+def test_trace_rejects_repeated_and_out_of_range_q():
     with pytest.raises(ValueError, match="strictly increasing"):
         CoherenceTrace([0.0, 0.0], [1.0, 0.9], [1.0, 0.9])
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
@@ -348,8 +346,8 @@ def test_damping_mapping_consistency(rng):
     # trajectory exponent (1-q)^((1-f)/2) equals sqrt(1-q') elementwise
     for _ in range(20):
         geometry, polarization = _random_environment(rng)
-        gamma = rate_coefficients(geometry, polarization).gamma_eff
         f = suppression_factor(geometry, polarization)
+        gamma = decay_rate(f)
         q = float(rng.uniform(0.0, 0.999))
         direct = abs(math.sin(1.0)) * (1.0 - q) ** (0.5 * (1.0 - f))
         assert c_l1_trajectory(1.0, q, geometry, polarization) == pytest.approx(

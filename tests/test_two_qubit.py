@@ -8,8 +8,9 @@ from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
+    decay_rate,
     noise_to_damping,
-    rate_coefficients,
+    suppression_factor,
 )
 from coherence_bath.lindblad import GeneratorSpec, integrate
 from coherence_bath.qmath import GROUND
@@ -24,7 +25,6 @@ from coherence_bath.two_qubit import (
     channel_kraus,
     choi_matrix,
     freezing_report_bd,
-    sweep_bd,
 )
 
 # (0.8, 0.4, 0.2) fails the physicality constraint (one eigenvalue is -0.1);
@@ -230,17 +230,16 @@ def test_freezing_report_not_frozen_unbounded():
     assert report.numeric_consistent
 
 
-def test_sweep_bd_trace():
-    trace = sweep_bd(EXAMPLE_BD, Geometry.unbounded(), PARALLEL, np.linspace(0.0, 1.0, 11))
-    assert trace.c_l1[0] == pytest.approx(0.8, abs=1e-15)
-    assert trace.c_l1[-1] == 0.0
-    assert np.all(np.diff(trace.q) > 0)
+def test_bd_l1_column_endpoints_unbounded():
+    c_l1_column = c_l1_bd(EXAMPLE_BD, noise_to_damping(np.linspace(0.0, 1.0, 11), 1.0))
+    assert c_l1_column[0] == pytest.approx(0.8, abs=1e-15)
+    assert c_l1_column[-1] == 0.0
 
 
 def test_evolved_state_damping_matches_noise_mapping(rng):
     bd = _random_physical_bd(rng)
     geometry = Geometry.mirror(0.2)
-    gamma = rate_coefficients(geometry, PARALLEL).gamma_eff
+    gamma = decay_rate(suppression_factor(geometry, PARALLEL))
     q = 0.6
     qp = noise_to_damping(q, gamma)
     evolved = apply_one_sided_channel(bd_density(bd), OneSidedChannel(qp, 0.0))
