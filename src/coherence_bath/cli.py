@@ -26,7 +26,7 @@ import numpy as np
 
 from .boundary import _PRESETS, Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
-from .single_qubit import InitialAngles, _check_q_grid, c_l1_single, c_re_single, freezing_report
+from .single_qubit import InitialAngles, c_l1_single, c_re_single, freezing_report
 from .single_qubit import c_l1_trajectory, c_re_trajectory
 from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 
@@ -218,8 +218,16 @@ def _q_grid(spec: dict) -> np.ndarray:
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"q grid must satisfy 0 <= start < stop <= 1, got [{start}, {stop}]")
     grid = np.linspace(start, stop, count)
-    _check_q_grid(grid)  # a grid narrower than a few ulps repeats q values
+    # Both ends are exact, so a grid that strictly increases lies in [start, stop].
+    _check_increasing(grid, "q", start, stop)
     return grid
+
+
+def _check_increasing(grid, axis: str, start: float, stop: float) -> None:
+    """ValueError unless ``grid`` strictly increases: linspace and geomspace
+    repeat points over a range of a few ulps."""
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ValueError(f"{axis} grid repeats values: [{start}, {stop}] is too narrow")
 
 
 def _cells(column) -> list[str]:
@@ -305,8 +313,7 @@ def cmd_surface(spec) -> int:
     # Near max float an inner power of geomspace overflows; its endpoints are exact.
     with np.errstate(over="ignore"):
         u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
-    if np.any(u_grid[1:] <= u_grid[:-1]):  # a range narrower than a few ulps repeats u values
-        raise ValueError(f"u grid repeats values: [{spec['u_start']}, {spec['u_stop']}] is too narrow")
+    _check_increasing(u_grid, "u", spec["u_start"], spec["u_stop"])
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
     # Each q is formatted once; a block holds whole u rows, each u formatted once.
     q_cells = _cells(q_grid)

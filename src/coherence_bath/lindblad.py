@@ -31,10 +31,9 @@ import numpy as np
 
 from .boundary import _PRESETS, Geometry, decay_rate, noise_to_damping, suppression_factor
 from .qmath import PAULI, as_density_matrix
-from .single_qubit import EvolutionParams, InitialAngles, evolve_closed_form
+from .single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
 from .two_qubit import (
     BellDiagonalParams,
-    OneSidedChannel,
     apply_one_sided_channel,
     bd_density,
     c_re_bd,
@@ -365,16 +364,15 @@ def _case(rng, index: int) -> _Case:
     gamma = decay_rate(suppression_factor(geometry, polarization))
     quarter = 0.25 * gamma  # zero temperature: A = B = gamma_eff / 4
     tau = -math.log1p(-q)
+    channel = OneSidedChannel(noise_to_damping(q, gamma), omega * tau)  # one channel, either size
     setting = f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
     if index < 2 or index % 2 == 0:  # single qubit
         spec = GeneratorSpec(quarter, quarter, omega, 1)
-        params = EvolutionParams(geometry, polarization, omega)
-        closed = evolve_closed_form(InitialAngles(theta, phi), q, params)
+        closed = evolve_closed_form(InitialAngles(theta, phi), channel)
         description = f"single-qubit theta={theta:.3f} phi={phi:.3f} {setting}"
         return _Case(description, spec, tau, closed_form_initial(theta, phi), closed, None)
     bd = _random_bd(rng)
     spec = GeneratorSpec(quarter, quarter, omega, 2)
-    channel = OneSidedChannel(noise_to_damping(q, gamma), omega * tau)
     rho0 = bd_density(bd)
     closed = apply_one_sided_channel(rho0, channel)
     description = f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) {setting}"

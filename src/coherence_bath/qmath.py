@@ -23,8 +23,6 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-GROUND = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
 
 class PositivityError(ValueError):
     """A supposed density matrix has an eigenvalue below the round-off floor."""

@@ -1,16 +1,18 @@
 """Closed-form single-qubit dynamics and coherence trajectories.
 
-A pure initial state cos(theta/2)|1> + e^{i phi} sin(theta/2)|0> undergoing
-zero-temperature amplitude damping at rate gamma_eff evolves to
+The amplitude-damping channel of damping q' and phase Omega tau, the
+zero-temperature solution at rate gamma_eff with q' = 1 - exp(-gamma_eff tau),
+takes the pure initial state cos(theta/2)|1> + e^{i phi} sin(theta/2)|0> to
 
     rho11      = [1 + cos(theta) (1-q') - q'] / 2
     |rho12|    = |sin(theta)| sqrt(1-q') / 2,   arg(rho12) = -(Omega tau + phi)
 
-with q' = 1 - exp(-gamma_eff tau).  Sweeps are indexed by the free-space
-noise parameter q = 1 - exp(-tau) so that frozen configurations
-(gamma_eff = 0) remain representable over the whole q axis; the q -> q'
-mapping happens internally.  Coherence magnitudes never depend on the
-effective level spacing Omega, which only rotates the off-diagonal phase.
+The same ``OneSidedChannel`` acts on atom A of a two-qubit state.  Sweeps
+are indexed by the free-space noise parameter q = 1 - exp(-tau) so that
+frozen configurations (gamma_eff = 0) remain representable over the whole
+q axis; the q -> q' mapping happens internally.  Coherence magnitudes never
+depend on the effective level spacing Omega, which only rotates the
+off-diagonal phase.
 """
 
 import math
@@ -27,7 +29,7 @@ from .boundary import (
     noise_to_damping,
     suppression_factor,
 )
-from .qmath import GROUND, _float_if_scalar, _positive_part, entropy_bits
+from .qmath import _float_if_scalar, _positive_part, entropy_bits
 
 # Predicate window for exact freezing and the numeric derivative bound the
 # classification is validated against.
@@ -52,21 +54,17 @@ class InitialAngles:
 
 
 @dataclass(frozen=True)
-class EvolutionParams:
-    """Environment and level spacing for the closed-form evolution.
+class OneSidedChannel:
+    """Amplitude damping of one qubit, or of atom A of a pair: damping q' in
+    [0, 1] plus a phase rotation by Omega tau."""
 
-    ``omega`` is the effective level spacing in units of the free-space
-    decay rate; it fixes the phase accumulated per unit damping time and
-    never affects coherence magnitudes.
-    """
-
-    geometry: Geometry
-    polarization: PolarizationWeights
-    omega: float = 100.0
+    damping: float
+    phase: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.omega) or self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        _in_unit_interval(self.damping, "damping")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,38 +84,19 @@ class CoherenceTrace:
             object.__setattr__(self, name, column)
         if self.q.ndim != 1 or not self.q.shape == self.c_l1.shape == self.c_re.shape:
             raise ValueError("trace columns must be 1-D and of equal length")
-        _check_q_grid(self.q)
+        _in_unit_interval(self.q, "trace q values")
+        if np.any(self.q[1:] <= self.q[:-1]):  # no float difference column; q is finite here
+            raise ValueError("trace q values must be strictly increasing")
 
 
-def _check_q_grid(q) -> None:
-    """ValueError unless every q lies in [0, 1] (NaN rejected) and q strictly increases."""
-    _in_unit_interval(q, "trace q values")
-    if np.any(q[1:] <= q[:-1]):  # no float difference column; q is finite here
-        raise ValueError("trace q values must be strictly increasing")
-
-
-def evolve_closed_form(angles: InitialAngles, q: float, params: EvolutionParams) -> np.ndarray:
-    """Evolved 2x2 density matrix at noise parameter q.
-
-    q = 1 is returned as the analytic endpoint: the ground state when the
-    configuration decays, the initial state when it is frozen (the infinite
-    phase accumulated at tau -> infinity is dropped in the frozen case).
-    """
+def evolve_closed_form(angles: InitialAngles, channel: OneSidedChannel) -> np.ndarray:
+    """The 2x2 density matrix that ``channel`` makes of the pure initial state."""
     if not isinstance(angles, InitialAngles):
         angles = InitialAngles(*angles)
-    q = float(q)
-    gamma = decay_rate(suppression_factor(params.geometry, params.polarization))
-    qp = noise_to_damping(q, gamma)
-    if q == 1.0:
-        if gamma == 0.0:
-            return evolve_closed_form(angles, 0.0, params)
-        return GROUND.copy()
+    qp = channel.damping
     cos_t, sin_t = math.cos(angles.theta), math.sin(angles.theta)
-    tau = -math.log1p(-q)
     population = 0.5 * (1.0 + cos_t * (1.0 - qp) - qp)
-    off = 0.5 * sin_t * math.sqrt(1.0 - qp) * np.exp(
-        -1.0j * (params.omega * tau + angles.phi)
-    )
+    off = 0.5 * sin_t * math.sqrt(1.0 - qp) * np.exp(-1.0j * (channel.phase + angles.phi))
     return np.array([[population, off], [np.conj(off), 1.0 - population]], dtype=complex)
 
 

@@ -34,7 +34,7 @@ from .boundary import (
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import _VALIDATION_GRID, FreezeReport, _freeze_verdict
+from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _freeze_verdict
 
 # Bell states land exactly on the physicality boundary; this absorbs the
 # round-off of user-supplied correlation vectors.
@@ -72,19 +72,6 @@ class BellDiagonalParams:
 
 def _as_bd(c) -> BellDiagonalParams:
     return c if isinstance(c, BellDiagonalParams) else BellDiagonalParams(*c)
-
-
-@dataclass(frozen=True)
-class OneSidedChannel:
-    """Amplitude damping of atom A: damping q' in [0, 1] plus a phase rotation."""
-
-    damping: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        _in_unit_interval(self.damping, "damping")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 def bd_density(c: BellDiagonalParams) -> np.ndarray:

@@ -36,8 +36,8 @@ from coherence_bath.lindblad import (
     integrate,
 )
 from coherence_bath.single_qubit import (
-    EvolutionParams,
     InitialAngles,
+    OneSidedChannel,
     c_l1_trajectory,
     c_re_trajectory,
     dq_c_l1,
@@ -47,7 +47,6 @@ from coherence_bath.single_qubit import (
 )
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
-    OneSidedChannel,
     apply_one_sided_channel,
     bd_density,
     c_l1_bd,
@@ -99,12 +98,13 @@ def test_criterion_1_single_qubit_oracle_equivalence():
             for geometry in GEOMETRIES.values():
                 for polarization in PRESETS.values():
                     gamma = decay_rate(suppression_factor(geometry, polarization))
-                    params = EvolutionParams(geometry, polarization, omega=1.0)
-                    closed = evolve_closed_form(InitialAngles(float(theta), phi), float(q), params)
+                    tau = -math.log1p(-float(q))
+                    channel = OneSidedChannel(noise_to_damping(float(q), gamma), 1.0 * tau)
+                    closed = evolve_closed_form(InitialAngles(float(theta), phi), channel)
                     numeric = integrate(
                         closed_form_initial(float(theta), phi),
                         GeneratorSpec(0.25 * gamma, 0.25 * gamma, omega=1.0),
-                        -math.log1p(-float(q)),
+                        tau,
                     )
                     worst = max(worst, float(np.max(np.abs(closed - numeric))))
     elapsed = time.perf_counter() - started
@@ -319,10 +319,9 @@ def test_criterion_7_measure_consistency():
         polarization = PolarizationWeights(*rng.dirichlet(np.ones(3)))
         theta = float(rng.uniform(0.0, math.pi))
         q = float(rng.uniform(0.0, 0.999))
-        params = EvolutionParams(geometry, polarization, omega=float(rng.uniform(0.2, 3.0)))
-        rho = evolve_closed_form(
-            InitialAngles(theta, float(rng.uniform(0.0, 2.0 * math.pi))), q, params
-        )
+        gamma = decay_rate(suppression_factor(geometry, polarization))
+        channel = OneSidedChannel(noise_to_damping(q, gamma), float(rng.uniform(0.2, 3.0)) * -math.log1p(-q))
+        rho = evolve_closed_form(InitialAngles(theta, float(rng.uniform(0.0, 2.0 * math.pi))), channel)
         worst_single = max(
             worst_single,
             abs(c_l1_trajectory(theta, q, geometry, polarization) - c_l1(rho)),

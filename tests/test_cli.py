@@ -566,7 +566,7 @@ def test_grid_with_repeated_q_rejected(tmp_path, capsys, command):
     out = tmp_path / "out.csv"
     grid = ["--q-start", "0.5", "--q-stop", "0.5000000000000001", "--q-count", "5"]
     assert main([*command, *grid, "--out", str(out)]) == 2
-    assert "trace q values must be strictly increasing" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: q grid repeats values: [0.5, 0.5000000000000001] is too narrow\n"
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coherence_bath import lindblad
-from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate
+from coherence_bath.boundary import decay_rate
 from coherence_bath.lindblad import (
     GeneratorSpec,
     InstabilityError,
@@ -19,8 +19,8 @@ from coherence_bath.lindblad import (
     validate_all,
 )
 from coherence_bath.qmath import PAULI
-from coherence_bath.single_qubit import EvolutionParams, InitialAngles, evolve_closed_form
-from coherence_bath.two_qubit import OneSidedChannel, apply_one_sided_channel, bd_density
+from coherence_bath.single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
+from coherence_bath.two_qubit import apply_one_sided_channel, bd_density
 
 UNBOUNDED_SPEC = GeneratorSpec(0.25, 0.25, omega=0.0, n_qubits=1)
 
@@ -117,12 +117,8 @@ def test_integrate_zero_time_identity(rng, random_density):
 
 
 def test_integrate_matches_closed_form_single():
-    q = 0.75
-    tau = math.log(4.0)
-    params = EvolutionParams(
-        Geometry.unbounded(), PolarizationWeights.parallel(), omega=1.0
-    )
-    closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), q, params)
+    tau = math.log(4.0)  # q = q' = 0.75 in the unbounded vacuum
+    closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), OneSidedChannel(0.75, 1.0 * tau))
     numeric = integrate(
         closed_form_initial(math.pi / 2, 0.0), GeneratorSpec(0.25, 0.25, omega=1.0), tau
     )
@@ -140,11 +136,8 @@ def test_integrate_matches_channel_two_qubit():
 def test_convergence_is_fourth_order():
     # halving the step must cut the closed-form deviation by ~16; require 12
     tau = 1.0
-    q = -math.expm1(-tau)
-    params = EvolutionParams(
-        Geometry.unbounded(), PolarizationWeights.parallel(), omega=2.0
-    )
-    closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), q, params)
+    channel = OneSidedChannel(-math.expm1(-tau), 2.0 * tau)  # unbounded vacuum: q' = q
+    closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), channel)
     rho0 = closed_form_initial(math.pi / 2, 0.0)
     spec = GeneratorSpec(0.25, 0.25, omega=2.0)
     err_coarse = np.max(
@@ -183,15 +176,14 @@ def test_phase_advances_as_minus_omega_tau():
 
 
 def test_default_display_scale_phase_matches():
-    # the default omega of 100 needs a finer step for 1e-8 phase
+    # omega = 100 needs a finer step for 1e-8 phase
     # accuracy; (omega h)^5 per step at h = 5e-5 leaves ample margin
-    q = 0.6
+    q, omega = 0.6, 100.0
     tau = -math.log1p(-q)
-    params = EvolutionParams(Geometry.unbounded(), PolarizationWeights.parallel())
-    closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.3), q, params)
+    closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.3), OneSidedChannel(q, omega * tau))
     numeric = integrate(
         closed_form_initial(math.pi / 2, 0.3),
-        GeneratorSpec(0.25, 0.25, omega=params.omega),
+        GeneratorSpec(0.25, 0.25, omega=omega),
         tau,
         IntegratorConfig(5e-5),
     )

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from coherence_bath import c_l1, c_re
-from coherence_bath.boundary import Geometry, PolarizationWeights
+from coherence_bath.boundary import (
+    Geometry,
+    PolarizationWeights,
+    decay_rate,
+    noise_to_damping,
+    suppression_factor,
+)
 from coherence_bath.single_qubit import (
-    EvolutionParams,
     InitialAngles,
+    OneSidedChannel,
     c_re_trajectory,
     evolve_closed_form,
 )
@@ -71,11 +77,12 @@ def test_c_re_matches_single_qubit_closed_form(rng):
     # generic eigen-based measure against the dynamics module's closed form
     geometry = Geometry.unbounded()
     polarization = PolarizationWeights.isotropic()
-    params = EvolutionParams(geometry, polarization, omega=1.0)
+    gamma = decay_rate(suppression_factor(geometry, polarization))
     for _ in range(50):
         theta = rng.uniform(0.0, math.pi)
         q = rng.uniform(0.0, 0.999)
-        rho = evolve_closed_form(InitialAngles(theta, 0.0), q, params)
+        channel = OneSidedChannel(noise_to_damping(q, gamma), -math.log1p(-q))  # omega = 1
+        rho = evolve_closed_form(InitialAngles(theta, 0.0), channel)
         assert c_re(rho) == pytest.approx(
             c_re_trajectory(theta, q, geometry, polarization), abs=1e-10
         )

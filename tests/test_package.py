@@ -128,6 +128,19 @@ def test_layout_that_the_benchmark_harness_reads():
     assert {"tau", "cfg"} <= set(inspect.signature(modules["lindblad"].integrate).parameters)
 
 
+# Each module imports only from modules to its left; __init__ loads them by name.
+LAYERS = ("qmath", "boundary", "single_qubit", "two_qubit", "lindblad", "cli")
+
+
+def test_modules_import_only_from_the_layers_below():
+    package = Path(coherence_bath.__file__).parent
+    assert sorted(LAYERS) == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    for rank, module in enumerate(LAYERS):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported <= set(LAYERS[:rank]), (module, sorted(imported - set(LAYERS[:rank]), key=str))
+
+
 def _unread_imports(source: str) -> list[str]:
     """Names that an ``import`` or ``from ... import`` in ``source`` binds and no expression reads."""
     tree = ast.parse(source)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from coherence_bath.qmath import (
-    GROUND,
     PAULI,
     PositivityError,
     as_density_matrix,
@@ -126,10 +125,10 @@ def _bloch_state(b):
 
 
 def test_bloch_center_and_pole():
-    # The Pauli matrices put the excited level first: +z is |1><1|, -z is GROUND.
+    # The Pauli matrices put the excited level first: +z is |1><1|, -z is |0><0|.
     assert np.allclose(_bloch_state((0.0, 0.0, 0.0)), np.eye(2) / 2)
     assert np.allclose(_bloch_state((0.0, 0.0, 1.0)), np.diag([1.0, 0.0]))
-    assert np.allclose(_bloch_state((0.0, 0.0, -1.0)), GROUND)
+    assert np.allclose(_bloch_state((0.0, 0.0, -1.0)), np.diag([0.0, 1.0]))
 
 
 def test_bloch_rejects_unphysical_norm():

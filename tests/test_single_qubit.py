@@ -15,8 +15,8 @@ from coherence_bath.boundary import (
 from coherence_bath.lindblad import GeneratorSpec, closed_form_initial, integrate
 from coherence_bath.single_qubit import (
     CoherenceTrace,
-    EvolutionParams,
     InitialAngles,
+    OneSidedChannel,
     c_l1_single,
     c_l1_trajectory,
     c_re_single,
@@ -27,6 +27,7 @@ from coherence_bath.single_qubit import (
     evolve_closed_form,
     freezing_report,
 )
+from coherence_bath.two_qubit import channel_kraus
 
 UNBOUNDED = Geometry.unbounded()
 PARALLEL = PolarizationWeights.parallel()
@@ -36,8 +37,10 @@ C_RE_Q050 = 0.45669922179386298
 C_RE_Q075 = 0.26012250767013771
 
 
-def _params(geometry=UNBOUNDED, polarization=PARALLEL, omega=1.0):
-    return EvolutionParams(geometry, polarization, omega=omega)
+def _channel(q, geometry=UNBOUNDED, polarization=PARALLEL, omega=1.0):
+    """The channel at sweep point q: damping q' at gamma_eff, phase omega tau."""
+    gamma = decay_rate(suppression_factor(geometry, polarization))
+    return OneSidedChannel(noise_to_damping(q, gamma), omega * -math.log1p(-q))
 
 
 def _random_environment(rng):
@@ -62,52 +65,46 @@ def test_initial_angles_validation():
         InitialAngles(math.nan)
 
 
-def test_evolution_params_validation():
-    with pytest.raises(ValueError):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega=0.0)
-    with pytest.raises(ValueError):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega=-1.0)
-    assert EvolutionParams(UNBOUNDED, PARALLEL).omega == pytest.approx(100.0)
+def test_channel_validation():
+    for damping in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match=r"damping must lie in \[0, 1\]"):
+            OneSidedChannel(damping)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        OneSidedChannel(0.5, math.inf)
 
 
-def test_evolve_q0_returns_initial_state(rng):
+def test_evolve_zero_damping_returns_initial_state():
     theta, phi = 1.1, 0.7
-    rho = evolve_closed_form(InitialAngles(theta, phi), 0.0, _params())
+    rho = evolve_closed_form(InitialAngles(theta, phi), OneSidedChannel(0.0))
     assert np.allclose(rho, closed_form_initial(theta, phi), atol=1e-15)
 
 
-def test_evolve_q1_is_ground_state():
-    for theta in (0.0, 0.9, math.pi / 2, math.pi):
-        rho = evolve_closed_form(InitialAngles(theta, 0.0), 1.0, _params())
-        assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-15)
-
-
-def test_evolve_q1_frozen_returns_initial_state():
-    # u = 1e-9: the response rounds to exactly 1, so gamma_eff is exactly 0
-    # and the q = 1 endpoint is the initial state rather than the ground one
-    frozen = _params(Geometry.mirror(1e-9), PARALLEL)
-    angles = InitialAngles(math.pi / 2, 0.4)
-    rho = evolve_closed_form(angles, 1.0, frozen)
-    assert np.allclose(rho, evolve_closed_form(angles, 0.0, frozen), atol=1e-15)
+def test_evolve_is_the_channel_on_atom_a(rng):
+    # The atom-A factor of each two-qubit Kraus operator takes the initial
+    # state to the closed form; this pins the phase sign both sizes share.
+    ground = np.diag([0.0, 1.0])
+    for k in range(2000):
+        theta, phi = float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi))
+        damping = (0.0, 1.0, float(rng.uniform(0.0, 1.0)))[k % 3]
+        ch = OneSidedChannel(damping, float(rng.uniform(-10.0, 10.0)))
+        rho0 = closed_form_initial(theta, phi)
+        expected = sum(kraus[::2, ::2] @ rho0 @ kraus[::2, ::2].conj().T for kraus in channel_kraus(ch))
+        rho = evolve_closed_form(InitialAngles(theta, phi), ch)
+        assert np.max(np.abs(rho - expected)) <= 2e-15
+        if damping == 1.0:
+            assert np.allclose(rho, ground, atol=1e-15)
 
 
 def test_evolve_worked_example():
-    rho = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), 0.75, _params())
+    rho = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), _channel(0.75))
     assert rho[0, 0].real == pytest.approx(0.125, abs=1e-15)
     assert abs(rho[0, 1]) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_evolve_takes_an_angle_tuple():
-    params = _params()
-    expected = evolve_closed_form(InitialAngles(1.0, 0.3), 0.4, params)
-    assert np.array_equal(evolve_closed_form((1.0, 0.3), 0.4, params), expected)
-
-
-def test_evolve_rejects_bad_q():
-    with pytest.raises(ValueError, match=r"noise parameter q must lie in \[0, 1\]"):
-        evolve_closed_form(InitialAngles(1.0), 1.2, _params())
-    with pytest.raises(ValueError, match=r"noise parameter q must lie in \[0, 1\]"):
-        evolve_closed_form(InitialAngles(1.0), math.nan, _params())
+    ch = _channel(0.4)
+    expected = evolve_closed_form(InitialAngles(1.0, 0.3), ch)
+    assert np.array_equal(evolve_closed_form((1.0, 0.3), ch), expected)
 
 
 def test_trajectory_examples():
@@ -139,21 +136,13 @@ def test_trajectory_constant_when_frozen():
     assert c_l1_trajectory(1.2, 1.0, near, PARALLEL) == 0.0
 
 
-@pytest.mark.parametrize("omega", [-1e-300, -math.inf, math.inf, math.nan])
-def test_evolution_params_rejects_nonpositive_or_non_finite_omega(omega):
-    with pytest.raises(ValueError, match="omega must be positive"):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega=omega)
-
-
 def test_closed_form_matches_measures_randomized(rng):
     for _ in range(200):
         geometry, polarization = _random_environment(rng)
         theta = float(rng.uniform(0.0, math.pi))
         q = float(rng.uniform(0.0, 0.999))
-        params = EvolutionParams(
-            geometry, polarization, omega=float(rng.uniform(0.2, 3.0))
-        )
-        rho = evolve_closed_form(InitialAngles(theta, float(rng.uniform(0, 2 * math.pi))), q, params)
+        ch = _channel(q, geometry, polarization, omega=float(rng.uniform(0.2, 3.0)))
+        rho = evolve_closed_form(InitialAngles(theta, float(rng.uniform(0, 2 * math.pi))), ch)
         assert abs(c_l1_trajectory(theta, q, geometry, polarization) - c_l1(rho)) < 1e-12
         assert abs(c_re_trajectory(theta, q, geometry, polarization) - c_re(rho)) < 1e-10
 
@@ -166,8 +155,7 @@ def test_closed_form_matches_integrator_spot_checks():
     ]
     for theta, q, geometry, polarization in cases:
         gamma = decay_rate(suppression_factor(geometry, polarization))
-        params = EvolutionParams(geometry, polarization, omega=1.5)
-        closed = evolve_closed_form(InitialAngles(theta, 0.2), q, params)
+        closed = evolve_closed_form(InitialAngles(theta, 0.2), _channel(q, geometry, polarization, omega=1.5))
         numeric = integrate(
             closed_form_initial(theta, 0.2),
             GeneratorSpec(0.25 * gamma, 0.25 * gamma, omega=1.5, n_qubits=1),
@@ -247,22 +235,10 @@ def test_l1_strictly_decreasing_when_decaying():
 
 
 def test_trajectories_independent_of_omega():
-    q_grid = np.linspace(0.0, 1.0, 21)
-    traces = []
-    for omega in (50.0, 100.0, 200.0):
-        EvolutionParams(UNBOUNDED, PARALLEL, omega=omega)  # valid params
-        traces.append([f(1.1, q_grid, UNBOUNDED, PARALLEL).tolist() for f in (c_l1_trajectory, c_re_trajectory)])
-    assert traces[0] == traces[1] == traces[2]
     # measures of the evolved matrix agree across omega up to round-off
     for q in (0.2, 0.6, 0.9):
         values = [
-            c_l1(
-                evolve_closed_form(
-                    InitialAngles(1.1, 0.3),
-                    q,
-                    EvolutionParams(UNBOUNDED, PARALLEL, omega=omega),
-                )
-            )
+            c_l1(evolve_closed_form(InitialAngles(1.1, 0.3), _channel(q, omega=omega)))
             for omega in (0.5, 1.0, 2.0)
         ]
         assert max(values) - min(values) < 1e-15
@@ -332,10 +308,9 @@ def test_trace_rejects_repeated_and_out_of_range_q():
 
 
 def test_phase_tracks_omega_and_phi():
-    params = EvolutionParams(UNBOUNDED, PARALLEL, omega=2.0)
     q = 0.4
     tau = -math.log1p(-q)
-    rho = evolve_closed_form(InitialAngles(math.pi / 2, 0.7), q, params)
+    rho = evolve_closed_form(InitialAngles(math.pi / 2, 0.7), _channel(q, omega=2.0))
     expected = -(2.0 * tau + 0.7)
     assert math.remainder(np.angle(rho[0, 1]) - expected, 2 * math.pi) == pytest.approx(
         0.0, abs=1e-12

@@ -13,10 +13,9 @@ from coherence_bath.boundary import (
     suppression_factor,
 )
 from coherence_bath.lindblad import GeneratorSpec, integrate
-from coherence_bath.qmath import GROUND
+from coherence_bath.single_qubit import OneSidedChannel
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
-    OneSidedChannel,
     apply_one_sided_channel,
     bd_density,
     c_l1_bd,
@@ -35,6 +34,7 @@ EXAMPLE_BD = BellDiagonalParams(0.8, 0.4, -0.2)
 EXAMPLE_BD_C_RE = 0.67548875021634685
 
 PARALLEL = PolarizationWeights.parallel()
+GROUND = np.diag([0.0, 1.0]).astype(complex)
 
 
 def _random_physical_bd(rng) -> BellDiagonalParams:
@@ -82,15 +82,6 @@ def test_bd_params_reject_unphysical():
         BellDiagonalParams(1.2, 0.0, 0.0)
     with pytest.raises(ValueError):
         BellDiagonalParams(math.nan, 0.0, 0.0)
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        OneSidedChannel(-0.1)
-    with pytest.raises(ValueError):
-        OneSidedChannel(1.1)
-    with pytest.raises(ValueError):
-        OneSidedChannel(0.5, math.inf)
 
 
 def test_channel_identity_at_zero_damping(rng, random_density):
