@@ -213,32 +213,54 @@ def _geometry_from_spec(spec: dict) -> Geometry:
     return Geometry.mirror(spec["u"])
 
 
-def _q_grid(spec: dict) -> np.ndarray:
+def _q_grid(spec: dict, rows: int):
+    """The blocks of ``rows`` points of np.linspace(q_start, q_stop, q_count), bit
+    for bit, each made when it is reached, so memory does not grow with the grid.
+
+    ValueError unless the grid strictly increases; the check walks every block
+    before the blocks are handed out, so a rejected grid writes no file.
+    """
     start, stop, count = spec["q_start"], spec["q_stop"], spec["q_count"]
     if not 0.0 <= start < stop <= 1.0:
         raise ValueError(f"q grid must satisfy 0 <= start < stop <= 1, got [{start}, {stop}]")
-    grid = np.linspace(start, stop, count)
+    step = (stop - start) / (count - 1)
+
+    def block(lo: int) -> np.ndarray:
+        # numpy's linspace, last point exactly stop.  Where the step underflows
+        # to zero linspace scales k / (count - 1) instead, but its points then
+        # repeat, so both grids are rejected.
+        points = np.arange(lo, min(lo + rows, count), dtype=float) * step + start
+        if lo + rows >= count:
+            points[-1] = stop
+        return points
+
+    starts = range(0, count, rows)
     # Both ends are exact, so a grid that strictly increases lies in [start, stop].
-    _check_increasing(grid, "q", start, stop)
-    return grid
+    _check_increasing(map(block, starts), "q", start, stop)
+    return map(block, starts)
 
 
-def _check_increasing(grid, axis: str, start: float, stop: float) -> None:
-    """ValueError unless ``grid`` strictly increases: linspace and geomspace
-    repeat points over a range of a few ulps."""
-    if np.any(grid[1:] <= grid[:-1]):
-        raise ValueError(f"{axis} grid repeats values: [{start}, {stop}] is too narrow")
+def _check_increasing(blocks, axis: str, start: float, stop: float) -> None:
+    """ValueError unless the consecutive ``blocks`` of a grid strictly increase:
+    linspace and geomspace repeat points over a range of a few ulps."""
+    last = -math.inf
+    for grid in blocks:
+        if grid[0] <= last or np.any(grid[1:] <= grid[:-1]):
+            raise ValueError(f"{axis} grid repeats values: [{start}, {stop}] is too narrow")
+        last = grid[-1]
 
 
-def _cells(column) -> list[str]:
-    """The text of each float of ``column``: its repr, which CSV and JSON both write.
+def _cells(column):
+    """The text of each float of ``column``, made as it is iterated: its repr,
+    which CSV and JSON both write.
 
-    ValueError on NaN or +-inf, which json.dumps would write as NaN or Infinity.
+    ValueError, at the call, on NaN or +-inf, which json.dumps would write as
+    NaN or Infinity.
     """
     values = np.asarray(column, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError(f"refusing to write a non-finite value: {values[~np.isfinite(values)][0]}")
-    return list(map(repr, values.tolist()))
+    return map(repr, values.tolist())
 
 
 def _output(out: str):
@@ -253,11 +275,11 @@ def _write_text(out: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_table(spec: dict, names, grid, per_block: int, columns) -> None:
+def _write_table(spec: dict, names, blocks, columns) -> None:
     """Write the equal-length text columns (see _cells) that ``columns`` gives
-    for each slice of ``per_block`` rows of the leading ``grid``, to spec["out"]
-    as CSV, or as the JSON list of row objects that json.dumps(rows, indent=2)
-    writes, byte for byte.  Each block is written before the next is computed."""
+    for each of the leading column's ``blocks``, to spec["out"] as CSV, or as
+    the JSON list of row objects that json.dumps(rows, indent=2) writes, byte
+    for byte.  Each block is written before the next is computed."""
     csv = spec["format"] == "csv"
     if csv:
         head, sep, row = ",".join(names) + "\n", "\n", ",".join
@@ -266,10 +288,12 @@ def _write_table(spec: dict, names, grid, per_block: int, columns) -> None:
         head, sep, row = "[\n", ",\n", ("  {\n" + fields + "\n  }").__mod__
     with _output(spec["out"]) as handle:
         handle.write(head)
-        for start in range(0, len(grid), per_block):
-            text = sep.join(map(row, zip(*columns(grid[start : start + per_block]))))
+        joint = ""
+        for block in blocks:
+            text = sep.join(map(row, zip(*columns(block))))
             # A CSV block ends its last line; a JSON block is joined to the one before.
-            handle.write(text + "\n" if csv else (sep if start else "") + text)
+            handle.write(text + "\n" if csv else joint + text)
+            joint = sep
         if not csv:
             handle.write("\n]\n")
 
@@ -284,7 +308,7 @@ def _write_sweep(spec: dict, names, state, kernels) -> int:
         return [_cells(q), *(_cells(kernel(state, qp)) for kernel in kernels)]
 
     # every whole-grid check runs before the output is opened
-    _write_table(spec, names, _q_grid(spec), BLOCK_ROWS, columns)
+    _write_table(spec, names, _q_grid(spec, BLOCK_ROWS), columns)
     return EXIT_OK
 
 
@@ -309,20 +333,23 @@ def cmd_surface(spec) -> int:
             f"u grid must satisfy 0 < u_start < u_stop, got [{spec['u_start']}, {spec['u_stop']}]"
         )
     polarization = _PRESETS[spec["preset"]]
-    q_grid = _q_grid(spec)
+    # The whole q axis is one block, so a huge q_count fails at its allocation.
+    (q_grid,) = _q_grid(spec, spec["q_count"])
     # Near max float an inner power of geomspace overflows; its endpoints are exact.
     with np.errstate(over="ignore"):
         u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
-    _check_increasing(u_grid, "u", spec["u_start"], spec["u_stop"])
+    _check_increasing([u_grid], "u", spec["u_start"], spec["u_stop"])
     measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
     # Each q is formatted once; a block holds whole u rows, each u formatted once.
-    q_cells = _cells(q_grid)
+    q_cells = list(_cells(q_grid))
 
     def columns(us):
         values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in us.tolist()]
         return [c for c in _cells(us) for _ in q_cells], q_cells * len(us), _cells(np.concatenate(values))
 
-    _write_table(spec, ("u", "q", "value"), u_grid, max(1, BLOCK_ROWS // len(q_cells)), columns)
+    per_block = max(1, BLOCK_ROWS // len(q_cells))
+    blocks = (u_grid[lo : lo + per_block] for lo in range(0, len(u_grid), per_block))
+    _write_table(spec, ("u", "q", "value"), blocks, columns)
     return EXIT_OK
 
 

@@ -71,6 +71,8 @@ class GeneratorSpec:
                 f"complete positivity requires a_coeff >= |b_coeff|, "
                 f"got a={self.a_coeff}, b={self.b_coeff}"
             )
+        if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool):
+            raise TypeError(f"n_qubits must be an int, got {self.n_qubits!r}")
         if self.n_qubits not in (1, 2):
             raise ValueError(f"n_qubits must be 1 or 2, got {self.n_qubits}")
 

@@ -67,6 +67,10 @@ class OneSidedChannel:
             raise ValueError(f"phase must be finite, got {self.phase}")
 
 
+def _as_channel(channel) -> OneSidedChannel:
+    return channel if isinstance(channel, OneSidedChannel) else OneSidedChannel(*channel)
+
+
 @dataclass(frozen=True, eq=False)
 class CoherenceTrace:
     """Read-only columns q, c_l1, c_re of one length, q strictly increasing.
@@ -93,6 +97,7 @@ def evolve_closed_form(angles: InitialAngles, channel: OneSidedChannel) -> np.nd
     """The 2x2 density matrix that ``channel`` makes of the pure initial state."""
     if not isinstance(angles, InitialAngles):
         angles = InitialAngles(*angles)
+    channel = _as_channel(channel)
     qp = channel.damping
     cos_t, sin_t = math.cos(angles.theta), math.sin(angles.theta)
     population = 0.5 * (1.0 + cos_t * (1.0 - qp) - qp)

@@ -34,7 +34,7 @@ from .boundary import (
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _freeze_verdict
+from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _as_channel, _freeze_verdict
 
 # Bell states land exactly on the physicality boundary; this absorbs the
 # round-off of user-supplied correlation vectors.
@@ -94,6 +94,7 @@ def bd_density(c: BellDiagonalParams) -> np.ndarray:
 
 def channel_kraus(ch: OneSidedChannel) -> list[np.ndarray]:
     """Kraus operators of the one-sided channel on the full two-qubit space."""
+    ch = _as_channel(ch)
     qp = ch.damping
     rot = np.diag([np.exp(-0.5j * ch.phase), np.exp(0.5j * ch.phase)])
     k_keep = rot @ np.diag([math.sqrt(1.0 - qp), 1.0])

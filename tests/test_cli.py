@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import coherence_bath
 import coherence_bath.cli as cli
 from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
-from coherence_bath.cli import BLOCK_ROWS, _FIELDS, _REQUIRED, _cells, _write_table, build_parser, main
+from coherence_bath.cli import BLOCK_ROWS, _FIELDS, _REQUIRED, _cells, _q_grid, _write_table, build_parser, main
 from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
 from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
@@ -536,10 +536,10 @@ def tables(draw):
 
 def _written(fmt, header, rows, per_block):
     text = io.StringIO()
+    blocks = (rows[lo : lo + per_block] for lo in range(0, len(rows), per_block))
     with contextlib.redirect_stdout(text):
         _write_table(
-            {"out": "-", "format": fmt}, header, rows, per_block,
-            lambda block: [_cells(column) for column in zip(*block)],
+            {"out": "-", "format": fmt}, header, blocks, lambda block: [_cells(column) for column in zip(*block)]
         )
     return text.getvalue()
 
@@ -567,6 +567,55 @@ def test_grid_with_repeated_q_rejected(tmp_path, capsys, command):
     grid = ["--q-start", "0.5", "--q-stop", "0.5000000000000001", "--q-count", "5"]
     assert main([*command, *grid, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: q grid repeats values: [0.5, 0.5000000000000001] is too narrow\n"
+    assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    span_ulps=st.one_of(st.integers(1, 8), st.none()),
+    stop=st.floats(0.0, 1.0),
+    count=st.one_of(
+        st.sampled_from([2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]),
+        st.integers(2, 3 * BLOCK_ROWS),
+    ),
+)
+@example(start=0.0, span_ulps=2, stop=0.0, count=5)  # the step underflows to zero
+@example(start=0.0, span_ulps=None, stop=1.0, count=2 * BLOCK_ROWS + 1)
+def test_q_blocks_equal_linspace_bit_for_bit(start, span_ulps, stop, count):
+    if span_ulps is None:
+        start, stop = sorted((start, stop))
+    else:  # a span of a few ulps
+        stop = start
+        for _ in range(span_ulps):
+            stop = math.nextafter(stop, 2.0)
+    if not start < stop <= 1.0:
+        return
+    spec = {"q_start": start, "q_stop": stop, "q_count": count}
+    whole = np.linspace(start, stop, count)
+    if np.any(whole[1:] <= whole[:-1]):
+        with pytest.raises(ValueError, match="q grid repeats values"):
+            _q_grid(spec, BLOCK_ROWS)
+        return
+    blocks = list(_q_grid(spec, BLOCK_ROWS))
+    assert [len(block) for block in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+    assert [float.hex(q) for q in np.concatenate(blocks).tolist()] == list(map(float.hex, whole.tolist()))
+
+
+@pytest.mark.parametrize("command", [["single"], ["two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1"]])
+def test_repeated_q_past_the_first_block_rejected(tmp_path, capsys, command):
+    # Points below 0.5 lie 1.5 ulps apart and those above 0.75 ulps, so the
+    # grid first repeats after 0.5, which the second block crosses.
+    step = 1.5 * 2.0**-54
+    start, count = 0.5 - 1500 * step, 2 * BLOCK_ROWS + 1
+    stop = start + (count - 1) * step
+    whole = np.linspace(start, stop, count)
+    repeats = np.flatnonzero(whole[1:] <= whole[:-1])
+    assert repeats.size and repeats[0] >= BLOCK_ROWS
+    out = tmp_path / "out.csv"
+    grid = ["--q-start", repr(start), "--q-stop", repr(stop), "--q-count", str(count)]
+    assert main([*command, *grid, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: q grid repeats values: [{start}, {stop}] is too narrow\n"
     assert not out.exists()
 
 
@@ -916,6 +965,8 @@ def test_validate_rejects_more_than_2_53_steps(capsys, step):
 
 
 def test_allocation_failure_is_invalid_input():
+    # single and two stream their q grid, so a huge --q-count there is a long
+    # run; surface allocates its u axis and its q axis whole.
     resource = pytest.importorskip("resource")
     cap = 2 * 1024**3
 
@@ -923,15 +974,17 @@ def test_allocation_failure_is_invalid_input():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
-    done = subprocess.run(
-        [sys.executable, "-m", "coherence_bath.cli", "single", "--q-count", "1000000000000"],
-        env={**os.environ, "PYTHONPATH": src},
-        preexec_fn=limit_address_space,
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 2
-    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+    for axis in ("--u-count", "--q-count"):
+        done = subprocess.run(
+            [sys.executable, "-m", "coherence_bath.cli", "surface", axis, "1000000000000"],
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit_address_space,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
 
 
 _FUZZ_FLOATS = st.one_of(

@@ -34,6 +34,13 @@ def test_spec_validation():
         GeneratorSpec(math.nan, 0.0)
 
 
+@pytest.mark.parametrize("n_qubits", [2.0, True, "2"])
+def test_spec_takes_only_an_int_qubit_count(n_qubits):
+    # 2.0 once gave the float dim 4.0, and True passed as one qubit.
+    with pytest.raises(TypeError, match="n_qubits must be an int"):
+        GeneratorSpec(0.25, 0.25, 0.0, n_qubits)
+
+
 def test_integrator_config_validation():
     with pytest.raises(ValueError, match="at most 1e-2"):
         IntegratorConfig(0.5)

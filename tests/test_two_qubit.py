@@ -13,7 +13,7 @@ from coherence_bath.boundary import (
     suppression_factor,
 )
 from coherence_bath.lindblad import GeneratorSpec, integrate
-from coherence_bath.single_qubit import OneSidedChannel
+from coherence_bath.single_qubit import OneSidedChannel, evolve_closed_form
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
     apply_one_sided_channel,
@@ -142,6 +142,30 @@ def test_measures_independent_of_channel_phase(rng):
         rotated = apply_one_sided_channel(rho, OneSidedChannel(0.35, phase))
         assert c_l1(rotated) == pytest.approx(c_l1(reference), abs=1e-12)
         assert c_re(rotated) == pytest.approx(c_re(reference), abs=1e-12)
+
+
+def test_channel_tuple_gives_the_channel_result():
+    # A (damping, phase) tuple reads as OneSidedChannel(damping, phase), as (c1, c2, c3) does for a pair.
+    channel = OneSidedChannel(0.5, 0.0)
+    rho = bd_density((0.3, 0.2, 0.1))
+    pairs = [
+        (evolve_closed_form((1.0, 0.0), (0.5, 0.0)), evolve_closed_form((1.0, 0.0), channel)),
+        (apply_one_sided_channel(rho, (0.5, 0.0)), apply_one_sided_channel(rho, channel)),
+        (choi_matrix((0.5, 0.0)), choi_matrix(channel)),
+    ]
+    for from_tuple, from_channel in pairs:
+        assert from_tuple.tobytes() == from_channel.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0.0), (-0.1, 0.0), (math.nan, 0.0), (0.5, math.inf)])
+def test_bad_channel_tuple_raises_value_error(bad):
+    for call in (
+        lambda: evolve_closed_form((1.0, 0.0), bad),
+        lambda: apply_one_sided_channel(bd_density((0.3, 0.2, 0.1)), bad),
+        lambda: choi_matrix(bad),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_c_l1_bd_examples():
