@@ -27,7 +27,6 @@ import numpy as np
 from .boundary import _PRESETS, Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
 from .single_qubit import InitialAngles, c_l1_single, c_re_single, freezing_report
-from .single_qubit import c_l1_trajectory, c_re_trajectory
 from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 
 EXIT_OK = 0
@@ -80,11 +79,18 @@ def parse_polarization(text) -> PolarizationWeights:
     return PolarizationWeights(ax, ay, az)
 
 
+def _polarization_text(text) -> str:
+    parse_polarization(text)  # ValueError unless a preset or a weight triple
+    return text  # kept as given, so --dump-config writes it back unchanged
+
+
 # Field tables: name -> (converter, default).  Each field is the config key
 # ``name`` and the flag ``--name`` with dashes for underscores.  The converter
 # takes the field's text from either source and holds every rule on that one
-# value.  _REQUIRED defaults must be supplied by flag or config.
+# value, or hands it to the type that owns the rule.  _REQUIRED defaults must
+# be supplied by flag or config.
 _REQUIRED = object()
+_THETA = (lambda text: InitialAngles(float(text)).theta, math.pi / 2)
 
 _GRID_FIELDS = {
     "q_start": (_finite_float, 0.0),
@@ -93,8 +99,8 @@ _GRID_FIELDS = {
 }
 _ENV_FIELDS = {
     "geometry": (_choice({"unbounded", "mirror"}), "unbounded"),
-    "u": (_finite_float, None),
-    "polarization": (str, "parallel"),
+    "u": (lambda text: Geometry.mirror(float(text)).u, None),
+    "polarization": (_polarization_text, "parallel"),
 }
 _OUT_FIELDS = {
     "out": (str, "-"),
@@ -103,8 +109,8 @@ _OUT_FIELDS = {
 
 _FIELDS = {
     "single": {
-        "theta": (_finite_float, math.pi / 2),
-        "phi": (_finite_float, 0.0),
+        "theta": _THETA,
+        "phi": (lambda text: InitialAngles(0.0, float(text)).phi, 0.0),
         **_ENV_FIELDS,
         **_GRID_FIELDS,
         **_OUT_FIELDS,
@@ -128,7 +134,7 @@ _FIELDS = {
     },
     "freeze": {
         "mode": (_choice({"single", "two"}), _REQUIRED),
-        "theta": (_finite_float, math.pi / 2),
+        "theta": _THETA,
         "c1": (_finite_float, None),
         "c2": (_finite_float, None),
         "c3": (_finite_float, None),
@@ -138,7 +144,7 @@ _FIELDS = {
     "validate": {
         "seed": (_int_at_least(0), 42),
         "cases": (_int_at_least(1), 50),
-        "step": (_finite_float, 1e-3),
+        "step": (lambda text: IntegratorConfig(float(text)).step, 1e-3),
         "out": (str, "-"),
     },
 }
@@ -265,7 +271,7 @@ def _cells(column):
 
 def _output(out: str):
     """The output stream: stdout for '-', else the file, opened for writing."""
-    if out in (None, "-"):
+    if out == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(out, "w", encoding="utf-8")
 
@@ -275,11 +281,11 @@ def _write_text(out: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_table(spec: dict, names, blocks, columns) -> None:
-    """Write the equal-length text columns (see _cells) that ``columns`` gives
-    for each of the leading column's ``blocks``, to spec["out"] as CSV, or as
-    the JSON list of row objects that json.dumps(rows, indent=2) writes, byte
-    for byte.  Each block is written before the next is computed."""
+def _write_table(spec: dict, names, blocks) -> None:
+    """Write ``blocks``, each a list of equal-length text columns (see _cells),
+    to spec["out"] as CSV, or as the JSON list of row objects that
+    json.dumps(rows, indent=2) writes, byte for byte.  Each block is written
+    before the next is taken, so a lazy ``blocks`` computes one at a time."""
     csv = spec["format"] == "csv"
     if csv:
         head, sep, row = ",".join(names) + "\n", "\n", ",".join
@@ -290,7 +296,7 @@ def _write_table(spec: dict, names, blocks, columns) -> None:
         handle.write(head)
         joint = ""
         for block in blocks:
-            text = sep.join(map(row, zip(*columns(block))))
+            text = sep.join(map(row, zip(*block)))
             # A CSV block ends its last line; a JSON block is joined to the one before.
             handle.write(text + "\n" if csv else joint + text)
             joint = sep
@@ -308,15 +314,13 @@ def _write_sweep(spec: dict, names, state, kernels) -> int:
         return [_cells(q), *(_cells(kernel(state, qp)) for kernel in kernels)]
 
     # every whole-grid check runs before the output is opened
-    _write_table(spec, names, _q_grid(spec, BLOCK_ROWS), columns)
+    _write_table(spec, names, map(columns, _q_grid(spec, BLOCK_ROWS)))
     return EXIT_OK
 
 
 def cmd_single(spec) -> int:
-    """Sweep both coherence measures of a single qubit over q."""
-    theta = spec["theta"]
-    InitialAngles(theta, spec["phi"])  # range check; phases drop out below
-    return _write_sweep(spec, ("q", "c_l1", "c_re"), theta, (c_l1_single, c_re_single))
+    """Sweep both coherence measures of a single qubit over q; phi drops out of both."""
+    return _write_sweep(spec, ("q", "c_l1", "c_re"), spec["theta"], (c_l1_single, c_re_single))
 
 
 def cmd_two(spec) -> int:
@@ -339,17 +343,18 @@ def cmd_surface(spec) -> int:
     with np.errstate(over="ignore"):
         u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
     _check_increasing([u_grid], "u", spec["u_start"], spec["u_stop"])
-    measure = c_l1_trajectory if spec["measure"] == "l1" else c_re_trajectory
+    kernel = c_l1_single if spec["measure"] == "l1" else c_re_single
     # Each q is formatted once; a block holds whole u rows, each u formatted once.
     q_cells = list(_cells(q_grid))
 
     def columns(us):
-        values = [measure(math.pi / 2, q_grid, Geometry.mirror(u), polarization) for u in us.tolist()]
+        gammas = (decay_rate(suppression_factor(Geometry.mirror(u), polarization)) for u in us.tolist())
+        values = [kernel(math.pi / 2, noise_to_damping(q_grid, gamma)) for gamma in gammas]
         return [c for c in _cells(us) for _ in q_cells], q_cells * len(us), _cells(np.concatenate(values))
 
     per_block = max(1, BLOCK_ROWS // len(q_cells))
     blocks = (u_grid[lo : lo + per_block] for lo in range(0, len(u_grid), per_block))
-    _write_table(spec, ("u", "q", "value"), blocks, columns)
+    _write_table(spec, ("u", "q", "value"), map(columns, blocks))
     return EXIT_OK
 
 
@@ -413,7 +418,7 @@ def cmd_validate(spec) -> int:
         f"result: {'PASS' if report.passed else 'FAIL'}",
     ]
     print("\n".join(lines))
-    if spec["out"] not in (None, "-"):
+    if spec["out"] != "-":
         fields = report._asdict()
         payload = {"n_cases": fields.pop("n_cases"), "seed": spec["seed"], **fields}
         payload["passed"] = report.passed

@@ -415,16 +415,23 @@ def test_unwritable_output_is_io_error(tmp_path):
 
 def test_nan_rejected_at_parse_time(capsys):
     assert main(["single", "--theta", "nan"]) == 2
-    assert capsys.readouterr().err == "error: theta: value must be finite, got 'nan'\n"
+    assert capsys.readouterr().err == "error: theta: theta must lie in [0, pi], got nan\n"
 
 
+_NOT_A_TRIPLE = "polarization must be one of ['isotropic', 'parallel', 'perpendicular'] or 'ax,ay,az'"
 _BAD_FIELD_VALUES = [
     ("single", "q_count", "1", "value must be an integer of at least 2, got '1'"),
     ("surface", "u_count", "1", "value must be an integer of at least 2, got '1'"),
     ("validate", "seed", "-1", "value must be an integer of at least 0, got '-1'"),
     ("validate", "cases", "0", "value must be an integer of at least 1, got '0'"),
     ("surface", "measure", "foo", "expected one of ['l1', 're'], got 'foo'"),
-    ("single", "theta", "nan", "value must be finite, got 'nan'"),
+    ("single", "theta", "nan", "theta must lie in [0, pi], got nan"),
+    # the owning type's rule and message: InitialAngles, Geometry, IntegratorConfig, parse_polarization
+    ("single", "theta", "7", "theta must lie in [0, pi], got 7.0"),
+    ("single", "phi", "7", "phi must lie in [0, 2 pi), got 7.0"),
+    ("single", "u", "-1", "boundary distance u must be finite and positive, got -1.0"),
+    ("validate", "step", "0", "step must be positive, got 0.0"),
+    ("single", "polarization", "1,0", f"{_NOT_A_TRIPLE}, got '1,0'"),
 ]
 
 
@@ -442,9 +449,6 @@ def test_bad_value_is_one_error_line_naming_the_field(tmp_path, source, command,
     assert _run_main(argv) == (2, "", f"error: {name}: {message}\n")
 
 
-_NOT_A_TRIPLE = "polarization must be one of ['isotropic', 'parallel', 'perpendicular'] or 'ax,ay,az'"
-
-
 @pytest.mark.parametrize(
     "triple, message",
     [
@@ -457,7 +461,7 @@ _NOT_A_TRIPLE = "polarization must be one of ['isotropic', 'parallel', 'perpendi
 )
 def test_bad_polarization_triple_rejected(capsys, triple, message):
     assert main(["single", "--polarization", triple]) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: polarization: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -491,8 +495,25 @@ def test_bad_mirror_distance_is_the_boundary_message():
     assert _run_main(["single", "--geometry", "mirror", "--u", "-1"]) == (
         2,
         "",
-        "error: boundary distance u must be finite and positive, got -1.0\n",
+        "error: u: boundary distance u must be finite and positive, got -1.0\n",
     )
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["single", "--u", "-1"], "error: u: boundary distance u must be finite and positive, got -1.0\n"),
+        (
+            ["freeze", "--mode", "two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1", "--theta", "7"],
+            "error: theta: theta must lie in [0, pi], got 7.0\n",
+        ),
+    ],
+)
+def test_value_the_field_never_accepts_is_rejected_where_unused(tmp_path, argv, line):
+    # the unbounded vacuum has no u, and mode two has no theta
+    out, dumped = tmp_path / "out.txt", tmp_path / "resolved.ini"
+    assert _run_main([*argv, "--out", str(out), "--dump-config", str(dumped)]) == (2, "", line)
+    assert not out.exists() and not dumped.exists()
 
 
 @pytest.mark.parametrize(
@@ -538,9 +559,7 @@ def _written(fmt, header, rows, per_block):
     text = io.StringIO()
     blocks = (rows[lo : lo + per_block] for lo in range(0, len(rows), per_block))
     with contextlib.redirect_stdout(text):
-        _write_table(
-            {"out": "-", "format": fmt}, header, blocks, lambda block: [_cells(column) for column in zip(*block)]
-        )
+        _write_table({"out": "-", "format": fmt}, header, ([_cells(c) for c in zip(*block)] for block in blocks))
     return text.getvalue()
 
 
@@ -743,29 +762,40 @@ def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, monkeypatch, fmt):
+@pytest.mark.parametrize("command", ["single", "surface"])
+def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, monkeypatch, command, fmt):
+    # single calls the kernel once per block of BLOCK_ROWS q points; surface
+    # calls it once per u row, and BLOCK_ROWS // 2 q points make two u rows a block.
+    q = np.linspace(0.0, 1.0, 2 * BLOCK_ROWS + 1 if command == "single" else BLOCK_ROWS // 2)
+    per_call, calls_per_block = (BLOCK_ROWS, 1) if command == "single" else (len(q), 2)
     calls = []
     kernel = cli.c_re_single
 
     def nan_in_second_block(theta, qp):
         calls.append(len(qp))
         values = kernel(theta, qp)
-        return np.full_like(values, np.nan) if len(calls) == 2 else values
+        return np.full_like(values, np.nan) if len(calls) == calls_per_block + 1 else values
 
     monkeypatch.setattr(cli, "c_re_single", nan_in_second_block)
-    out = tmp_path / f"single.{fmt}"
-    count = 2 * BLOCK_ROWS + 1
-    assert main(["single", "--q-count", str(count), "--format", fmt, "--out", str(out)]) == 2
+    out = tmp_path / f"{command}.{fmt}"
+    if command == "single":
+        argv = ["single", "--q-count", str(len(q))]
+        columns = [q, *(f(math.pi / 2, q, UNBOUNDED, PARALLEL) for f in (c_l1_trajectory, c_re_trajectory))]
+        header, rows = ["q", "c_l1", "c_re"], list(zip(*(c.tolist() for c in columns)))[:BLOCK_ROWS]
+    else:
+        argv = ["surface", "--measure", "re", "--q-count", str(len(q)), "--u-count", "6"]
+        header, rows = ["u", "q", "value"], []
+        for u in np.geomspace(1e-2, 10.0, 6).tolist()[:calls_per_block]:
+            values = c_re_trajectory(math.pi / 2, q, Geometry.mirror(u), PARALLEL)
+            rows += [(u, qv, value) for qv, value in zip(q.tolist(), values.tolist())]
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: refusing to write a non-finite value: nan\n"
-    assert calls == [BLOCK_ROWS, BLOCK_ROWS]  # the third block is never computed
-    q = np.linspace(0.0, 1.0, count)
-    columns = [q, *(f(math.pi / 2, q, UNBOUNDED, PARALLEL) for f in (c_l1_trajectory, c_re_trajectory))]
-    rows = list(zip(*(c.tolist() for c in columns)))[:BLOCK_ROWS]
+    assert calls == [per_call] * 2 * calls_per_block  # the third block is never computed
     if fmt == "csv":
-        assert out.read_text() == _csv_text(["q", "c_l1", "c_re"], rows)
+        assert out.read_text() == _csv_text(header, rows)
     else:  # the list is never closed, so the file is not valid JSON
-        assert out.read_text() == _json_text(["q", "c_l1", "c_re"], rows)[: -len("\n]\n")]
+        assert out.read_text() == _json_text(header, rows)[: -len("\n]\n")]
 
 
 def test_reader_closing_the_pipe_mid_stream_is_io_error():
