@@ -109,23 +109,16 @@ def _superoperators(n_qubits: int) -> tuple[np.ndarray, ...]:
     return hamiltonian, d_a, d_b
 
 
-def _liouvillians(specs) -> np.ndarray:
-    """liouvillian_matrix of each spec, stacked; the specs share one n_qubits.
-    ValueError names the first spec whose generator has an entry beyond max float."""
-    hamiltonian, d_a, d_b = _superoperators(specs[0].n_qubits)
-    a, b, omega = np.array([(s.a_coeff, s.b_coeff, s.omega) for s in specs]).T[:, :, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
-        stack = omega * hamiltonian + a * d_a + b * d_b
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"the generator of {specs[int(np.argmin(finite))]} overflows a float")
-    return stack
-
-
 def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:
     """Matrix of the generator acting on row-major vectorized matrices; column k
-    is the generator applied to the k-th matrix unit of the stacked basis."""
-    return _liouvillians([spec])[0]
+    is the generator applied to the k-th matrix unit of the stacked basis.
+    ValueError when an entry goes beyond max float."""
+    hamiltonian, d_a, d_b = _superoperators(spec.n_qubits)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
+        matrix = spec.omega * hamiltonian + spec.a_coeff * d_a + spec.b_coeff * d_b
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"the generator of {spec} overflows a float")
+    return matrix
 
 
 def integrate(
@@ -137,7 +130,8 @@ def integrate(
     """Propagate rho0 for proper time tau with the fixed-step RK4 scheme.
 
     The step count is ceil(tau / cfg.step) with a uniform step h <= cfg.step;
-    the global error is O(h^4).  Raises ValueError when that count exceeds
+    the global error is O(h^4).  A time of 0 is one step of length 0, whose
+    propagator is the identity.  Raises ValueError when the count exceeds
     2**53, and InstabilityError when the result loses positivity,
     Hermiticity or trace beyond 1e-8.
     """
@@ -147,62 +141,35 @@ def integrate(
     tau = float(tau)
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    return _integrate_stack(rho[None], [spec], [tau], cfg)[0]
-
-
-def _integrate_stack(rho0: np.ndarray, specs, taus, cfg: IntegratorConfig) -> np.ndarray:
-    """integrate(rho0[k], specs[k], taus[k], cfg) for every k, on the whole stack.
-
-    The specs share one n_qubits; states and times are taken as already
-    checked.  Each case goes through the floating-point operations of a
-    stack of one, so slicing a stack does not change a bit.  A time of 0 is
-    one step of length 0, whose propagator is the identity, and its result
-    passes the same checks as any other.  InstabilityError describes the
-    first failing case.
-    """
-    taus = np.asarray(taus, dtype=float)
-    rho0 = np.asarray(rho0, dtype=complex)
-    with np.errstate(over="ignore"):  # a count beyond max float is inf, rejected below
-        counts = np.maximum(1.0, np.ceil(taus / cfg.step))
-    too_many = ~(counts <= 2.0**53)
-    if too_many.any():
-        tau = float(taus[np.argmax(too_many)])
+    if not tau / cfg.step <= 2.0**53:  # a quotient beyond max float is inf
         raise ValueError(f"tau = {tau!r} at step {cfg.step!r} needs more than 2**53 RK4 steps")
-    n_steps = counts.astype(np.int64)
-    h = taus / n_steps
+    n_steps = max(1, math.ceil(tau / cfg.step))
+    h = tau / n_steps
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent step is inf or nan, rejected below
-        propagator = _rk4_step(h[:, None, None] * _liouvillians(specs))
-        powers = np.array([np.linalg.matrix_power(m, n) for m, n in zip(propagator, n_steps.tolist())])
-        evolved = (powers @ rho0.reshape(len(rho0), -1, 1)).reshape(rho0.shape)
+        propagator = _rk4_step(h * liouvillian_matrix(spec))
+        evolved = (np.linalg.matrix_power(propagator, n_steps) @ rho.reshape(-1)).reshape(rho.shape)
+    if not np.isfinite(evolved).all():
+        raise InstabilityError(f"integration diverged at step {h:.3e}; retry with step <= {h / 10:.3e}")
 
-    finite = np.isfinite(evolved).all(axis=(1, 2))
-    adjoint = evolved.conj().swapaxes(1, 2)
-    hermiticity_drift = np.max(np.abs(evolved - adjoint), axis=(1, 2))
-    trace_drift = np.abs(np.trace(evolved, axis1=1, axis2=2) - 1.0)
-    min_eig = np.zeros(len(evolved))
-    min_eig[finite] = np.min(np.linalg.eigvalsh(0.5 * (evolved + adjoint)[finite]), axis=1)
-    failed = ~finite | (hermiticity_drift > 1e-8) | (trace_drift > 1e-8) | (min_eig < -1e-8)
-    if failed.any():
-        k = int(np.argmax(failed))
-        step = float(h[k])
-        if not finite[k]:
-            raise InstabilityError(
-                f"integration diverged at step {step:.3e}; retry with step <= {step / 10:.3e}"
-            )
-        # The RK4 map is a polynomial in a generator that keeps trace and
-        # Hermiticity, so it keeps them exactly: their drift is round-off,
-        # which grows with the step count, and a larger step cuts it.
-        drift = max(hermiticity_drift[k], trace_drift[k])
-        if drift > 1e-8:
-            advice = f"round-off dominates; retry with step >= {min(1e-2, step * drift / 1e-9):.3e}"
-        else:
-            advice = f"retry with step <= {step / 2:.3e}"
-        raise InstabilityError(
-            f"integration unstable at step {step:.3e} "
-            f"(hermiticity drift {hermiticity_drift[k]:.2e}, trace drift {trace_drift[k]:.2e}, "
-            f"min eigenvalue {min_eig[k]:.2e}); {advice}"
-        )
-    return evolved
+    adjoint = evolved.conj().T
+    hermiticity_drift = np.max(np.abs(evolved - adjoint))
+    trace_drift = np.abs(np.trace(evolved) - 1.0)
+    min_eig = np.min(np.linalg.eigvalsh(0.5 * (evolved + adjoint)))
+    # The RK4 map is a polynomial in a generator that keeps trace and
+    # Hermiticity, so it keeps them exactly: their drift is round-off,
+    # which grows with the step count, and a larger step cuts it.
+    drift = max(hermiticity_drift, trace_drift)
+    if drift > 1e-8:
+        advice = f"round-off dominates; retry with step >= {min(1e-2, h * drift / 1e-9):.3e}"
+    elif min_eig < -1e-8:
+        advice = f"retry with step <= {h / 2:.3e}"
+    else:
+        return evolved
+    raise InstabilityError(
+        f"integration unstable at step {h:.3e} "
+        f"(hermiticity drift {hermiticity_drift:.2e}, trace drift {trace_drift:.2e}, "
+        f"min eigenvalue {min_eig:.2e}); {advice}"
+    )
 
 
 def _rk4_step(hm: np.ndarray) -> np.ndarray:
@@ -332,24 +299,10 @@ def _case_geometry(rng) -> tuple[str, Geometry]:
     return "mirror u=1e-07 (near boundary)", Geometry.mirror(1e-7)
 
 
-class _Case(NamedTuple):
-    """One validation case: its closed form and what the integrator needs to redo it."""
-
-    description: str
-    spec: GeneratorSpec
-    tau: float
-    rho0: np.ndarray
-    closed: np.ndarray
-    re_gap: float | None  # |exact - closed form| relative entropy, two qubits with c1*c2 != 0
-
-
-# Cases drawn and integrated together: a fixed size keeps memory flat in n_cases.
-_CHUNK = 32
-
-
-def _case(rng, index: int) -> _Case:
-    """Case ``index``: its parameters drawn from ``rng`` (cases draw in index
-    order), its closed form and its integrator inputs."""
+def _case(rng, index: int, cfg: IntegratorConfig) -> tuple[str, float, float | None]:
+    """Case ``index``, its parameters drawn from ``rng`` (cases draw in index
+    order): its description, max |closed form - integrator|, and for two qubits
+    with c1*c2 != 0 the |exact - closed form| relative-entropy gap, else None."""
     if index == 0:
         label, geometry = "mirror u=1e-07 (frozen)", Geometry.mirror(1e-7)
         theta, phi, q, omega = math.pi / 2, 0.3, 0.7, 2.0
@@ -368,37 +321,22 @@ def _case(rng, index: int) -> _Case:
     tau = -math.log1p(-q)
     channel = OneSidedChannel(noise_to_damping(q, gamma), omega * tau)  # one channel, either size
     setting = f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
+    gap = None
     if index < 2 or index % 2 == 0:  # single qubit
         spec = GeneratorSpec(quarter, quarter, omega, 1)
+        rho0 = closed_form_initial(theta, phi)
         closed = evolve_closed_form(InitialAngles(theta, phi), channel)
         description = f"single-qubit theta={theta:.3f} phi={phi:.3f} {setting}"
-        return _Case(description, spec, tau, closed_form_initial(theta, phi), closed, None)
-    bd = _random_bd(rng)
-    spec = GeneratorSpec(quarter, quarter, omega, 2)
-    rho0 = bd_density(bd)
-    closed = apply_one_sided_channel(rho0, channel)
-    description = f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) {setting}"
-    gap = None
-    if abs(bd.c1 * bd.c2) > 1e-12:
-        gap = abs(c_re_bd(bd, channel.damping) - c_re_bd_closed_form(bd, channel.damping))
-    return _Case(description, spec, tau, rho0, closed, gap)
-
-
-def _oracle_errors(cases: list[_Case], cfg: IntegratorConfig) -> list[float]:
-    """max |closed form - integrator| of each case; one stack per system size."""
-    errors = [0.0] * len(cases)
-    for n_qubits in (1, 2):
-        members = [k for k, case in enumerate(cases) if case.spec.n_qubits == n_qubits]
-        if not members:
-            continue
-        group = [cases[k] for k in members]
-        numeric = _integrate_stack(
-            np.array([c.rho0 for c in group]), [c.spec for c in group], [c.tau for c in group], cfg
-        )
-        closed = np.array([c.closed for c in group])
-        for k, error in zip(members, np.max(np.abs(closed - numeric), axis=(1, 2)).tolist()):
-            errors[k] = error
-    return errors
+    else:
+        bd = _random_bd(rng)
+        spec = GeneratorSpec(quarter, quarter, omega, 2)
+        rho0 = bd_density(bd)
+        closed = apply_one_sided_channel(rho0, channel)
+        description = f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) {setting}"
+        if abs(bd.c1 * bd.c2) > 1e-12:
+            gap = abs(c_re_bd(bd, channel.damping) - c_re_bd_closed_form(bd, channel.damping))
+    error = np.max(np.abs(closed - integrate(rho0, spec, tau, cfg)))
+    return description, float(error), gap
 
 
 def validate_all(
@@ -409,7 +347,9 @@ def validate_all(
     Case 0 is always the fully frozen single-qubit configuration and case 1
     the incoherent theta = 0 one, so even tiny runs exercise the degenerate
     corners.  Deterministic for a given seed.  Cases are drawn and integrated
-    _CHUNK at a time; of equal errors or gaps the first case is reported.
+    one at a time, in index order, so an InstabilityError or ValueError
+    comes from the first failing case; of equal errors or gaps the first
+    case is reported.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
@@ -419,15 +359,14 @@ def validate_all(
     worst = "none"
     gap_max = -1.0
     gap_case = "none (no two-qubit case with c1*c2 != 0)"
-    for start in range(0, n_cases, _CHUNK):
-        cases = [_case(rng, index) for index in range(start, min(start + _CHUNK, n_cases))]
-        for case, error in zip(cases, _oracle_errors(cases, cfg)):
-            if case.re_gap is not None and case.re_gap > gap_max:
-                gap_max = case.re_gap
-                gap_case = f"{case.description}: |exact - closed form| = {case.re_gap:.3e}"
-            if error > max_error:
-                max_error = error
-                worst = case.description
+    for index in range(n_cases):
+        description, error, gap = _case(rng, index, cfg)
+        if gap is not None and gap > gap_max:
+            gap_max = gap
+            gap_case = f"{description}: |exact - closed form| = {gap:.3e}"
+        if error > max_error:
+            max_error = error
+            worst = description
 
     return ValidationReport(
         n_cases=n_cases,

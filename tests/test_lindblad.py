@@ -11,7 +11,6 @@ from coherence_bath.lindblad import (
     GeneratorSpec,
     InstabilityError,
     IntegratorConfig,
-    _integrate_stack,
     _PCG64,
     closed_form_initial,
     integrate,
@@ -275,14 +274,14 @@ def test_validate_all_rejects_bad_count():
 
 def test_validate_cases_use_the_zero_temperature_generator(monkeypatch):
     # A = B = gamma_eff / 4 (Benatti, Floreani & Piani, PRL 91, 070402 (2003))
-    rates = []
+    rates, specs = [], []
     monkeypatch.setattr(lindblad, "decay_rate", lambda f: rates.append(decay_rate(f)) or rates[-1])
-    rng = _PCG64(3)
-    cases = [lindblad._case(rng, index) for index in range(40)]
-    assert {case.spec.n_qubits for case in cases} == {1, 2}
-    for case, gamma in zip(cases, rates, strict=True):
-        assert case.spec.a_coeff == case.spec.b_coeff == 0.25 * gamma
-    assert cases[1].spec.a_coeff == 0.25  # unbounded: gamma_eff = 1
+    monkeypatch.setattr(lindblad, "integrate", lambda rho0, spec, tau, cfg: specs.append(spec) or rho0)
+    validate_all(3, 40)
+    assert {spec.n_qubits for spec in specs} == {1, 2}
+    for spec, gamma in zip(specs, rates, strict=True):
+        assert spec.a_coeff == spec.b_coeff == 0.25 * gamma
+    assert specs[1].a_coeff == 0.25  # unbounded: gamma_eff = 1
 
 
 def _case_draws(rng, cube) -> list:
@@ -340,9 +339,18 @@ def test_validate_all_rejects_a_seed_default_rng_rejects(seed, error):
 
 
 def test_validate_all_keeps_the_first_of_equal_errors(monkeypatch):
-    monkeypatch.setattr(lindblad, "_oracle_errors", lambda cases, cfg: [0.5] * len(cases))
+    # Every entry of a closed form is within 1 of 0, below half an ulp of
+    # 1e20, so every case errs by exactly 1e20.
+    specs = []
+
+    def far(rho0, spec, tau, cfg):
+        specs.append(spec)
+        return np.full((spec.dim, spec.dim), 1e20)
+
+    monkeypatch.setattr(lindblad, "integrate", far)
     report = validate_all(3, 130)
-    assert report.max_error == 0.5
+    assert len(specs) == 130
+    assert report.max_error == 1e20
     assert report.worst_case.startswith("single-qubit theta=1.571 phi=0.300 mirror u=1e-07 (frozen)")
 
 
@@ -365,21 +373,49 @@ def _oracle_cases(draw, n_qubits):
     return spec, tau, draw(st.integers(0, 2**32 - 1))
 
 
+def _classical_rk4(spec, rho, tau, step):
+    """The k1-k4 RK4 loop with uniform steps h <= step, on the vectorized state."""
+    n_steps = max(1, math.ceil(tau / step))
+    h, generator, vec = tau / n_steps, liouvillian_matrix(spec), rho.reshape(-1)
+    for _ in range(n_steps):
+        k1 = generator @ vec
+        k2 = generator @ (vec + 0.5 * h * k1)
+        k3 = generator @ (vec + 0.5 * h * k2)
+        k4 = generator @ (vec + h * k3)
+        vec = vec + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vec.reshape(rho.shape)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from([1, 2]).flatmap(lambda n: st.lists(_oracle_cases(n), min_size=1, max_size=6)))
-def test_stacked_integration_equals_per_case_bitwise(random_density, cases):
-    rhos = [random_density(np.random.default_rng(seed), spec.dim) for spec, _, seed in cases]
-    specs, taus = [spec for spec, _, _ in cases], [tau for _, tau, _ in cases]
-    stacked = _integrate_stack(np.array(rhos), specs, taus, IntegratorConfig())
-    for rho, spec, tau, out in zip(rhos, specs, taus, stacked):
-        assert out.tobytes() == integrate(rho, spec, tau).tobytes()
+@given(st.sampled_from([1, 2]).flatmap(_oracle_cases))
+def test_integrate_equals_a_classical_rk4_loop(random_density, case):
+    spec, tau, seed = case
+    rho = random_density(np.random.default_rng(seed), spec.dim)
+    out = integrate(rho, spec, tau)
+    if tau == 0.0:
+        assert out.tobytes() == rho.tobytes()
+    else:
+        assert np.max(np.abs(out - _classical_rk4(spec, rho, tau, IntegratorConfig().step))) < 1e-12
 
 
-def test_stacked_instability_names_the_first_failing_case():
+def test_instability_names_the_step_and_the_first_failing_case(monkeypatch):
     rho0 = closed_form_initial(math.pi / 2, 0.0)
-    specs = [GeneratorSpec(0.25, 0.25), GeneratorSpec(500.0, 0.0), GeneratorSpec(900.0, 0.0)]
-    with pytest.raises(InstabilityError, match="at step 1.000e-02"):  # 9.950e-03 for the last
-        _integrate_stack(np.array([rho0] * 3), specs, [1.0, 1.0, 0.995], IntegratorConfig(1e-2))
+    with pytest.raises(InstabilityError, match="diverged at step 1.000e-02"):
+        integrate(rho0, GeneratorSpec(500.0, 0.0), 1.0, IntegratorConfig(1e-2))
+    with pytest.raises(InstabilityError, match="diverged at step 9.950e-03"):
+        integrate(rho0, GeneratorSpec(900.0, 0.0), 0.995, IntegratorConfig(1e-2))
+    # At 2e-16 case 1 loses its trace to round-off, and a later case would
+    # need more than 2**53 steps; the first failing case is the one reported.
+    taus = []
+
+    def traced(rho0, spec, tau, cfg):
+        taus.append(tau)
+        return integrate(rho0, spec, tau, cfg)
+
+    monkeypatch.setattr(lindblad, "integrate", traced)
+    with pytest.raises(InstabilityError, match="round-off dominates"):
+        validate_all(1, 50, IntegratorConfig(2e-16))
+    assert taus == [-math.log1p(-0.7), -math.log1p(-0.5)]  # cases 0 and 1, no further
 
 
 # (seed, cases) -> repr(max_error), worst case and relative-entropy gap case,
