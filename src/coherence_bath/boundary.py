@@ -15,6 +15,8 @@ the configuration that freezes coherence.
 """
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +52,15 @@ def _series_coefficients(n_terms: int) -> tuple[list[float], list[float]]:
 _PAR_COEFFS, _PERP_COEFFS = _series_coefficients(_SERIES_TERMS)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; TypeError naming ``name`` unless it is one real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {reprlib.repr(value)}")
+    return float(value)
+
+
 def _check_u(u: float) -> float:
-    u = float(u)
+    u = _real(u, "boundary distance u")
     if not math.isfinite(u) or u <= 0.0:
         raise ValueError(f"boundary distance u must be finite and positive, got {u}")
     return u
@@ -106,7 +115,7 @@ def f_parallel(u: float) -> float:
     Tends to 1 as u -> 0 (image dipole reinforces the field) and decays to 0
     with oscillations as u grows, recovering the unbounded vacuum.
     """
-    return f_parallel_series(u) if float(u) < SERIES_CUTOFF else f_parallel_direct(u)
+    return f_parallel_series(u) if _check_u(u) < SERIES_CUTOFF else f_parallel_direct(u)
 
 
 def f_perpendicular(u: float) -> float:
@@ -115,7 +124,7 @@ def f_perpendicular(u: float) -> float:
     Tends to -1 as u -> 0, doubling the decay rate of a normally polarized
     atom, and decays to 0 at large separation.
     """
-    return f_perpendicular_series(u) if float(u) < SERIES_CUTOFF else f_perpendicular_direct(u)
+    return f_perpendicular_series(u) if _check_u(u) < SERIES_CUTOFF else f_perpendicular_direct(u)
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,7 @@ class Geometry:
 
     @classmethod
     def mirror(cls, u: float) -> "Geometry":
-        return cls(float(u))
+        return cls(u)
 
     @property
     def has_boundary(self) -> bool:
@@ -201,7 +210,7 @@ def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) ->
 
 def decay_rate(f: float) -> float:
     """gamma_eff = 1 - f for a finite suppression factor f, round-off below zero clamped to 0."""
-    if not math.isfinite(f):
+    if not math.isfinite(_real(f, "suppression factor f")):
         raise ValueError(f"suppression factor f must be finite, got {f}")
     gamma = 1.0 - f
     if gamma < 0.0:
@@ -214,8 +223,11 @@ def decay_rate(f: float) -> float:
 
 
 def _in_unit_interval(values, what: str) -> np.ndarray:
-    """``values`` as a float array; ValueError names the first value outside [0, 1] or NaN."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as a float array; TypeError unless real, ValueError names the first value outside [0, 1] or NaN."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{what} must be a real number or an array of them, got {reprlib.repr(values)}")
+    arr = arr.astype(float, copy=False)
     outside = ~((arr >= 0.0) & (arr <= 1.0))
     if outside.any():
         raise ValueError(f"{what} must lie in [0, 1], got {arr[outside][0]}")
@@ -234,7 +246,7 @@ def noise_to_damping(q, gamma_eff: float):
     same path and comes back as a float.
     """
     qs = _in_unit_interval(q, "noise parameter q")
-    if not math.isfinite(gamma_eff) or gamma_eff < 0.0:
+    if not math.isfinite(_real(gamma_eff, "gamma_eff")) or gamma_eff < 0.0:
         raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
     if gamma_eff == 0.0:
         return _float_if_scalar(np.zeros(qs.shape))

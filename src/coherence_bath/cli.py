@@ -11,6 +11,7 @@ tolerance failure.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -219,12 +220,13 @@ def _geometry_from_spec(spec: dict) -> Geometry:
     return Geometry.mirror(spec["u"])
 
 
-def _q_grid(spec: dict, rows: int):
-    """The blocks of ``rows`` points of np.linspace(q_start, q_stop, q_count), bit
-    for bit, each made when it is reached, so memory does not grow with the grid.
+def _q_grid(spec: dict):
+    """The q axis np.linspace(q_start, q_stop, q_count), bit for bit, as a
+    function that hands out its blocks of BLOCK_ROWS points anew on each call,
+    each made when it is reached, so memory does not grow with the grid.
 
     ValueError unless the grid strictly increases; the check walks every block
-    before the blocks are handed out, so a rejected grid writes no file.
+    once, here, before any is handed out, so a rejected grid writes no file.
     """
     start, stop, count = spec["q_start"], spec["q_stop"], spec["q_count"]
     if not 0.0 <= start < stop <= 1.0:
@@ -235,15 +237,15 @@ def _q_grid(spec: dict, rows: int):
         # numpy's linspace, last point exactly stop.  Where the step underflows
         # to zero linspace scales k / (count - 1) instead, but its points then
         # repeat, so both grids are rejected.
-        points = np.arange(lo, min(lo + rows, count), dtype=float) * step + start
-        if lo + rows >= count:
+        points = np.arange(lo, min(lo + BLOCK_ROWS, count), dtype=float) * step + start
+        if lo + BLOCK_ROWS >= count:
             points[-1] = stop
         return points
 
-    starts = range(0, count, rows)
+    blocks = functools.partial(map, block, range(0, count, BLOCK_ROWS))
     # Both ends are exact, so a grid that strictly increases lies in [start, stop].
-    _check_increasing(map(block, starts), "q", start, stop)
-    return map(block, starts)
+    _check_increasing(blocks(), "q", start, stop)
+    return blocks
 
 
 def _check_increasing(blocks, axis: str, start: float, stop: float) -> None:
@@ -314,7 +316,7 @@ def _write_sweep(spec: dict, names, state, kernels) -> int:
         return [_cells(q), *(_cells(kernel(state, qp)) for kernel in kernels)]
 
     # every whole-grid check runs before the output is opened
-    _write_table(spec, names, map(columns, _q_grid(spec, BLOCK_ROWS)))
+    _write_table(spec, names, map(columns, _q_grid(spec)()))
     return EXIT_OK
 
 
@@ -332,29 +334,25 @@ def cmd_two(spec) -> int:
 
 def cmd_surface(spec) -> int:
     """Long-format (u, q, value) grid of one measure for a polarization preset."""
-    if spec["u_start"] <= 0.0 or spec["u_stop"] <= spec["u_start"]:
-        raise ValueError(
-            f"u grid must satisfy 0 < u_start < u_stop, got [{spec['u_start']}, {spec['u_stop']}]"
-        )
+    u_start, u_stop = spec["u_start"], spec["u_stop"]
+    if u_start <= 0.0 or u_stop <= u_start:
+        raise ValueError(f"u grid must satisfy 0 < u_start < u_stop, got [{u_start}, {u_stop}]")
     polarization = _PRESETS[spec["preset"]]
-    # The whole q axis is one block, so a huge q_count fails at its allocation.
-    (q_grid,) = _q_grid(spec, spec["q_count"])
+    q_blocks = _q_grid(spec)
     # Near max float an inner power of geomspace overflows; its endpoints are exact.
     with np.errstate(over="ignore"):
-        u_grid = np.geomspace(spec["u_start"], spec["u_stop"], spec["u_count"])
-    _check_increasing([u_grid], "u", spec["u_start"], spec["u_stop"])
+        u_grid = np.geomspace(u_start, u_stop, spec["u_count"])
+    _check_increasing([u_grid], "u", u_start, u_stop)
     kernel = c_l1_single if spec["measure"] == "l1" else c_re_single
-    # Each q is formatted once; a block holds whole u rows, each u formatted once.
-    q_cells = list(_cells(q_grid))
-
-    def columns(us):
-        gammas = (decay_rate(suppression_factor(Geometry.mirror(u), polarization)) for u in us.tolist())
-        values = [kernel(math.pi / 2, noise_to_damping(q_grid, gamma)) for gamma in gammas]
-        return [c for c in _cells(us) for _ in q_cells], q_cells * len(us), _cells(np.concatenate(values))
-
-    per_block = max(1, BLOCK_ROWS // len(q_cells))
-    blocks = (u_grid[lo : lo + per_block] for lo in range(0, len(u_grid), per_block))
-    _write_table(spec, ("u", "q", "value"), map(columns, blocks))
+    # A q axis of one block is kept with its cells, made once, not once per u.
+    one_block = [(q, list(_cells(q))) for q in q_blocks()] if spec["q_count"] <= BLOCK_ROWS else None
+    gammas = (decay_rate(suppression_factor(Geometry.mirror(u), polarization)) for u in u_grid.tolist())
+    blocks = (  # one per (u, q block)
+        ([u_cell] * len(q), q_cells, _cells(kernel(math.pi / 2, noise_to_damping(q, gamma))))
+        for u_cell, gamma in zip(_cells(u_grid), gammas)
+        for q, q_cells in one_block or ((q, _cells(q)) for q in q_blocks())
+    )
+    _write_table(spec, ("u", "q", "value"), blocks)
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from .boundary import (
     Geometry,
     PolarizationWeights,
     _in_unit_interval,
+    _real,
     decay_rate,
     noise_to_damping,
     suppression_factor,
@@ -55,15 +56,15 @@ class InitialAngles:
 
 @dataclass(frozen=True)
 class OneSidedChannel:
-    """Amplitude damping of one qubit, or of atom A of a pair: damping q' in
-    [0, 1] plus a phase rotation by Omega tau."""
+    """Amplitude damping of one qubit, or of atom A of a pair: one real damping
+    q' in [0, 1] plus a phase rotation by Omega tau."""
 
     damping: float
     phase: float = 0.0
 
     def __post_init__(self):
-        _in_unit_interval(self.damping, "damping")
-        if not math.isfinite(self.phase):
+        _in_unit_interval(_real(self.damping, "damping"), "damping")
+        if not math.isfinite(_real(self.phase, "phase")):
             raise ValueError(f"phase must be finite, got {self.phase}")
 
 

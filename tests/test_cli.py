@@ -614,9 +614,11 @@ def test_q_blocks_equal_linspace_bit_for_bit(start, span_ulps, stop, count):
     whole = np.linspace(start, stop, count)
     if np.any(whole[1:] <= whole[:-1]):
         with pytest.raises(ValueError, match="q grid repeats values"):
-            _q_grid(spec, BLOCK_ROWS)
+            _q_grid(spec)
         return
-    blocks = list(_q_grid(spec, BLOCK_ROWS))
+    grid = _q_grid(spec)
+    blocks = list(grid())
+    assert [block.tolist() for block in grid()] == [block.tolist() for block in blocks]  # anew on each call
     assert [len(block) for block in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
     assert [float.hex(q) for q in np.concatenate(blocks).tolist()] == list(map(float.hex, whole.tolist()))
 
@@ -746,7 +748,7 @@ def test_two_blocks_match_whole_grid(tmp_path, count, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("q_count", [300, BLOCK_ROWS + 1])  # 3 u rows per block, then 1
+@pytest.mark.parametrize("q_count", [300, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])  # 1, 2 and 3 q blocks per u row
 def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
     out = tmp_path / f"surface.{fmt}"
     args = ["surface", "--measure", "re", "--preset", "perpendicular", "--format", fmt, "--u-start", "0.02"]
@@ -764,17 +766,16 @@ def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["single", "surface"])
 def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, monkeypatch, command, fmt):
-    # single calls the kernel once per block of BLOCK_ROWS q points; surface
-    # calls it once per u row, and BLOCK_ROWS // 2 q points make two u rows a block.
-    q = np.linspace(0.0, 1.0, 2 * BLOCK_ROWS + 1 if command == "single" else BLOCK_ROWS // 2)
-    per_call, calls_per_block = (BLOCK_ROWS, 1) if command == "single" else (len(q), 2)
+    # Both call the kernel once per block of BLOCK_ROWS q points; a surface u
+    # row spans the three blocks of the q axis.
+    q = np.linspace(0.0, 1.0, 2 * BLOCK_ROWS + 1)
     calls = []
     kernel = cli.c_re_single
 
     def nan_in_second_block(theta, qp):
         calls.append(len(qp))
         values = kernel(theta, qp)
-        return np.full_like(values, np.nan) if len(calls) == calls_per_block + 1 else values
+        return np.full_like(values, np.nan) if len(calls) == 2 else values
 
     monkeypatch.setattr(cli, "c_re_single", nan_in_second_block)
     out = tmp_path / f"{command}.{fmt}"
@@ -784,14 +785,12 @@ def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, m
         header, rows = ["q", "c_l1", "c_re"], list(zip(*(c.tolist() for c in columns)))[:BLOCK_ROWS]
     else:
         argv = ["surface", "--measure", "re", "--q-count", str(len(q)), "--u-count", "6"]
-        header, rows = ["u", "q", "value"], []
-        for u in np.geomspace(1e-2, 10.0, 6).tolist()[:calls_per_block]:
-            values = c_re_trajectory(math.pi / 2, q, Geometry.mirror(u), PARALLEL)
-            rows += [(u, qv, value) for qv, value in zip(q.tolist(), values.tolist())]
+        values = c_re_trajectory(math.pi / 2, q, Geometry.mirror(1e-2), PARALLEL)  # the first u row
+        header, rows = ["u", "q", "value"], list(zip([1e-2] * len(q), q.tolist(), values.tolist()))[:BLOCK_ROWS]
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: refusing to write a non-finite value: nan\n"
-    assert calls == [per_call] * 2 * calls_per_block  # the third block is never computed
+    assert calls == [BLOCK_ROWS] * 2  # the third block is never computed
     if fmt == "csv":
         assert out.read_text() == _csv_text(header, rows)
     else:  # the list is never closed, so the file is not valid JSON
@@ -821,15 +820,16 @@ def test_peak_memory_is_flat_in_grid_size(tmp_path):
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
 
-    def peak_kib(count):
-        argv = ["single", "--q-count", str(count), "--out", str(tmp_path / "out.csv")]
+    def peak_kib(argv, count):
+        argv = [*argv, "--q-count", str(count), "--out", str(tmp_path / "out.csv")]
         done = subprocess.run(
             [sys.executable, "-c", probe, *argv],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         )
         return int(done.stdout)
 
-    assert peak_kib(300001) - peak_kib(10001) <= 16 * 1024
+    for argv in (["single"], ["surface", "--measure", "re", "--u-count", "2"]):
+        assert peak_kib(argv, 300001) - peak_kib(argv, 10001) <= 16 * 1024, argv
 
 
 def test_config_default_section_serves_only_commands_with_the_field(tmp_path, capsys):
@@ -995,8 +995,8 @@ def test_validate_rejects_more_than_2_53_steps(capsys, step):
 
 
 def test_allocation_failure_is_invalid_input():
-    # single and two stream their q grid, so a huge --q-count there is a long
-    # run; surface allocates its u axis and its q axis whole.
+    # Every table streams its q grid, so a huge --q-count is a long run;
+    # surface allocates its u axis whole.
     resource = pytest.importorskip("resource")
     cap = 2 * 1024**3
 
@@ -1004,17 +1004,16 @@ def test_allocation_failure_is_invalid_input():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
-    for axis in ("--u-count", "--q-count"):
-        done = subprocess.run(
-            [sys.executable, "-m", "coherence_bath.cli", "surface", axis, "1000000000000"],
-            env={**os.environ, "PYTHONPATH": src},
-            preexec_fn=limit_address_space,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 2
-        assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+    done = subprocess.run(
+        [sys.executable, "-m", "coherence_bath.cli", "surface", "--u-count", "1000000000000"],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
 
 
 _FUZZ_FLOATS = st.one_of(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from coherence_bath.boundary import (
     Geometry,
     PolarizationWeights,
     decay_rate,
+    f_parallel,
     noise_to_damping,
     suppression_factor,
 )
@@ -71,6 +73,27 @@ def test_channel_validation():
             OneSidedChannel(damping)
     with pytest.raises(ValueError, match="phase must be finite"):
         OneSidedChannel(0.5, math.inf)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: OneSidedChannel(np.array([0.1, 0.2])), "damping"),
+        (lambda: OneSidedChannel([0.5]), "damping"),
+        (lambda: OneSidedChannel("0.5"), "damping"),
+        (lambda: OneSidedChannel(0.5, "1.0"), "phase"),
+        (lambda: c_l1_single(1.0, "0.5"), "damping q'"),
+        (lambda: noise_to_damping("0.5", 0.5), "noise parameter q"),
+        (lambda: f_parallel("0.05"), "boundary distance u"),
+        (lambda: Geometry("0.5"), "boundary distance u"),
+        (lambda: decay_rate("0.5"), "suppression factor f"),
+    ],
+    ids=["channel-array", "channel-list", "channel-text", "phase-text", "kernel-text", "noise-text",
+         "response-text", "geometry-text", "rate-text"],
+)
+def test_input_that_is_not_a_real_number_is_a_type_error_naming_it(call, name):
+    with pytest.raises(TypeError, match=f"^{re.escape(name)} must be a real number"):
+        call()
 
 
 def test_evolve_zero_damping_returns_initial_state():
