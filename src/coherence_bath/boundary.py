@@ -59,6 +59,20 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; TypeError naming ``name`` unless it is one integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def _as(cls, value, name: str):
+    """``value`` as a ``cls``: an instance as it is, a tuple as its fields; else TypeError naming ``name``."""
+    if not isinstance(value, (cls, tuple)):
+        raise TypeError(f"{name} must be {cls.__name__} or a tuple of its fields, got {reprlib.repr(value)}")
+    return value if isinstance(value, cls) else cls(*value)
+
+
 def _check_u(u: float) -> float:
     u = _real(u, "boundary distance u")
     if not math.isfinite(u) or u <= 0.0:
@@ -137,7 +151,7 @@ class PolarizationWeights:
 
     def __post_init__(self):
         for name, value in (("ax", self.ax), ("ay", self.ay), ("az", self.az)):
-            if not math.isfinite(value):
+            if not math.isfinite(_real(value, f"polarization weight {name}")):
                 raise ValueError(f"polarization weight {name} must be finite, got {value}")
             if value < 0.0:
                 raise ValueError(f"polarization weight {name} must be nonnegative, got {value}")
@@ -202,6 +216,8 @@ def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) ->
     Zero for the unbounded vacuum; 1 means fully suppressed decay (frozen
     dynamics), negative values mean enhanced decay.
     """
+    geometry = _as(Geometry, geometry, "geometry")
+    polarization = _as(PolarizationWeights, polarization, "polarization")
     if not geometry.has_boundary:
         return 0.0
     fp = f_parallel(geometry.u)

@@ -23,13 +23,12 @@ one step is that matrix, and n uniform steps are its n-th power.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import _PRESETS, Geometry, decay_rate, noise_to_damping, suppression_factor
+from .boundary import _PRESETS, Geometry, _as, _count, _real, decay_rate, noise_to_damping, suppression_factor
 from .qmath import PAULI, as_density_matrix
 from .single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
 from .two_qubit import (
@@ -64,16 +63,14 @@ class GeneratorSpec:
 
     def __post_init__(self):
         for name, value in (("a_coeff", self.a_coeff), ("b_coeff", self.b_coeff), ("omega", self.omega)):
-            if not math.isfinite(value):
+            if not math.isfinite(_real(value, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.a_coeff < abs(self.b_coeff) - 1e-12:
             raise ValueError(
                 f"complete positivity requires a_coeff >= |b_coeff|, "
                 f"got a={self.a_coeff}, b={self.b_coeff}"
             )
-        if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool):
-            raise TypeError(f"n_qubits must be an int, got {self.n_qubits!r}")
-        if self.n_qubits not in (1, 2):
+        if _count(self.n_qubits, "n_qubits") not in (1, 2):
             raise ValueError(f"n_qubits must be 1 or 2, got {self.n_qubits}")
 
     @property
@@ -88,7 +85,7 @@ class IntegratorConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not math.isfinite(self.step) or self.step <= 0.0:
+        if not math.isfinite(_real(self.step, "step")) or self.step <= 0.0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.step > 1e-2:
             raise ValueError(f"step must be at most 1e-2, got {self.step}")
@@ -113,6 +110,7 @@ def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:
     """Matrix of the generator acting on row-major vectorized matrices; column k
     is the generator applied to the k-th matrix unit of the stacked basis.
     ValueError when an entry goes beyond max float."""
+    spec = _as(GeneratorSpec, spec, "spec")
     hamiltonian, d_a, d_b = _superoperators(spec.n_qubits)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
         matrix = spec.omega * hamiltonian + spec.a_coeff * d_a + spec.b_coeff * d_b
@@ -136,9 +134,10 @@ def integrate(
     Hermiticity or trace beyond 1e-8.
     """
     rho = as_density_matrix(rho0)
+    spec, cfg = _as(GeneratorSpec, spec, "spec"), _as(IntegratorConfig, cfg, "cfg")
     if rho.shape[0] != spec.dim:
         raise ValueError(f"state dimension {rho.shape[0]} does not match spec dim {spec.dim}")
-    tau = float(tau)
+    tau = _real(tau, "tau")
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     if not tau / cfg.step <= 2.0**53:  # a quotient beyond max float is inf
@@ -214,7 +213,7 @@ def _hasher(const: int, mult: int):
 
 def _seed_state(seed) -> list[int]:
     """numpy's SeedSequence(seed).generate_state(4, np.uint64) for a non-negative int seed."""
-    seed = operator.index(seed)
+    seed = _count(seed, "seed")
     if seed < 0:
         raise ValueError(f"expected non-negative integer, got seed {seed}")
     entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
@@ -351,7 +350,7 @@ def validate_all(
     comes from the first failing case; of equal errors or gaps the first
     case is reported.
     """
-    if n_cases < 1:
+    if _count(n_cases, "n_cases") < 1:
         raise ValueError(f"n_cases must be at least 1, got {n_cases}")
     rng = _PCG64(seed)
 

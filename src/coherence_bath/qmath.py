@@ -34,7 +34,9 @@ def as_density_matrix(m) -> np.ndarray:
     Checks finiteness, shape (2x2 or 4x4), Hermiticity, unit trace and
     positive semidefiniteness down to the round-off floor.
     """
-    rho = np.asarray(m, dtype=complex)
+    if (rho := np.asarray(m)).dtype.kind not in "iufc":  # no bool, text or object entries
+        raise TypeError(f"density matrix must be an array of numbers, got dtype {rho.dtype}")
+    rho = rho.astype(complex, copy=False)
     if rho.ndim != 2 or rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):

@@ -24,6 +24,7 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
+    _as,
     _in_unit_interval,
     _real,
     decay_rate,
@@ -48,9 +49,9 @@ class InitialAngles:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.theta) or not 0.0 <= self.theta <= math.pi:
+        if not 0.0 <= _real(self.theta, "theta") <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not math.isfinite(self.phi) or not 0.0 <= self.phi < 2.0 * math.pi:
+        if not 0.0 <= _real(self.phi, "phi") < 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
 
@@ -68,10 +69,6 @@ class OneSidedChannel:
             raise ValueError(f"phase must be finite, got {self.phase}")
 
 
-def _as_channel(channel) -> OneSidedChannel:
-    return channel if isinstance(channel, OneSidedChannel) else OneSidedChannel(*channel)
-
-
 @dataclass(frozen=True, eq=False)
 class CoherenceTrace:
     """Read-only columns q, c_l1, c_re of one length, q strictly increasing.
@@ -83,22 +80,21 @@ class CoherenceTrace:
     c_re: np.ndarray
 
     def __post_init__(self):
+        _in_unit_interval(self.q, "trace q values")
         for name in ("q", "c_l1", "c_re"):
             column = np.asarray(getattr(self, name), dtype=float).view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if self.q.ndim != 1 or not self.q.shape == self.c_l1.shape == self.c_re.shape:
             raise ValueError("trace columns must be 1-D and of equal length")
-        _in_unit_interval(self.q, "trace q values")
         if np.any(self.q[1:] <= self.q[:-1]):  # no float difference column; q is finite here
             raise ValueError("trace q values must be strictly increasing")
 
 
 def evolve_closed_form(angles: InitialAngles, channel: OneSidedChannel) -> np.ndarray:
     """The 2x2 density matrix that ``channel`` makes of the pure initial state."""
-    if not isinstance(angles, InitialAngles):
-        angles = InitialAngles(*angles)
-    channel = _as_channel(channel)
+    angles = _as(InitialAngles, angles, "angles")
+    channel = _as(OneSidedChannel, channel, "channel")
     qp = channel.damping
     cos_t, sin_t = math.cos(angles.theta), math.sin(angles.theta)
     population = 0.5 * (1.0 + cos_t * (1.0 - qp) - qp)
@@ -143,7 +139,7 @@ def c_re_trajectory(theta: float, q, geometry: Geometry, polarization: Polarizat
 
 
 def _check_open_interval(q: float):
-    if not math.isfinite(q) or not 0.0 < q < 1.0:
+    if not 0.0 < _real(q, "q") < 1.0:
         raise ValueError(f"derivatives are defined on the open interval (0, 1), got q={q}")
 
 

@@ -28,13 +28,15 @@ import numpy as np
 from .boundary import (
     Geometry,
     PolarizationWeights,
+    _as,
     _in_unit_interval,
+    _real,
     decay_rate,
     noise_to_damping,
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _as_channel, _freeze_verdict
+from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _freeze_verdict
 
 # Bell states land exactly on the physicality boundary; this absorbs the
 # round-off of user-supplied correlation vectors.
@@ -52,7 +54,7 @@ class BellDiagonalParams:
     def __post_init__(self):
         # A nonnegative spectrum bounds each |c_i| by 1 + 4 |PHYSICALITY_TOL|.
         for name, value in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
-            if not math.isfinite(value):
+            if not math.isfinite(_real(value, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
         for label, value in self.eigenvalues().items():
             if value < PHYSICALITY_TOL:
@@ -70,13 +72,9 @@ class BellDiagonalParams:
         }
 
 
-def _as_bd(c) -> BellDiagonalParams:
-    return c if isinstance(c, BellDiagonalParams) else BellDiagonalParams(*c)
-
-
 def bd_density(c: BellDiagonalParams) -> np.ndarray:
     """Bell-diagonal density matrix in the {|11>,|10>,|01>,|00>} basis."""
-    c = _as_bd(c)
+    c = _as(BellDiagonalParams, c, "c")
     dp = 0.25 * (1.0 + c.c3)
     dm = 0.25 * (1.0 - c.c3)
     outer = 0.25 * (c.c1 - c.c2)
@@ -94,7 +92,7 @@ def bd_density(c: BellDiagonalParams) -> np.ndarray:
 
 def channel_kraus(ch: OneSidedChannel) -> list[np.ndarray]:
     """Kraus operators of the one-sided channel on the full two-qubit space."""
-    ch = _as_channel(ch)
+    ch = _as(OneSidedChannel, ch, "ch")
     qp = ch.damping
     rot = np.diag([np.exp(-0.5j * ch.phase), np.exp(0.5j * ch.phase)])
     k_keep = rot @ np.diag([math.sqrt(1.0 - qp), 1.0])
@@ -124,7 +122,7 @@ def choi_matrix(ch: OneSidedChannel) -> np.ndarray:
 
 def c_l1_bd(c: BellDiagonalParams, q_prime):
     """l1 coherence of the evolved Bell-diagonal state at damping q' (a float or an array)."""
-    c = _as_bd(c)
+    c = _as(BellDiagonalParams, c, "c")
     qp = _in_unit_interval(q_prime, "damping q'")
     return _float_if_scalar(0.5 * np.sqrt(1.0 - qp) * (abs(c.c1 + c.c2) + abs(c.c1 - c.c2)))
 
@@ -146,7 +144,7 @@ def _spectra(c: BellDiagonalParams, q_prime, outer):
 
 def c_re_bd(c: BellDiagonalParams, q_prime):
     """Relative entropy of coherence of the evolved state, from exact blocks."""
-    c = _as_bd(c)
+    c = _as(BellDiagonalParams, c, "c")
     dephased, evolved = _spectra(c, q_prime, c.c1 - c.c2)
     return _positive_part(entropy_bits(dephased) - entropy_bits(evolved))
 
@@ -158,7 +156,7 @@ def c_re_bd_closed_form(c: BellDiagonalParams, q_prime):
     outer-block gap and deviates.  Kept as a comparison column, never used
     as the authoritative value.
     """
-    c = _as_bd(c)
+    c = _as(BellDiagonalParams, c, "c")
     dephased, evolved = _spectra(c, q_prime, c.c1 + c.c2)
     # The symmetric gap can push a slot slightly negative for states near
     # the physicality boundary; clamp like any other spectral round-off.
@@ -176,7 +174,6 @@ def freezing_report_bd(
     predicate is validated against central-difference derivative suprema of
     both trajectories on the interior q grid.
     """
-    c = _as_bd(c)
     f = suppression_factor(geometry, polarization)
     gamma = decay_rate(f)
     step = 1e-5
