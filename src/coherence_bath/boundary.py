@@ -14,14 +14,14 @@ rate.  gamma_eff -> 0 as u -> 0 for purely in-plane polarization, which is
 the configuration that freezes coherence.
 """
 
+import collections
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import _float_if_scalar
+from .qmath import _float_if_scalar, _real_array
 
 WEIGHT_SUM_TOL = 1e-12
 GAMMA_CLAMP = -1e-12
@@ -66,9 +66,17 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _value_type(field_names: str):
+    """A named tuple to subclass as a value type; ``_make``, so ``_replace``, builds through its checked ``__new__``."""
+    fields = collections.namedtuple("_Fields", field_names)
+    fields._make = classmethod(lambda cls, values: cls(*values))
+    return fields
+
+
 def _as(cls, value, name: str):
-    """``value`` as a ``cls``: an instance as it is, a tuple as its fields; else TypeError naming ``name``."""
-    if not isinstance(value, (cls, tuple)):
+    """``value`` as a ``cls``: an instance as it is, a plain tuple as its fields; else TypeError naming ``name``."""
+    lengths = range(len(cls._fields) - len(cls.__new__.__defaults__ or ()), len(cls._fields) + 1)
+    if not isinstance(value, cls) and (type(value) is not tuple or len(value) not in lengths):
         raise TypeError(f"{name} must be {cls.__name__} or a tuple of its fields, got {reprlib.repr(value)}")
     return value if isinstance(value, cls) else cls(*value)
 
@@ -141,23 +149,19 @@ def f_perpendicular(u: float) -> float:
     return f_perpendicular_series(u) if _check_u(u) < SERIES_CUTOFF else f_perpendicular_direct(u)
 
 
-@dataclass(frozen=True)
-class PolarizationWeights:
+class PolarizationWeights(_value_type("ax ay az")):
     """Relative polarizability weights (ax, ay, az), nonnegative, summing to 1."""
 
-    ax: float
-    ay: float
-    az: float
-
-    def __post_init__(self):
-        for name, value in (("ax", self.ax), ("ay", self.ay), ("az", self.az)):
+    __slots__ = ()
+    def __new__(cls, ax: float, ay: float, az: float):
+        for name, value in (("ax", ax), ("ay", ay), ("az", az)):
             if not math.isfinite(_real(value, f"polarization weight {name}")):
                 raise ValueError(f"polarization weight {name} must be finite, got {value}")
             if value < 0.0:
                 raise ValueError(f"polarization weight {name} must be nonnegative, got {value}")
-        total = self.ax + self.ay + self.az
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"polarization weights must sum to 1, got {total:.17g}")
+        if abs(ax + ay + az - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"polarization weights must sum to 1, got {ax + ay + az:.17g}")
+        return super().__new__(cls, ax, ay, az)
 
     @classmethod
     def parallel(cls) -> "PolarizationWeights":
@@ -183,19 +187,16 @@ _PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(_value_type("u")):
     """Field configuration: unbounded vacuum, or a mirror at distance u.
 
     ``u = omega0 * z0 / c`` is the dimensionless atom-boundary separation;
     ``None`` selects the unbounded vacuum.
     """
 
-    u: float | None = None
-
-    def __post_init__(self):
-        if self.u is not None:
-            object.__setattr__(self, "u", _check_u(self.u))
+    __slots__ = ()
+    def __new__(cls, u: float | None = None):
+        return super().__new__(cls, None if u is None else _check_u(u))
 
     @classmethod
     def unbounded(cls) -> "Geometry":
@@ -240,10 +241,7 @@ def decay_rate(f: float) -> float:
 
 def _in_unit_interval(values, what: str) -> np.ndarray:
     """``values`` as a float array; TypeError unless real, ValueError names the first value outside [0, 1] or NaN."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"{what} must be a real number or an array of them, got {reprlib.repr(values)}")
-    arr = arr.astype(float, copy=False)
+    arr = _real_array(values, what)
     outside = ~((arr >= 0.0) & (arr <= 1.0))
     if outside.any():
         raise ValueError(f"{what} must lie in [0, 1], got {arr[outside][0]}")

@@ -23,12 +23,12 @@ one step is that matrix, and n uniform steps are its n-th power.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .boundary import _PRESETS, Geometry, _as, _count, _real, decay_rate, noise_to_damping, suppression_factor
+from .boundary import (_PRESETS, Geometry, _as, _count, _real, _value_type, decay_rate, noise_to_damping,
+                       suppression_factor)
 from .qmath import PAULI, as_density_matrix
 from .single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
 from .two_qubit import (
@@ -46,8 +46,7 @@ class InstabilityError(RuntimeError):
     """The fixed step was too large for the generator's decay rates."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_value_type("a_coeff b_coeff omega n_qubits")):
     """Kossakowski coefficients and level spacing defining the generator.
 
     ``a_coeff`` and ``b_coeff`` are the A and B entries of the Kossakowski
@@ -56,39 +55,32 @@ class GeneratorSpec:
     qubit A.
     """
 
-    a_coeff: float
-    b_coeff: float
-    omega: float = 0.0
-    n_qubits: int = 1
-
-    def __post_init__(self):
-        for name, value in (("a_coeff", self.a_coeff), ("b_coeff", self.b_coeff), ("omega", self.omega)):
+    __slots__ = ()
+    def __new__(cls, a_coeff: float, b_coeff: float, omega: float = 0.0, n_qubits: int = 1):
+        for name, value in (("a_coeff", a_coeff), ("b_coeff", b_coeff), ("omega", omega)):
             if not math.isfinite(_real(value, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.a_coeff < abs(self.b_coeff) - 1e-12:
-            raise ValueError(
-                f"complete positivity requires a_coeff >= |b_coeff|, "
-                f"got a={self.a_coeff}, b={self.b_coeff}"
-            )
-        if _count(self.n_qubits, "n_qubits") not in (1, 2):
-            raise ValueError(f"n_qubits must be 1 or 2, got {self.n_qubits}")
+        if a_coeff < abs(b_coeff) - 1e-12:
+            raise ValueError(f"complete positivity requires a_coeff >= |b_coeff|, got a={a_coeff}, b={b_coeff}")
+        if _count(n_qubits, "n_qubits") not in (1, 2):
+            raise ValueError(f"n_qubits must be 1 or 2, got {n_qubits}")
+        return super().__new__(cls, a_coeff, b_coeff, omega, n_qubits)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_qubits
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(_value_type("step")):
     """Fixed RK4 step size in units of inverse free-space rate; capped at 1e-2."""
 
-    step: float = 1e-3
-
-    def __post_init__(self):
-        if not math.isfinite(_real(self.step, "step")) or self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.step > 1e-2:
-            raise ValueError(f"step must be at most 1e-2, got {self.step}")
+    __slots__ = ()
+    def __new__(cls, step: float = 1e-3):
+        if not math.isfinite(_real(step, "step")) or step <= 0.0:
+            raise ValueError(f"step must be positive, got {step}")
+        if step > 1e-2:
+            raise ValueError(f"step must be at most 1e-2, got {step}")
+        return super().__new__(cls, step)
 
 
 @functools.cache

@@ -10,6 +10,8 @@ energy basis as their reference basis, so they take no basis argument: they
 vanish exactly on diagonal states and are invariant under diagonal phases.
 """
 
+import reprlib
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -53,6 +55,13 @@ def as_density_matrix(m) -> np.ndarray:
     return rho
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; TypeError naming ``what`` unless it holds ints or floats, not bools."""
+    if (arr := np.asarray(values)).dtype.kind not in "iuf":
+        raise TypeError(f"{what} must be a real number or an array of them, got {reprlib.repr(values)}")
+    return arr.astype(float, copy=False)
+
+
 def entropy_bits(values):
     """Shannon entropy in bits of a probability-like vector, or of each
     vector along the last axis of an array (a 1-D input gives a float).
@@ -60,10 +69,10 @@ def entropy_bits(values):
     Values in (EIGENVALUE_FLOOR, 0) are clamped to zero and values in
     (1, 1 - EIGENVALUE_FLOOR) to one (round-off from diagonalization); values
     below the floor raise PositivityError, values above 1 - EIGENVALUE_FLOOR,
-    NaN or Inf raise ValueError.  Values are summed in sorted order, so equal
-    multisets give bitwise-equal entropies regardless of input ordering.
+    NaN or Inf raise ValueError, and bool, text or object entries TypeError.
+    Values are summed in sorted order, so equal multisets give equal bits.
     """
-    vals = np.asarray(values, dtype=float)
+    vals = _real_array(values, "probabilities")
     if not np.isfinite(vals).all():
         raise ValueError("probabilities must be finite, got NaN or Inf")
     if np.any(vals < EIGENVALUE_FLOOR):

@@ -16,7 +16,6 @@ off-diagonal phase.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,11 +26,12 @@ from .boundary import (
     _as,
     _in_unit_interval,
     _real,
+    _value_type,
     decay_rate,
     noise_to_damping,
     suppression_factor,
 )
-from .qmath import _float_if_scalar, _positive_part, entropy_bits
+from .qmath import _float_if_scalar, _positive_part, _real_array, entropy_bits
 
 # Predicate window for exact freezing and the numeric derivative bound the
 # classification is validated against.
@@ -41,54 +41,58 @@ _VALIDATION_GRID = np.linspace(0.01, 0.99, 99)
 _SMALLEST_NORMAL = 2.0**-1022
 
 
-@dataclass(frozen=True)
-class InitialAngles:
+class InitialAngles(_value_type("theta phi")):
     """Bloch angles of the pure initial state, theta in [0, pi], phi in [0, 2 pi)."""
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ()
+    def __new__(cls, theta: float, phi: float = 0.0):
+        if not 0.0 <= _real(theta, "theta") <= math.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {theta}")
+        if not 0.0 <= _real(phi, "phi") < 2.0 * math.pi:
+            raise ValueError(f"phi must lie in [0, 2 pi), got {phi}")
+        return super().__new__(cls, theta, phi)
 
-    def __post_init__(self):
-        if not 0.0 <= _real(self.theta, "theta") <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= _real(self.phi, "phi") < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2 pi), got {self.phi}")
 
-
-@dataclass(frozen=True)
-class OneSidedChannel:
+class OneSidedChannel(_value_type("damping phase")):
     """Amplitude damping of one qubit, or of atom A of a pair: one real damping
     q' in [0, 1] plus a phase rotation by Omega tau."""
 
-    damping: float
-    phase: float = 0.0
+    __slots__ = ()
+    def __new__(cls, damping: float, phase: float = 0.0):
+        _in_unit_interval(_real(damping, "damping"), "damping")
+        if not math.isfinite(_real(phase, "phase")):
+            raise ValueError(f"phase must be finite, got {phase}")
+        return super().__new__(cls, damping, phase)
 
-    def __post_init__(self):
-        _in_unit_interval(_real(self.damping, "damping"), "damping")
-        if not math.isfinite(_real(self.phase, "phase")):
-            raise ValueError(f"phase must be finite, got {self.phase}")
 
-
-@dataclass(frozen=True, eq=False)
 class CoherenceTrace:
-    """Read-only columns q, c_l1, c_re of one length, q strictly increasing.
+    """Read-only columns q, c_l1, c_re of real numbers, of one length, q strictly increasing.
 
     No function of the package builds one; bench/spans.py wraps its __init__ by name."""
 
-    q: np.ndarray
-    c_l1: np.ndarray
-    c_re: np.ndarray
+    __slots__ = ("q", "c_l1", "c_re")
 
-    def __post_init__(self):
-        _in_unit_interval(self.q, "trace q values")
-        for name in ("q", "c_l1", "c_re"):
-            column = np.asarray(getattr(self, name), dtype=float).view()
+    def __init__(self, q, c_l1, c_re):
+        _in_unit_interval(q, "trace q values")
+        for name, column in (("q", q), ("c_l1", c_l1), ("c_re", c_re)):
+            column = _real_array(column, f"trace {name} values").view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if self.q.ndim != 1 or not self.q.shape == self.c_l1.shape == self.c_re.shape:
             raise ValueError("trace columns must be 1-D and of equal length")
         if np.any(self.q[1:] <= self.q[:-1]):  # no float difference column; q is finite here
             raise ValueError("trace q values must be strictly increasing")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__name__}(q={self.q!r}, c_l1={self.c_l1!r}, c_re={self.c_re!r})"
+
+    def __reduce__(self):  # copy and pickle build through __init__
+        return type(self), (self.q, self.c_l1, self.c_re)
 
 
 def evolve_closed_form(angles: InitialAngles, channel: OneSidedChannel) -> np.ndarray:

@@ -21,7 +21,6 @@ and is retained purely as a cross-check column.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .boundary import (
     _as,
     _in_unit_interval,
     _real,
+    _value_type,
     decay_rate,
     noise_to_damping,
     suppression_factor,
@@ -43,24 +43,20 @@ from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _free
 PHYSICALITY_TOL = -1e-12
 
 
-@dataclass(frozen=True)
-class BellDiagonalParams:
+class BellDiagonalParams(_value_type("c1 c2 c3")):
     """Correlation vector (c1, c2, c3) of a maximally-mixed-marginals state."""
 
-    c1: float
-    c2: float
-    c3: float
-
-    def __post_init__(self):
+    __slots__ = ()
+    def __new__(cls, c1: float, c2: float, c3: float):
         # A nonnegative spectrum bounds each |c_i| by 1 + 4 |PHYSICALITY_TOL|.
-        for name, value in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
+        for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
             if not math.isfinite(_real(value, name)):
                 raise ValueError(f"{name} must be finite, got {value}")
+        self = super().__new__(cls, c1, c2, c3)
         for label, value in self.eigenvalues().items():
             if value < PHYSICALITY_TOL:
-                raise ValueError(
-                    f"unphysical correlation vector: eigenvalue {label} = {value:.3e} < 0"
-                )
+                raise ValueError(f"unphysical correlation vector: eigenvalue {label} = {value:.3e} < 0")
+        return self
 
     def eigenvalues(self) -> dict[str, float]:
         """The four spectral values of the initial state, keyed by closed form."""

@@ -7,7 +7,10 @@ and q' and density matrices hold numbers, never bools, text or objects.
 ``CONTRACTS`` has one row per name in ``coherence_bath.__all__``: for each
 argument, the label its error message starts with, the wrong values, and a
 call that passes one of them with every other argument valid.  A name that
-takes no number, array or value type has an empty row.
+takes no number, array or value type has an empty row.  A value type's wrong
+values include tuples of the wrong length and a value of another value type
+whose fields would pass its checks: each value type is a tuple, but not a
+tuple of another type's fields.
 """
 
 import re
@@ -67,12 +70,25 @@ MIRROR = Geometry.mirror(0.5)
 PARALLEL = PolarizationWeights.parallel()
 SPEC = GeneratorSpec(0.25, 0.25)
 
+# Per value type: VALUE, a tuple one field too short (where its fields have no
+# defaults), one field too long, and a value of another value type that it
+# would take as its fields.
+VALUE_OF = {
+    Geometry: VALUE + ((0.5, 0.5), IntegratorConfig(0.005)),
+    PolarizationWeights: VALUE + ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0), BellDiagonalParams(1.0, 0.0, 0.0)),
+    GeneratorSpec: VALUE + ((0.25,), (0.25, 0.25, 0.0, 1, 0.0), InitialAngles(0.25, 0.25)),
+    IntegratorConfig: VALUE + ((0.005, 0.005), Geometry(0.005)),
+    InitialAngles: VALUE + ((), (1.0, 0.0, 0.0), OneSidedChannel(0.5, 0.0)),
+    OneSidedChannel: VALUE + ((), (0.5, 0.0, 0.0), InitialAngles(0.5, 0.0)),
+    BellDiagonalParams: VALUE + ((0.3, 0.2), (0.3, 0.2, 0.1, 0.0), PolarizationWeights(1.0, 0.0, 0.0)),
+}
+
 
 def _env(call):
     """Rows for a (geometry, polarization) pair: call(geometry, polarization)."""
     return {
-        "geometry": ("geometry", VALUE, lambda x: call(x, PARALLEL)),
-        "polarization": ("polarization", VALUE, lambda x: call(MIRROR, x)),
+        "geometry": ("geometry", VALUE_OF[Geometry], lambda x: call(x, PARALLEL)),
+        "polarization": ("polarization", VALUE_OF[PolarizationWeights], lambda x: call(MIRROR, x)),
     }
 
 
@@ -103,7 +119,7 @@ def _derivative(derivative):
 
 def _bd_kernel(kernel):
     return {
-        "c": ("c", VALUE, lambda x: kernel(x, 0.5)),
+        "c": ("c", VALUE_OF[BellDiagonalParams], lambda x: kernel(x, 0.5)),
         **_q_prime_kernel(kernel, BD),
     }
 
@@ -136,15 +152,15 @@ CONTRACTS = {
     "ValidationReport": {},  # a result record
     "integrate": {
         "rho0": ("density matrix", MATRIX, lambda x: integrate(x, SPEC, 0.5)),
-        "spec": ("spec", VALUE, lambda x: integrate(RHO, x, 0.5)),
+        "spec": ("spec", VALUE_OF[GeneratorSpec], lambda x: integrate(RHO, x, 0.5)),
         "tau": ("tau", REAL, lambda x: integrate(RHO, SPEC, x)),
-        "cfg": ("cfg", VALUE, lambda x: integrate(RHO, SPEC, 0.5, x)),
+        "cfg": ("cfg", VALUE_OF[IntegratorConfig], lambda x: integrate(RHO, SPEC, 0.5, x)),
     },
-    "liouvillian_matrix": {"spec": ("spec", VALUE, liouvillian_matrix)},
+    "liouvillian_matrix": {"spec": ("spec", VALUE_OF[GeneratorSpec], liouvillian_matrix)},
     "validate_all": {
         "seed": ("seed", COUNT, lambda x: validate_all(x, 1)),
         "n_cases": ("n_cases", COUNT, lambda x: validate_all(1, x)),
-        "cfg": ("cfg", VALUE, lambda x: validate_all(1, 1, x)),
+        "cfg": ("cfg", VALUE_OF[IntegratorConfig], lambda x: validate_all(1, 1, x)),
     },
     # qmath
     "PositivityError": {},
@@ -152,7 +168,11 @@ CONTRACTS = {
     "c_re": _measures(c_re),
     "von_neumann_entropy": _measures(von_neumann_entropy),
     # single_qubit
-    "CoherenceTrace": {"q": ("trace q values", ARRAY, lambda x: CoherenceTrace(x, [1.0], [0.0]))},
+    "CoherenceTrace": {
+        "q": ("trace q values", ARRAY, lambda x: CoherenceTrace(x, [1.0], [0.0])),
+        "c_l1": ("trace c_l1 values", ARRAY, lambda x: CoherenceTrace([0.5], x, [0.0])),
+        "c_re": ("trace c_re values", ARRAY, lambda x: CoherenceTrace([0.5], [1.0], x)),
+    },
     "FreezeReport": {},  # a result record
     "InitialAngles": {
         "theta": ("theta", REAL, InitialAngles),
@@ -169,8 +189,8 @@ CONTRACTS = {
     "dq_c_l1": _derivative(dq_c_l1),
     "dq_c_re": _derivative(dq_c_re),
     "evolve_closed_form": {
-        "angles": ("angles", VALUE, lambda x: evolve_closed_form(x, CHANNEL)),
-        "channel": ("channel", VALUE, lambda x: evolve_closed_form((1.0, 0.0), x)),
+        "angles": ("angles", VALUE_OF[InitialAngles], lambda x: evolve_closed_form(x, CHANNEL)),
+        "channel": ("channel", VALUE_OF[OneSidedChannel], lambda x: evolve_closed_form((1.0, 0.0), x)),
     },
     "freezing_report": {
         "theta": ("theta", REAL, lambda x: freezing_report(x, MIRROR, PARALLEL)),
@@ -184,15 +204,15 @@ CONTRACTS = {
     },
     "apply_one_sided_channel": {
         "rho": ("density matrix", MATRIX, lambda x: apply_one_sided_channel(x, CHANNEL)),
-        "ch": ("ch", VALUE, lambda x: apply_one_sided_channel(bd_density(BD), x)),
+        "ch": ("ch", VALUE_OF[OneSidedChannel], lambda x: apply_one_sided_channel(bd_density(BD), x)),
     },
-    "bd_density": {"c": ("c", VALUE, bd_density)},
+    "bd_density": {"c": ("c", VALUE_OF[BellDiagonalParams], bd_density)},
     "c_l1_bd": _bd_kernel(c_l1_bd),
     "c_re_bd": _bd_kernel(c_re_bd),
     "c_re_bd_closed_form": _bd_kernel(c_re_bd_closed_form),
-    "choi_matrix": {"ch": ("ch", VALUE, choi_matrix)},
+    "choi_matrix": {"ch": ("ch", VALUE_OF[OneSidedChannel], choi_matrix)},
     "freezing_report_bd": {
-        "c": ("c", VALUE, lambda x: freezing_report_bd(x, MIRROR, PARALLEL)),
+        "c": ("c", VALUE_OF[BellDiagonalParams], lambda x: freezing_report_bd(x, MIRROR, PARALLEL)),
         **_env(lambda g, p: freezing_report_bd(BD, g, p)),
     },
 }

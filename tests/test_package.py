@@ -14,11 +14,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
 
 # Imports the package alone, then the CLI module; prints whether numpy was
 # loaded before the CLI, the BLAS thread setting numpy then saw, and whether
-# configparser (only --config needs it) and fractions (unused) were loaded.
+# configparser (only --config needs it), fractions and dataclasses (unused)
+# were loaded.
 PROBE = (
     "import os, sys, coherence_bath; before = 'numpy' in sys.modules; "
     "import coherence_bath.cli; print(before, os.environ.get('OPENBLAS_NUM_THREADS'), "
-    "'configparser' in sys.modules, 'fractions' in sys.modules)"
+    "'configparser' in sys.modules, 'fractions' in sys.modules, 'dataclasses' in sys.modules)"
 )
 
 
@@ -55,7 +56,7 @@ def test_unknown_attribute_raises():
 
 
 def test_cli_defaults_blas_to_one_thread_before_numpy_loads():
-    before, threads, _, _ = _probe()
+    before, threads = _probe()[:2]
     assert (before, threads) == ("False", "1")
 
 
@@ -64,7 +65,23 @@ def test_cli_keeps_the_users_blas_threads():
 
 
 def test_cli_import_skips_configparser_and_fractions():
-    assert _probe()[2:] == ["False", "False"]
+    assert _probe()[2:4] == ["False", "False"]
+
+
+def test_no_command_loads_dataclasses():
+    # The value types are named tuples and plain classes; the module and its
+    # decorations would only add start-up time and memory to every command.
+    assert _probe()[4] == "False"
+    probe = (
+        "import contextlib, io, sys; from coherence_bath import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['freeze', '--mode', 'two', '--c1', '0.3', '--c2', '0.2', '--c3', '0.1']),\n"
+        "             cli.main(['single', '--q-count', '11'])]\n"
+        "print(*codes, 'dataclasses' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "0", "False"]
 
 
 def test_validate_loads_neither_numpy_random_nor_openssl():

@@ -113,6 +113,20 @@ def test_entropy_rejects_non_finite(values):
         entropy_bits(values)
 
 
+@pytest.mark.parametrize(
+    "values", [["0.5", "0.5"], [True, False], np.array([0.5, 0.5], dtype=object), [0.5 + 0j, 0.5], None]
+)
+def test_entropy_takes_only_real_numbers(values):
+    # as float arrays, the text gave 1.0 and the bools -0.0
+    with pytest.raises(TypeError, match="^probabilities must be a real number or an array of them, got "):
+        entropy_bits(values)
+
+
+def test_entropy_takes_ints_and_every_float_width():
+    assert entropy_bits([1, 0]) == 0.0
+    assert entropy_bits(np.array([0.5, 0.5], dtype=np.float32)) == entropy_bits([np.float64(0.5), 0.5]) == 1.0
+
+
 def test_entropy_invariant_under_diagonal_permutation(rng):
     probs = rng.dirichlet(np.ones(4))
     base = von_neumann_entropy(np.diag(probs).astype(complex))
