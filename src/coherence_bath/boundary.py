@@ -19,9 +19,9 @@ import math
 import numbers
 import reprlib
 
-import numpy as np
-
 from .qmath import _float_if_scalar, _real_array
+
+import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
 GAMMA_CLAMP = -1e-12
@@ -154,8 +154,9 @@ class PolarizationWeights(_value_type("ax ay az")):
 
     __slots__ = ()
     def __new__(cls, ax: float, ay: float, az: float):
-        for name, value in (("ax", ax), ("ay", ay), ("az", az)):
-            if not math.isfinite(_real(value, f"polarization weight {name}")):
+        ax, ay, az = (_real(value, f"polarization weight {name}") for name, value in zip(cls._fields, (ax, ay, az)))
+        for name, value in zip(cls._fields, (ax, ay, az)):
+            if not math.isfinite(value):
                 raise ValueError(f"polarization weight {name} must be finite, got {value}")
             if value < 0.0:
                 raise ValueError(f"polarization weight {name} must be nonnegative, got {value}")

@@ -25,12 +25,6 @@ import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .boundary import (_PRESETS, Geometry, _as, _count, _real, _value_type, decay_rate, noise_to_damping,
-                       suppression_factor)
-from .qmath import PAULI, as_density_matrix
-from .single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
 from .two_qubit import (
     BellDiagonalParams,
     apply_one_sided_channel,
@@ -38,6 +32,12 @@ from .two_qubit import (
     c_re_bd,
     c_re_bd_closed_form,
 )
+from .single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
+from .boundary import (_PRESETS, Geometry, _as, _count, _real, _value_type, decay_rate, noise_to_damping,
+                       suppression_factor)
+from .qmath import PAULI, as_density_matrix
+
+import numpy as np
 
 VALIDATION_TOLERANCE = 1e-8
 
@@ -57,12 +57,14 @@ class GeneratorSpec(_value_type("a_coeff b_coeff omega n_qubits")):
 
     __slots__ = ()
     def __new__(cls, a_coeff: float, b_coeff: float, omega: float = 0.0, n_qubits: int = 1):
+        a_coeff, b_coeff, omega = _real(a_coeff, "a_coeff"), _real(b_coeff, "b_coeff"), _real(omega, "omega")
+        n_qubits = _count(n_qubits, "n_qubits")
         for name, value in (("a_coeff", a_coeff), ("b_coeff", b_coeff), ("omega", omega)):
-            if not math.isfinite(_real(value, name)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if a_coeff < abs(b_coeff) - 1e-12:
             raise ValueError(f"complete positivity requires a_coeff >= |b_coeff|, got a={a_coeff}, b={b_coeff}")
-        if _count(n_qubits, "n_qubits") not in (1, 2):
+        if n_qubits not in (1, 2):
             raise ValueError(f"n_qubits must be 1 or 2, got {n_qubits}")
         return super().__new__(cls, a_coeff, b_coeff, omega, n_qubits)
 
@@ -76,7 +78,8 @@ class IntegratorConfig(_value_type("step")):
 
     __slots__ = ()
     def __new__(cls, step: float = 1e-3):
-        if not math.isfinite(_real(step, "step")) or step <= 0.0:
+        step = _real(step, "step")
+        if not math.isfinite(step) or step <= 0.0:
             raise ValueError(f"step must be positive, got {step}")
         if step > 1e-2:
             raise ValueError(f"step must be at most 1e-2, got {step}")

@@ -18,8 +18,6 @@ off-diagonal phase.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .boundary import (
     Geometry,
     PolarizationWeights,
@@ -32,6 +30,8 @@ from .boundary import (
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, _real_array, entropy_bits
+
+import numpy as np
 
 # Predicate window for exact freezing and the numeric derivative bound the
 # classification is validated against.
@@ -46,9 +46,10 @@ class InitialAngles(_value_type("theta phi")):
 
     __slots__ = ()
     def __new__(cls, theta: float, phi: float = 0.0):
-        if not 0.0 <= _real(theta, "theta") <= math.pi:
+        theta, phi = _real(theta, "theta"), _real(phi, "phi")
+        if not 0.0 <= theta <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
-        if not 0.0 <= _real(phi, "phi") < 2.0 * math.pi:
+        if not 0.0 <= phi < 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2 pi), got {phi}")
         return super().__new__(cls, theta, phi)
 
@@ -59,8 +60,9 @@ class OneSidedChannel(_value_type("damping phase")):
 
     __slots__ = ()
     def __new__(cls, damping: float, phase: float = 0.0):
-        _in_unit_interval(_real(damping, "damping"), "damping")
-        if not math.isfinite(_real(phase, "phase")):
+        damping, phase = _real(damping, "damping"), _real(phase, "phase")
+        _in_unit_interval(damping, "damping")
+        if not math.isfinite(phase):
             raise ValueError(f"phase must be finite, got {phase}")
         return super().__new__(cls, damping, phase)
 

@@ -22,8 +22,7 @@ and is retained purely as a cross-check column.
 
 import math
 
-import numpy as np
-
+from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _freeze_verdict
 from .boundary import (
     Geometry,
     PolarizationWeights,
@@ -36,7 +35,8 @@ from .boundary import (
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, as_density_matrix, entropy_bits
-from .single_qubit import _VALIDATION_GRID, FreezeReport, OneSidedChannel, _freeze_verdict
+
+import numpy as np
 
 # Bell states land exactly on the physicality boundary; this absorbs the
 # round-off of user-supplied correlation vectors.
@@ -49,8 +49,9 @@ class BellDiagonalParams(_value_type("c1 c2 c3")):
     __slots__ = ()
     def __new__(cls, c1: float, c2: float, c3: float):
         # A nonnegative spectrum bounds each |c_i| by 1 + 4 |PHYSICALITY_TOL|.
+        c1, c2, c3 = _real(c1, "c1"), _real(c2, "c2"), _real(c3, "c3")
         for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
-            if not math.isfinite(_real(value, name)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         self = super().__new__(cls, c1, c2, c3)
         for label, value in self.eigenvalues().items():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -82,6 +83,45 @@ def test_no_command_loads_dataclasses():
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["0", "0", "False"]
+
+
+# Records, for each module of the package, whether numpy was already loaded
+# when the source loader fetched the module's code; get_code runs whether the
+# bytecode is cached or compiled from source.
+COMPILE_ORDER_PROBE = """
+import importlib.machinery, json, runpy, sys
+fetched, late = [], []
+get_code = importlib.machinery.SourceFileLoader.get_code
+def recorded(self, fullname):
+    if fullname.split(".")[0] == "coherence_bath":
+        fetched.append(fullname)
+        if "numpy" in sys.modules:
+            late.append(fullname)
+    return get_code(self, fullname)
+importlib.machinery.SourceFileLoader.get_code = recorded
+if sys.argv[1:]:
+    sys.argv[0] = "coherence_bath.cli"
+    try:
+        runpy.run_module("coherence_bath.cli", run_name="__main__")
+    except SystemExit as stop:
+        assert stop.code == 0, stop.code
+else:
+    import coherence_bath.cli
+print(json.dumps([sorted(fetched), late]))
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["freeze", "--mode", "two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1"]],
+                         ids=["import", "freeze"])
+def test_the_package_compiles_before_numpy_loads(argv):
+    # A module compiled after numpy stacks the compiler's scratch memory on
+    # numpy's and raises the process's peak.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", COMPILE_ORDER_PROBE, *argv], env=env, capture_output=True,
+                          text=True, check=True)
+    fetched, late = json.loads(done.stdout.splitlines()[-1])
+    assert fetched == sorted(["coherence_bath", *(f"coherence_bath.{module}" for module in LAYERS)])
+    assert late == []
 
 
 def test_validate_loads_neither_numpy_random_nor_openssl():

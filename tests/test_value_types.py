@@ -23,6 +23,8 @@ from coherence_bath import (
     IntegratorConfig,
     OneSidedChannel,
     PolarizationWeights,
+    c_re_bd,
+    evolve_closed_form,
     liouvillian_matrix,
 )
 
@@ -45,6 +47,17 @@ TUPLES = [
     (BellDiagonalParams(0.3, 0.2, 0.1), "BellDiagonalParams(c1=0.3, c2=0.2, c3=0.1)",
      {"c1": 0.3, "c2": 0.2, "c3": 0.1},
      ("c1", 3.0, "unphysical correlation vector: eigenvalue")),
+]
+# A value built from numpy scalars and ints, and the value built from the
+# floats (and for n_qubits the int) that its checks convert them to.
+CONVERTED = [
+    (Geometry(np.float32(0.5)), Geometry(0.5)),
+    (PolarizationWeights(np.int64(1), 0, np.float64(0.0)), PolarizationWeights(1.0, 0.0, 0.0)),
+    (GeneratorSpec(1, np.float32(0.5), np.float64(0.25), np.int64(2)), GeneratorSpec(1.0, 0.5, 0.25, 2)),
+    (IntegratorConfig(np.float32(1e-3)), IntegratorConfig(float(np.float32(1e-3)))),
+    (InitialAngles(np.float64(1.0), 0), InitialAngles(1.0, 0.0)),
+    (OneSidedChannel(np.float32(0.1), 1), OneSidedChannel(float(np.float32(0.1)), 1.0)),
+    (BellDiagonalParams(np.float32(0.3), 0.2, 0), BellDiagonalParams(float(np.float32(0.3)), 0.2, 0.0)),
 ]
 TRACE = {"q": [0.1, 0.2], "c_l1": [1.0, 0.9], "c_re": [1.0, 0.8]}
 TRACE_REPR = "CoherenceTrace(q=array([0.1, 0.2]), c_l1=array([1. , 0.9]), c_re=array([1. , 0.8]))"
@@ -70,6 +83,20 @@ def test_repr_is_the_parents():
     with pytest.raises(ValueError, match=r"^the generator of GeneratorSpec\(a_coeff=1e\+308, b_coeff=1e\+308, "
                                          r"omega=0\.0, n_qubits=1\) overflows a float$"):
         liouvillian_matrix(GeneratorSpec(1e308, 1e308))
+
+
+@pytest.mark.parametrize("value, plain", CONVERTED, ids=[type(row[0]).__name__ for row in CONVERTED])
+def test_fields_are_stored_as_the_checks_convert_them(value, plain):
+    assert repr(value) == repr(plain)
+    assert [type(field) for field in value] == [type(field) for field in plain]
+
+
+def test_a_float32_field_computes_in_double_precision():
+    # numpy 2 keeps a float32 scalar's precision in arithmetic with floats
+    damping, c1 = np.float32(0.1), np.float32(0.3)
+    assert np.array_equal(evolve_closed_form(InitialAngles(1.0), OneSidedChannel(damping)),
+                          evolve_closed_form(InitialAngles(1.0), OneSidedChannel(float(damping))))
+    assert c_re_bd(BellDiagonalParams(c1, 0.2, 0.1), 0.4) == c_re_bd(BellDiagonalParams(float(c1), 0.2, 0.1), 0.4)
 
 
 def test_fields_and_new_attributes_cannot_be_assigned_or_deleted():
