@@ -53,10 +53,12 @@ _PAR_COEFFS, _PERP_COEFFS = _series_coefficients(_SERIES_TERMS)
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; TypeError naming ``name`` unless it is one real number (a bool is not)."""
+    """``value`` as a float; TypeError naming ``name`` unless one real number (not a bool), ValueError unless finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {reprlib.repr(value)}")
-    return float(value)
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _count(value, name: str) -> int:
@@ -83,7 +85,7 @@ def _as(cls, value, name: str):
 
 def _check_u(u: float) -> float:
     u = _real(u, "boundary distance u")
-    if not math.isfinite(u) or u <= 0.0:
+    if u <= 0.0:
         raise ValueError(f"boundary distance u must be finite and positive, got {u}")
     return u
 
@@ -156,8 +158,6 @@ class PolarizationWeights(_value_type("ax ay az")):
     def __new__(cls, ax: float, ay: float, az: float):
         ax, ay, az = (_real(value, f"polarization weight {name}") for name, value in zip(cls._fields, (ax, ay, az)))
         for name, value in zip(cls._fields, (ax, ay, az)):
-            if not math.isfinite(value):
-                raise ValueError(f"polarization weight {name} must be finite, got {value}")
             if value < 0.0:
                 raise ValueError(f"polarization weight {name} must be nonnegative, got {value}")
         if abs(ax + ay + az - 1.0) > WEIGHT_SUM_TOL:
@@ -228,9 +228,7 @@ def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) ->
 
 def decay_rate(f: float) -> float:
     """gamma_eff = 1 - f for a finite suppression factor f, round-off below zero clamped to 0."""
-    if not math.isfinite(_real(f, "suppression factor f")):
-        raise ValueError(f"suppression factor f must be finite, got {f}")
-    gamma = 1.0 - f
+    gamma = 1.0 - _real(f, "suppression factor f")
     if gamma < 0.0:
         if gamma < GAMMA_CLAMP:
             # |f_i| <= 1 makes gamma >= 0 analytically; anything beyond
@@ -241,9 +239,9 @@ def decay_rate(f: float) -> float:
 
 
 def _in_unit_interval(values, what: str) -> np.ndarray:
-    """``values`` as a float array; TypeError unless real, ValueError names the first value outside [0, 1] or NaN."""
+    """``values`` as a finite float array (see _real_array); ValueError names the first value outside [0, 1]."""
     arr = _real_array(values, what)
-    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    outside = (arr < 0.0) | (arr > 1.0)
     if outside.any():
         raise ValueError(f"{what} must lie in [0, 1], got {arr[outside][0]}")
     return arr
@@ -261,7 +259,7 @@ def noise_to_damping(q, gamma_eff: float):
     same path and comes back as a float.
     """
     qs = _in_unit_interval(q, "noise parameter q")
-    if not math.isfinite(_real(gamma_eff, "gamma_eff")) or gamma_eff < 0.0:
+    if (gamma_eff := _real(gamma_eff, "gamma_eff")) < 0.0:
         raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
     if gamma_eff == 0.0:
         return _float_if_scalar(np.zeros(qs.shape))

@@ -29,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .lindblad import VALIDATION_TOLERANCE, InstabilityError, IntegratorConfig, validate_all
 from .two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form, freezing_report_bd
 from .single_qubit import InitialAngles, c_l1_single, c_re_single, freezing_report
-from .boundary import _PRESETS, Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
+from .boundary import _PRESETS, Geometry, PolarizationWeights, _real, decay_rate, noise_to_damping, suppression_factor
 
 import numpy as np
 
@@ -43,10 +43,11 @@ EXIT_TOLERANCE = 4
 BLOCK_ROWS = 2**10
 
 def _finite_float(text) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"value must be finite, got {text!r}")
-    return value
+    return _real(float(text), "value")
+
+
+def _distance(text) -> float:
+    return Geometry.mirror(float(text)).u
 
 
 def _int_at_least(low: int):
@@ -103,7 +104,7 @@ _GRID_FIELDS = {
 }
 _ENV_FIELDS = {
     "geometry": (_choice({"unbounded", "mirror"}), "unbounded"),
-    "u": (lambda text: Geometry.mirror(float(text)).u, None),
+    "u": (_distance, None),
     "polarization": (_polarization_text, "parallel"),
 }
 _OUT_FIELDS = {
@@ -131,8 +132,8 @@ _FIELDS = {
         "measure": (_choice({"l1", "re"}), "l1"),
         "preset": (_choice(set(_PRESETS)), "parallel"),
         **_GRID_FIELDS,
-        "u_start": (_finite_float, 1e-2),
-        "u_stop": (_finite_float, 10.0),
+        "u_start": (_distance, 1e-2),
+        "u_stop": (_distance, 10.0),
         "u_count": (_int_at_least(2), 80),
         **_OUT_FIELDS,
     },
@@ -338,8 +339,8 @@ def cmd_two(spec) -> int:
 def cmd_surface(spec) -> int:
     """Long-format (u, q, value) grid of one measure for a polarization preset."""
     u_start, u_stop = spec["u_start"], spec["u_stop"]
-    if u_start <= 0.0 or u_stop <= u_start:
-        raise ValueError(f"u grid must satisfy 0 < u_start < u_stop, got [{u_start}, {u_stop}]")
+    if u_stop <= u_start:
+        raise ValueError(f"u grid must satisfy u_start < u_stop, got [{u_start}, {u_stop}]")
     polarization = _PRESETS[spec["preset"]]
     q_blocks = _q_grid(spec)
     # Near max float an inner power of geomspace overflows; its endpoints are exact.

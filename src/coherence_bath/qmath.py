@@ -56,10 +56,13 @@ def as_density_matrix(m) -> np.ndarray:
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; TypeError naming ``what`` unless it holds ints or floats, not bools."""
+    """``values`` as a float array; TypeError naming ``what`` unless it holds ints or floats, not bools,
+    ValueError naming its first entry that is not finite."""
     if (arr := np.asarray(values)).dtype.kind not in "iuf":
         raise TypeError(f"{what} must be a real number or an array of them, got {reprlib.repr(values)}")
-    return arr.astype(float, copy=False)
+    if not np.isfinite(arr := arr.astype(float, copy=False)).all():
+        raise ValueError(f"{what} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
 def entropy_bits(values):
@@ -73,8 +76,6 @@ def entropy_bits(values):
     Values are summed in sorted order, so equal multisets give equal bits.
     """
     vals = _real_array(values, "probabilities")
-    if not np.isfinite(vals).all():
-        raise ValueError("probabilities must be finite, got NaN or Inf")
     if np.any(vals < EIGENVALUE_FLOOR):
         raise PositivityError(
             f"probability {float(vals.min()):.3e} below the {EIGENVALUE_FLOOR} floor"

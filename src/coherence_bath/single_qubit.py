@@ -62,8 +62,6 @@ class OneSidedChannel(_value_type("damping phase")):
     def __new__(cls, damping: float, phase: float = 0.0):
         damping, phase = _real(damping, "damping"), _real(phase, "phase")
         _in_unit_interval(damping, "damping")
-        if not math.isfinite(phase):
-            raise ValueError(f"phase must be finite, got {phase}")
         return super().__new__(cls, damping, phase)
 
 
@@ -145,8 +143,8 @@ def c_re_trajectory(theta: float, q, geometry: Geometry, polarization: Polarizat
 
 
 def _check_open_interval(q: float):
-    if not 0.0 < _real(q, "q") < 1.0:
-        raise ValueError(f"derivatives are defined on the open interval (0, 1), got q={q}")
+    if not 0.0 < (q := _real(q, "q")) < 1.0:
+        raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
 def dq_c_l1(theta: float, q: float, f: float) -> float:

@@ -50,9 +50,6 @@ class BellDiagonalParams(_value_type("c1 c2 c3")):
     def __new__(cls, c1: float, c2: float, c3: float):
         # A nonnegative spectrum bounds each |c_i| by 1 + 4 |PHYSICALITY_TOL|.
         c1, c2, c3 = _real(c1, "c1"), _real(c2, "c2"), _real(c3, "c3")
-        for name, value in (("c1", c1), ("c2", c2), ("c3", c3)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         self = super().__new__(cls, c1, c2, c3)
         for label, value in self.eigenvalues().items():
             if value < PHYSICALITY_TOL:

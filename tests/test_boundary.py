@@ -143,10 +143,11 @@ def test_far_field_suppression_sup():
 
 
 def test_f_domain_errors():
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    # NaN and +-inf: tests/test_contracts.py
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^boundary distance u must be finite and positive, got {bad}$"):
             f_parallel(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^boundary distance u must be finite and positive, got {bad}$"):
             f_perpendicular(bad)
 
 
@@ -155,8 +156,6 @@ def test_polarization_validation():
         PolarizationWeights(-0.1, 0.6, 0.5)
     with pytest.raises(ValueError, match="sum to 1"):
         PolarizationWeights(0.5, 0.5, 0.5)
-    with pytest.raises(ValueError, match="finite"):
-        PolarizationWeights(math.nan, 0.5, 0.5)
 
 
 def test_geometry_validation():
@@ -165,7 +164,7 @@ def test_geometry_validation():
         Geometry.mirror(0.0)
     with pytest.raises(ValueError, match=message):
         Geometry.mirror(-2.0)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^boundary distance u must be finite, got inf$"):
         Geometry.mirror(math.inf)
     assert not Geometry.unbounded().has_boundary
     assert Geometry.mirror(0.3).has_boundary
@@ -212,5 +211,5 @@ def test_noise_to_damping_mapping():
 @pytest.mark.parametrize("gamma_eff", [math.nan, math.inf])
 def test_noise_to_damping_rejects_non_finite_rate(gamma_eff):
     for q in (0.5, np.array([0.0, 0.5, 1.0])):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"^gamma_eff must be finite, got {gamma_eff}$"):
             noise_to_damping(q, gamma_eff)

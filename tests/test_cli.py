@@ -415,7 +415,7 @@ def test_unwritable_output_is_io_error(tmp_path):
 
 def test_nan_rejected_at_parse_time(capsys):
     assert main(["single", "--theta", "nan"]) == 2
-    assert capsys.readouterr().err == "error: theta: theta must lie in [0, pi], got nan\n"
+    assert capsys.readouterr().err == "error: theta: theta must be finite, got nan\n"
 
 
 _NOT_A_TRIPLE = "polarization must be one of ['isotropic', 'parallel', 'perpendicular'] or 'ax,ay,az'"
@@ -425,11 +425,14 @@ _BAD_FIELD_VALUES = [
     ("validate", "seed", "-1", "value must be an integer of at least 0, got '-1'"),
     ("validate", "cases", "0", "value must be an integer of at least 1, got '0'"),
     ("surface", "measure", "foo", "expected one of ['l1', 're'], got 'foo'"),
-    ("single", "theta", "nan", "theta must lie in [0, pi], got nan"),
+    ("single", "theta", "nan", "theta must be finite, got nan"),
+    ("single", "q_start", "nan", "value must be finite, got nan"),
     # the owning type's rule and message: InitialAngles, Geometry, IntegratorConfig, parse_polarization
     ("single", "theta", "7", "theta must lie in [0, pi], got 7.0"),
     ("single", "phi", "7", "phi must lie in [0, 2 pi), got 7.0"),
     ("single", "u", "-1", "boundary distance u must be finite and positive, got -1.0"),
+    ("surface", "u_start", "0", "boundary distance u must be finite and positive, got 0.0"),
+    ("surface", "u_stop", "inf", "boundary distance u must be finite, got inf"),
     ("validate", "step", "0", "step must be positive, got 0.0"),
     ("single", "polarization", "1,0", f"{_NOT_A_TRIPLE}, got '1,0'"),
 ]
@@ -637,6 +640,13 @@ def test_repeated_q_past_the_first_block_rejected(tmp_path, capsys, command):
     grid = ["--q-start", repr(start), "--q-stop", repr(stop), "--q-count", str(count)]
     assert main([*command, *grid, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: q grid repeats values: [{start}, {stop}] is too narrow\n"
+    assert not out.exists()
+
+
+def test_surface_with_decreasing_u_range_rejected(tmp_path):
+    out = tmp_path / "out.csv"
+    argv = ["surface", "--u-start", "3", "--u-stop", "2", "--out", str(out)]
+    assert _run_main(argv) == (2, "", "error: u grid must satisfy u_start < u_stop, got [3.0, 2.0]\n")
     assert not out.exists()
 
 

@@ -105,8 +105,10 @@ def test_bd_kernels_at_mapped_damping_match_per_point(bd, geometry, polarization
 
 
 def test_trace_rejects_nan_and_ragged_columns():
-    with pytest.raises(ValueError, match="\\[0, 1\\], got nan"):
+    with pytest.raises(ValueError, match="^trace q values must be finite, got nan$"):
         CoherenceTrace([0.0, float("nan")], [1.0, 0.9], [1.0, 0.9])
+    with pytest.raises(ValueError, match="^trace c_re values must be finite, got inf$"):
+        CoherenceTrace([0.0, 0.5], [1.0, 0.9], [1.0, math.inf])
     with pytest.raises(ValueError, match="equal length"):
         CoherenceTrace([0.0, 0.5], [1.0, 0.9], [1.0])
     trace = CoherenceTrace([0.0, 0.5], [1.0, 0.9], [1.0, 0.8])
@@ -127,7 +129,8 @@ def test_damping_map_rejects_out_of_range_arrays():
 )
 def test_kernels_reject_out_of_range_arrays(kernel, state, bad, as_array):
     q_prime = np.array([0.1, bad]) if as_array else bad
-    with pytest.raises(ValueError, match=re.escape(f"damping q' must lie in [0, 1], got {bad}")):
+    rule = "must lie in [0, 1]" if math.isfinite(bad) else "must be finite"
+    with pytest.raises(ValueError, match=re.escape(f"damping q' {rule}, got {bad}")):
         kernel(state, q_prime)
 
 

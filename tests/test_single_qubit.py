@@ -63,15 +63,15 @@ def test_initial_angles_validation():
         InitialAngles(1.0, -0.5)
     with pytest.raises(ValueError):
         InitialAngles(1.0, 2.0 * math.pi)
-    with pytest.raises(ValueError):
-        InitialAngles(math.nan)
 
 
 def test_channel_validation():
-    for damping in (-0.1, 1.1, math.nan):
+    for damping in (-0.1, 1.1):
         with pytest.raises(ValueError, match=r"damping must lie in \[0, 1\]"):
             OneSidedChannel(damping)
-    with pytest.raises(ValueError, match="phase must be finite"):
+    with pytest.raises(ValueError, match="^damping must be finite, got nan$"):
+        OneSidedChannel(math.nan)
+    with pytest.raises(ValueError, match="^phase must be finite, got inf$"):
         OneSidedChannel(0.5, math.inf)
 
 
@@ -225,9 +225,9 @@ def test_derivative_examples():
 
 def test_derivative_domain_errors():
     for q in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"q must lie in (0, 1), got {q}")):
             dq_c_l1(1.0, q, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"q must lie in (0, 1), got {q}")):
             dq_c_re(1.0, q, 0.0)
 
 
@@ -242,8 +242,9 @@ def test_theta_outside_zero_pi_rejected(theta):
         lambda: c_l1_single(theta, [0.0, 0.5, 1.0]),
         lambda: c_re_single(theta, [0.0, 0.5, 1.0]),
     ]
+    message = r"theta must lie in \[0, pi\]" if math.isfinite(theta) else f"theta must be finite, got {theta}$"
     for call in calls:
-        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
@@ -314,13 +315,6 @@ def test_derivatives_clamp_round_off_rate():
     assert dq_c_re(math.pi / 2, 0.5, f) == 0.0
     with pytest.raises(ValueError, match="negative beyond round-off"):
         dq_c_re(math.pi / 2, 0.5, 1.0 + 1e-9)
-
-
-@pytest.mark.parametrize("f", [math.nan, -math.inf, math.inf])
-def test_derivatives_reject_non_finite_suppression(f):
-    for derivative in (dq_c_l1, dq_c_re):
-        with pytest.raises(ValueError, match="suppression factor f must be finite"):
-            derivative(1.0, 0.5, f)
 
 
 def test_trace_rejects_repeated_and_out_of_range_q():

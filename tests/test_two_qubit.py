@@ -80,8 +80,6 @@ def test_bd_params_reject_unphysical():
         BellDiagonalParams(0.8, 0.4, 0.2)
     with pytest.raises(ValueError):
         BellDiagonalParams(1.2, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        BellDiagonalParams(math.nan, 0.0, 0.0)
 
 
 def test_channel_identity_at_zero_damping(rng, random_density):
