@@ -25,8 +25,7 @@ _EXPORTS = {
                      "liouvillian_matrix validate_all"),
         ("qmath", "PositivityError c_l1 c_re von_neumann_entropy"),
         ("single_qubit", "CoherenceTrace FreezeReport InitialAngles OneSidedChannel c_l1_single "
-                         "c_l1_trajectory c_re_single c_re_trajectory dq_c_l1 dq_c_re evolve_closed_form "
-                         "freezing_report"),
+                         "c_re_single dq_c_l1 dq_c_re evolve_closed_form freezing_report"),
         ("two_qubit", "BellDiagonalParams apply_one_sided_channel bd_density c_l1_bd "
                       "c_re_bd c_re_bd_closed_form choi_matrix freezing_report_bd"),
     )

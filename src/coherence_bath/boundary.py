@@ -86,7 +86,7 @@ def _as(cls, value, name: str):
 def _check_u(u: float) -> float:
     u = _real(u, "boundary distance u")
     if u <= 0.0:
-        raise ValueError(f"boundary distance u must be finite and positive, got {u}")
+        raise ValueError(f"boundary distance u must be positive, got {u}")
     return u
 
 
@@ -260,7 +260,7 @@ def noise_to_damping(q, gamma_eff: float):
     """
     qs = _in_unit_interval(q, "noise parameter q")
     if (gamma_eff := _real(gamma_eff, "gamma_eff")) < 0.0:
-        raise ValueError(f"gamma_eff must be finite and nonnegative, got {gamma_eff}")
+        raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
     if gamma_eff == 0.0:
         return _float_if_scalar(np.zeros(qs.shape))
     # log1p(-1) is a domain error, so q = 1 maps to 1 directly; a product

@@ -131,7 +131,7 @@ def integrate(
         raise ValueError(f"state dimension {rho.shape[0]} does not match spec dim {spec.dim}")
     tau = _real(tau, "tau")
     if tau < 0.0:
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     if not tau / cfg.step <= 2.0**53:  # a quotient beyond max float is inf
         raise ValueError(f"tau = {tau!r} at step {cfg.step!r} needs more than 2**53 RK4 steps")
     n_steps = max(1, math.ceil(tau / cfg.step))

@@ -1,4 +1,4 @@
-"""Closed-form single-qubit dynamics and coherence trajectories.
+"""Closed-form single-qubit dynamics and coherence kernels.
 
 The amplitude-damping channel of damping q' and phase Omega tau, the
 zero-temperature solution at rate gamma_eff with q' = 1 - exp(-gamma_eff tau),
@@ -7,11 +7,12 @@ takes the pure initial state cos(theta/2)|1> + e^{i phi} sin(theta/2)|0> to
     rho11      = [1 + cos(theta) (1-q') - q'] / 2
     |rho12|    = |sin(theta)| sqrt(1-q') / 2,   arg(rho12) = -(Omega tau + phi)
 
-The same ``OneSidedChannel`` acts on atom A of a two-qubit state.  Sweeps
-are indexed by the free-space noise parameter q = 1 - exp(-tau) so that
-frozen configurations (gamma_eff = 0) remain representable over the whole
-q axis; the q -> q' mapping happens internally.  Coherence magnitudes never
-depend on the effective level spacing Omega, which only rotates the
+The same ``OneSidedChannel`` acts on atom A of a two-qubit state.  The
+coherence kernels take theta and the damping q'; a caller maps the
+free-space noise parameter q = 1 - exp(-tau) to q' with ``noise_to_damping``,
+so frozen configurations (gamma_eff = 0) remain representable over the whole
+q axis.  The freezing derivatives are taken along q.  Coherence magnitudes
+never depend on the effective level spacing Omega, which only rotates the
 off-diagonal phase.
 """
 
@@ -26,7 +27,6 @@ from .boundary import (
     _real,
     _value_type,
     decay_rate,
-    noise_to_damping,
     suppression_factor,
 )
 from .qmath import _float_if_scalar, _positive_part, _real_array, entropy_bits
@@ -106,12 +106,6 @@ def evolve_closed_form(angles: InitialAngles, channel: OneSidedChannel) -> np.nd
     return np.array([[population, off], [np.conj(off), 1.0 - population]], dtype=complex)
 
 
-def c_l1_trajectory(theta: float, q, geometry: Geometry, polarization: PolarizationWeights):
-    """Closed-form l1 coherence |sin(theta)| (1-q)^((1-f)/2) at sweep point(s) q."""
-    gamma = decay_rate(suppression_factor(geometry, polarization))
-    return c_l1_single(theta, noise_to_damping(q, gamma))
-
-
 def c_l1_single(theta: float, q_prime):
     """l1 coherence |sin(theta)| sqrt(1-q') of the evolved qubit at damping q' (a float or an array)."""
     InitialAngles(theta)  # ValueError unless theta lies in [0, pi]
@@ -132,23 +126,13 @@ def c_re_single(theta: float, q_prime):
     return _positive_part(s_diag - s_full)
 
 
-def c_re_trajectory(theta: float, q, geometry: Geometry, polarization: PolarizationWeights):
-    """Closed-form relative entropy of coherence at sweep point(s) q.
-
-    Evaluates the binary-entropy difference between the dephased populations
-    and the exact spectrum (1 +- |Bloch vector|)/2 at the mapped damping q'.
-    """
-    gamma = decay_rate(suppression_factor(geometry, polarization))
-    return c_re_single(theta, noise_to_damping(q, gamma))
-
-
 def _check_open_interval(q: float):
     if not 0.0 < (q := _real(q, "q")) < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
 
 
 def dq_c_l1(theta: float, q: float, f: float) -> float:
-    """Magnitude of the q-derivative of the l1 trajectory.
+    """Magnitude of dC_l1/dq, the q-derivative of the l1 coherence at q' = 1 - (1-q)^(1-f).
 
     Equals |sin(theta)| (1-f) (1-q)^(-(1+f)/2) / 2; identically zero for an
     incoherent initial state or a fully suppressed bath (f = 1).  The rate
@@ -169,7 +153,7 @@ def _log2_ratio(a: float, b: float) -> float:
 
 
 def dq_c_re(theta: float, q: float, f: float) -> float:
-    """Magnitude of the q-derivative of the relative-entropy trajectory.
+    """Magnitude of dC_re/dq, the q-derivative of the relative entropy of coherence.
 
     Chain rule through q' = 1 - (1-q)^(1-f): the inner derivative is
     (1-f)(1-q)^(-f), the outer one the analytic q'-derivative of the

@@ -38,8 +38,8 @@ from coherence_bath.lindblad import (
 from coherence_bath.single_qubit import (
     InitialAngles,
     OneSidedChannel,
-    c_l1_trajectory,
-    c_re_trajectory,
+    c_l1_single,
+    c_re_single,
     dq_c_l1,
     dq_c_re,
     evolve_closed_form,
@@ -165,10 +165,10 @@ def test_criterion_3_boundary_freezing_as_stated():
     grid = np.linspace(0.0, 1.0, 101)[:-1]
 
     drift_l1_single = max(
-        abs(c_l1_trajectory(math.pi / 2, float(q), geometry, parallel) - 1.0) for q in grid
+        abs(c_l1_single(math.pi / 2, noise_to_damping(float(q), gamma)) - 1.0) for q in grid
     )
     drift_re_single = max(
-        abs(c_re_trajectory(math.pi / 2, float(q), geometry, parallel) - 1.0) for q in grid
+        abs(c_re_single(math.pi / 2, noise_to_damping(float(q), gamma)) - 1.0) for q in grid
     )
     bell = BellDiagonalParams(1.0, -1.0, 1.0)
     drift_l1_two = max(
@@ -202,18 +202,16 @@ def test_criterion_4_unbounded_recovery_at_large_distance():
     unbounded = Geometry.unbounded()
     worst = 0.0
     for polarization in PRESETS.values():
+        gamma_far = decay_rate(suppression_factor(far, polarization))
+        gamma_unbounded = decay_rate(suppression_factor(unbounded, polarization))
         for theta in (math.pi / 3, math.pi / 2):
             for q in np.linspace(0.0, 1.0, 101):
+                qp_far = noise_to_damping(float(q), gamma_far)
+                qp_unbounded = noise_to_damping(float(q), gamma_unbounded)
                 worst = max(
                     worst,
-                    abs(
-                        c_l1_trajectory(theta, float(q), far, polarization)
-                        - c_l1_trajectory(theta, float(q), unbounded, polarization)
-                    ),
-                    abs(
-                        c_re_trajectory(theta, float(q), far, polarization)
-                        - c_re_trajectory(theta, float(q), unbounded, polarization)
-                    ),
+                    abs(c_l1_single(theta, qp_far) - c_l1_single(theta, qp_unbounded)),
+                    abs(c_re_single(theta, qp_far) - c_re_single(theta, qp_unbounded)),
                 )
     assert _report(
         4,
@@ -227,8 +225,9 @@ def test_criterion_5_perpendicular_enhancement():
     geometry = Geometry.mirror(0.05)
     perpendicular = PRESETS["perpendicular"]
     gamma = decay_rate(suppression_factor(geometry, perpendicular))
-    mirror_value = c_l1_trajectory(math.pi / 2, 0.5, geometry, perpendicular)
-    unbounded_value = c_l1_trajectory(math.pi / 2, 0.5, Geometry.unbounded(), perpendicular)
+    mirror_value = c_l1_single(math.pi / 2, noise_to_damping(0.5, gamma))
+    unbounded_gamma = decay_rate(suppression_factor(Geometry.unbounded(), perpendicular))
+    unbounded_value = c_l1_single(math.pi / 2, noise_to_damping(0.5, unbounded_gamma))
     ok = 1.9 <= gamma <= 2.0 and mirror_value < unbounded_value
     assert _report(
         5,
@@ -251,19 +250,16 @@ def test_criterion_6_derivatives_and_freezing_classification():
     ]
     for geometry, polarization in environments:
         f = suppression_factor(geometry, polarization)
+        gamma = decay_rate(f)
         for theta in np.linspace(0.2, math.pi - 0.2, 7):
             for q in np.linspace(0.1, 0.9, 9):
-                for analytic, trajectory in (
-                    (dq_c_l1, c_l1_trajectory),
-                    (dq_c_re, c_re_trajectory),
-                ):
+                above = noise_to_damping(float(q) + step, gamma)
+                below = noise_to_damping(float(q) - step, gamma)
+                for analytic, kernel in ((dq_c_l1, c_l1_single), (dq_c_re, c_re_single)):
                     value = analytic(float(theta), float(q), f)
                     if value <= 1e-3:
                         continue
-                    fd = abs(
-                        trajectory(float(theta), float(q) + step, geometry, polarization)
-                        - trajectory(float(theta), float(q) - step, geometry, polarization)
-                    ) / (2 * step)
+                    fd = abs(kernel(float(theta), above) - kernel(float(theta), below)) / (2 * step)
                     worst_rel = max(worst_rel, abs(value - fd) / value)
 
     # randomized classification suite: predicate vs numeric sup, 200 cases
@@ -319,13 +315,13 @@ def test_criterion_7_measure_consistency():
         polarization = PolarizationWeights(*rng.dirichlet(np.ones(3)))
         theta = float(rng.uniform(0.0, math.pi))
         q = float(rng.uniform(0.0, 0.999))
-        gamma = decay_rate(suppression_factor(geometry, polarization))
-        channel = OneSidedChannel(noise_to_damping(q, gamma), float(rng.uniform(0.2, 3.0)) * -math.log1p(-q))
+        qp = noise_to_damping(q, decay_rate(suppression_factor(geometry, polarization)))
+        channel = OneSidedChannel(qp, float(rng.uniform(0.2, 3.0)) * -math.log1p(-q))
         rho = evolve_closed_form(InitialAngles(theta, float(rng.uniform(0.0, 2.0 * math.pi))), channel)
         worst_single = max(
             worst_single,
-            abs(c_l1_trajectory(theta, q, geometry, polarization) - c_l1(rho)),
-            abs(c_re_trajectory(theta, q, geometry, polarization) - c_re(rho)),
+            abs(c_l1_single(theta, qp) - c_l1(rho)),
+            abs(c_re_single(theta, qp) - c_re(rho)),
         )
 
     worst_two = 0.0

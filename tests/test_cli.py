@@ -16,11 +16,12 @@ import coherence_bath
 import coherence_bath.cli as cli
 from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from coherence_bath.cli import BLOCK_ROWS, _FIELDS, _REQUIRED, _cells, _q_grid, _write_table, build_parser, main
-from coherence_bath.single_qubit import c_l1_trajectory, c_re_trajectory
+from coherence_bath.single_qubit import c_l1_single, c_re_single
 from coherence_bath.two_qubit import BellDiagonalParams, c_l1_bd, c_re_bd, c_re_bd_closed_form
 
 UNBOUNDED = Geometry.unbounded()
 PARALLEL = PolarizationWeights.parallel()
+GAMMA = decay_rate(suppression_factor(UNBOUNDED, PARALLEL))  # gamma_eff = 1: q' = q
 
 
 def _read_csv(path):
@@ -49,7 +50,7 @@ def test_single_worked_rows(tmp_path):
     assert rows[0]["q"] == 0.0 and rows[0]["c_l1"] == 1.0 and rows[0]["c_re"] == 1.0
     assert rows[1]["c_l1"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert rows[1]["c_re"] == pytest.approx(
-        c_re_trajectory(math.pi / 2, 0.5, UNBOUNDED, PARALLEL), abs=1e-15
+        c_re_single(math.pi / 2, noise_to_damping(0.5, GAMMA)), abs=1e-15
     )
     assert rows[2]["q"] == 1.0 and rows[2]["c_l1"] == 0.0 and rows[2]["c_re"] == 0.0
 
@@ -199,7 +200,7 @@ def test_surface_far_mirror_matches_unbounded(tmp_path):
     assert code == 0
     _, rows = _read_csv(out)
     for row in rows:
-        unbounded = c_re_trajectory(math.pi / 2, row["q"], UNBOUNDED, PARALLEL)
+        unbounded = c_re_single(math.pi / 2, noise_to_damping(row["q"], GAMMA))
         assert abs(row["value"] - unbounded) < 2e-3
 
 
@@ -430,8 +431,8 @@ _BAD_FIELD_VALUES = [
     # the owning type's rule and message: InitialAngles, Geometry, IntegratorConfig, parse_polarization
     ("single", "theta", "7", "theta must lie in [0, pi], got 7.0"),
     ("single", "phi", "7", "phi must lie in [0, 2 pi), got 7.0"),
-    ("single", "u", "-1", "boundary distance u must be finite and positive, got -1.0"),
-    ("surface", "u_start", "0", "boundary distance u must be finite and positive, got 0.0"),
+    ("single", "u", "-1", "boundary distance u must be positive, got -1.0"),
+    ("surface", "u_start", "0", "boundary distance u must be positive, got 0.0"),
     ("surface", "u_stop", "inf", "boundary distance u must be finite, got inf"),
     ("validate", "step", "0", "step must be positive, got 0.0"),
     ("single", "polarization", "1,0", f"{_NOT_A_TRIPLE}, got '1,0'"),
@@ -498,14 +499,14 @@ def test_bad_mirror_distance_is_the_boundary_message():
     assert _run_main(["single", "--geometry", "mirror", "--u", "-1"]) == (
         2,
         "",
-        "error: u: boundary distance u must be finite and positive, got -1.0\n",
+        "error: u: boundary distance u must be positive, got -1.0\n",
     )
 
 
 @pytest.mark.parametrize(
     "argv, line",
     [
-        (["single", "--u", "-1"], "error: u: boundary distance u must be finite and positive, got -1.0\n"),
+        (["single", "--u", "-1"], "error: u: boundary distance u must be positive, got -1.0\n"),
         (
             ["freeze", "--mode", "two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1", "--theta", "7"],
             "error: theta: theta must lie in [0, pi], got 7.0\n",
@@ -686,11 +687,11 @@ def test_single_bytes_match_per_point_functions(tmp_path):
     out = tmp_path / "single.csv"
     args = ["single", "--theta", "1.1", "--geometry", "mirror", "--u", "0.05", "--q-count", "41"]
     assert main(args + ["--out", str(out)]) == 0
-    mirror = Geometry.mirror(0.05)
-    rows = [
-        (q, c_l1_trajectory(1.1, q, mirror, PARALLEL), c_re_trajectory(1.1, q, mirror, PARALLEL))
-        for q in map(float, np.linspace(0.0, 1.0, 41))
-    ]
+    gamma = decay_rate(suppression_factor(Geometry.mirror(0.05), PARALLEL))
+    rows = []
+    for q in map(float, np.linspace(0.0, 1.0, 41)):
+        qp = noise_to_damping(q, gamma)
+        rows.append((q, c_l1_single(1.1, qp), c_re_single(1.1, qp)))
     assert out.read_text() == _csv_text(["q", "c_l1", "c_re"], rows)
 
 
@@ -717,13 +718,13 @@ def test_surface_bytes_match_per_point_functions(tmp_path, measure, fmt, preset)
     args = ["surface", "--measure", measure, "--preset", preset, "--format", fmt]
     args += ["--u-start", "0.02", "--u-stop", "30", "--u-count", "7", "--q-count", "13"]
     assert main(args + ["--out", str(out)]) == 0
-    per_point = c_re_trajectory if measure == "re" else c_l1_trajectory
+    per_point = c_re_single if measure == "re" else c_l1_single
     polarization = getattr(PolarizationWeights, preset)()
-    rows = [
-        (float(u), q, per_point(math.pi / 2, q, Geometry.mirror(float(u)), polarization))
-        for u in np.geomspace(0.02, 30.0, 7)
-        for q in map(float, np.linspace(0.0, 1.0, 13))
-    ]
+    rows = []
+    for u in map(float, np.geomspace(0.02, 30.0, 7)):
+        gamma = decay_rate(suppression_factor(Geometry.mirror(u), polarization))
+        for q in map(float, np.linspace(0.0, 1.0, 13)):
+            rows.append((u, q, per_point(math.pi / 2, noise_to_damping(q, gamma))))
     text = _csv_text if fmt == "csv" else _json_text
     assert out.read_text() == text(["u", "q", "value"], rows)
 
@@ -735,7 +736,8 @@ def test_single_blocks_match_whole_grid(tmp_path, count, fmt):
     args = ["single", "--theta", "1.1", "--geometry", "mirror", "--u", "0.05", "--q-count", str(count)]
     assert main(args + ["--format", fmt, "--out", str(out)]) == 0
     q = np.linspace(0.0, 1.0, count)
-    columns = [q, *(f(1.1, q, Geometry.mirror(0.05), PARALLEL) for f in (c_l1_trajectory, c_re_trajectory))]
+    qp = noise_to_damping(q, decay_rate(suppression_factor(Geometry.mirror(0.05), PARALLEL)))
+    columns = [q, c_l1_single(1.1, qp), c_re_single(1.1, qp)]
     rows = list(zip(*(c.tolist() for c in columns)))
     text = _csv_text if fmt == "csv" else _json_text
     assert out.read_text() == text(["q", "c_l1", "c_re"], rows)
@@ -767,7 +769,8 @@ def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
     q = np.linspace(0.0, 1.0, q_count)
     rows = []
     for u in np.geomspace(0.02, 30.0, 7).tolist():
-        values = c_re_trajectory(math.pi / 2, q, Geometry.mirror(u), PolarizationWeights.perpendicular())
+        gamma = decay_rate(suppression_factor(Geometry.mirror(u), PolarizationWeights.perpendicular()))
+        values = c_re_single(math.pi / 2, noise_to_damping(q, gamma))
         rows += [(u, qv, value) for qv, value in zip(q.tolist(), values.tolist())]
     text = _csv_text if fmt == "csv" else _json_text
     assert out.read_text() == text(["u", "q", "value"], rows)
@@ -791,11 +794,13 @@ def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, m
     out = tmp_path / f"{command}.{fmt}"
     if command == "single":
         argv = ["single", "--q-count", str(len(q))]
-        columns = [q, *(f(math.pi / 2, q, UNBOUNDED, PARALLEL) for f in (c_l1_trajectory, c_re_trajectory))]
+        qp = noise_to_damping(q, GAMMA)
+        columns = [q, c_l1_single(math.pi / 2, qp), c_re_single(math.pi / 2, qp)]
         header, rows = ["q", "c_l1", "c_re"], list(zip(*(c.tolist() for c in columns)))[:BLOCK_ROWS]
     else:
         argv = ["surface", "--measure", "re", "--q-count", str(len(q)), "--u-count", "6"]
-        values = c_re_trajectory(math.pi / 2, q, Geometry.mirror(1e-2), PARALLEL)  # the first u row
+        gamma = decay_rate(suppression_factor(Geometry.mirror(1e-2), PARALLEL))
+        values = c_re_single(math.pi / 2, noise_to_damping(q, gamma))  # the first u row
         header, rows = ["u", "q", "value"], list(zip([1e-2] * len(q), q.tolist(), values.tolist()))[:BLOCK_ROWS]
     assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
     err = capsys.readouterr().err

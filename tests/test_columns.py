@@ -1,6 +1,6 @@
 """The array path of every coherence kernel against its per-point use.
 
-The trajectories and the Bell-diagonal kernels evaluate whole grids at once; the
+The single-qubit and Bell-diagonal kernels evaluate whole grids at once; the
 per-point public functions are the same kernels on one value.  Both must
 give the same bits (compared through ``float.hex``, which also tells -0.0
 from 0.0), because the CLI prints them with ``repr``.
@@ -17,9 +17,7 @@ from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, n
 from coherence_bath.single_qubit import (
     CoherenceTrace,
     c_l1_single,
-    c_l1_trajectory,
     c_re_single,
-    c_re_trajectory,
 )
 from coherence_bath.two_qubit import (
     BellDiagonalParams,
@@ -78,10 +76,11 @@ def _grid(interior):
 )
 def test_trajectory_columns_match_per_point_values(theta, geometry, polarization, interior):
     q_grid = _grid(interior)
-    for trajectory in (c_l1_trajectory, c_re_trajectory):
-        per_point = [trajectory(theta, q, geometry, polarization) for q in q_grid.tolist()]
+    gamma = decay_rate(suppression_factor(geometry, polarization))
+    for kernel in (c_l1_single, c_re_single):
+        per_point = [kernel(theta, noise_to_damping(q, gamma)) for q in q_grid.tolist()]
         assert all(type(v) is float for v in per_point)
-        assert _bits(trajectory(theta, q_grid, geometry, polarization)) == _bits(per_point)
+        assert _bits(kernel(theta, noise_to_damping(q_grid, gamma))) == _bits(per_point)
 
 
 @settings(max_examples=60, deadline=None)

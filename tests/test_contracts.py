@@ -13,7 +13,8 @@ values include tuples of the wrong length and a value of another value type
 whose fields would pass its checks: each value type is a tuple, but not a
 tuple of another type's fields.  Every real number and every entry of an array
 of real numbers is finite: NaN, inf and -inf raise ValueError before any range
-rule, as ``<label> must be finite, got <value>``.
+rule, as ``<label> must be finite, got <value>``, also where a value type
+arrives as a tuple of its fields.
 """
 
 import math
@@ -37,12 +38,10 @@ from coherence_bath import (
     c_l1,
     c_l1_bd,
     c_l1_single,
-    c_l1_trajectory,
     c_re,
     c_re_bd,
     c_re_bd_closed_form,
     c_re_single,
-    c_re_trajectory,
     choi_matrix,
     decay_rate,
     dq_c_l1,
@@ -103,14 +102,6 @@ def _measures(call):
 
 def _q_prime_kernel(kernel, state):
     return {"q_prime": ("damping q'", ARRAY, lambda x: kernel(state, x))}
-
-
-def _trajectory(trajectory):
-    return {
-        "theta": ("theta", REAL, lambda x: trajectory(x, 0.5, MIRROR, PARALLEL)),
-        "q": ("noise parameter q", ARRAY, lambda x: trajectory(1.0, x, MIRROR, PARALLEL)),
-        **_env(lambda g, p: trajectory(1.0, 0.5, g, p)),
-    }
 
 
 def _derivative(derivative):
@@ -188,8 +179,6 @@ CONTRACTS = {
     },
     "c_l1_single": {"theta": ("theta", REAL, lambda x: c_l1_single(x, 0.5)), **_q_prime_kernel(c_l1_single, 1.0)},
     "c_re_single": {"theta": ("theta", REAL, lambda x: c_re_single(x, 0.5)), **_q_prime_kernel(c_re_single, 1.0)},
-    "c_l1_trajectory": _trajectory(c_l1_trajectory),
-    "c_re_trajectory": _trajectory(c_re_trajectory),
     "dq_c_l1": _derivative(dq_c_l1),
     "dq_c_re": _derivative(dq_c_re),
     "evolve_closed_form": {
@@ -240,6 +229,31 @@ NON_FINITE_CASES = [
 ]
 
 
+# A valid tuple of each value type's real fields, in field order.
+FIELDS_OF = {
+    Geometry: (0.5,),
+    PolarizationWeights: (1.0, 0.0, 0.0),
+    GeneratorSpec: (0.25, 0.25, 0.0),
+    IntegratorConfig: (0.005,),
+    InitialAngles: (1.0, 0.0),
+    OneSidedChannel: (0.5, 0.0),
+    BellDiagonalParams: BD,
+}
+
+# Each argument that takes a value type, passed a tuple of its fields with one
+# real field NaN, inf or -inf: the error names that field as its constructor does.
+NON_FINITE_FIELD_CASES = [
+    pytest.param(field_label, call, fields[:i] + (bad,) + fields[i + 1:], bad,
+                 id=f"{name}-{argument}-{field}-{bad!r}")
+    for name, row in CONTRACTS.items()
+    for argument, (label, bads, call) in row.items()
+    for cls, fields in FIELDS_OF.items()
+    if bads is VALUE_OF[cls]
+    for i, (field, (field_label, _, _)) in enumerate(list(CONTRACTS[cls.__name__].items())[:len(fields)])
+    for bad in (math.nan, math.inf, -math.inf)
+]
+
+
 def test_every_export_has_a_row():
     assert sorted(CONTRACTS) == coherence_bath.__all__
 
@@ -254,6 +268,12 @@ def test_a_wrong_type_is_a_type_error_naming_the_argument(label, call, bad):
 def test_a_non_finite_number_is_a_value_error_naming_the_argument(label, call, bad, as_array):
     with pytest.raises(ValueError, match=f"^{re.escape(label)} must be finite, got {bad}$"):
         call([bad] if as_array else bad)
+
+
+@pytest.mark.parametrize("label, call, fields, bad", NON_FINITE_FIELD_CASES)
+def test_a_non_finite_field_of_a_value_type_is_a_value_error_naming_the_field(label, call, fields, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(label)} must be finite, got {bad}$"):
+        call(fields)
 
 
 def test_the_rules_take_every_kind_of_number():

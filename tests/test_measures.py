@@ -14,7 +14,7 @@ from coherence_bath.boundary import (
 from coherence_bath.single_qubit import (
     InitialAngles,
     OneSidedChannel,
-    c_re_trajectory,
+    c_re_single,
     evolve_closed_form,
 )
 from coherence_bath.two_qubit import bd_density
@@ -84,5 +84,5 @@ def test_c_re_matches_single_qubit_closed_form(rng):
         channel = OneSidedChannel(noise_to_damping(q, gamma), -math.log1p(-q))  # omega = 1
         rho = evolve_closed_form(InitialAngles(theta, 0.0), channel)
         assert c_re(rho) == pytest.approx(
-            c_re_trajectory(theta, q, geometry, polarization), abs=1e-10
+            c_re_single(theta, noise_to_damping(q, gamma)), abs=1e-10
         )

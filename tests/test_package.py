@@ -56,6 +56,21 @@ def test_unknown_attribute_raises():
         coherence_bath.nope
 
 
+def test_every_coherence_kernel_takes_a_state_and_the_damping():
+    # qmath's c_l1/c_re take a density matrix; the dynamics modules' kernels
+    # take the initial state and q', and each caller maps q to q' itself.
+    kernels = {
+        name: getattr(coherence_bath, name)
+        for name in coherence_bath.__all__
+        if name.startswith("c_")
+        and getattr(coherence_bath, name).__module__ in ("coherence_bath.single_qubit", "coherence_bath.two_qubit")
+    }
+    assert kernels
+    for name, kernel in kernels.items():
+        parameters = list(inspect.signature(kernel).parameters)
+        assert len(parameters) == 2 and parameters[1:] == ["q_prime"], f"{name}{parameters}"
+
+
 def test_cli_defaults_blas_to_one_thread_before_numpy_loads():
     before, threads = _probe()[:2]
     assert (before, threads) == ("False", "1")

@@ -20,9 +20,7 @@ from coherence_bath.single_qubit import (
     InitialAngles,
     OneSidedChannel,
     c_l1_single,
-    c_l1_trajectory,
     c_re_single,
-    c_re_trajectory,
     dq_c_l1,
     dq_c_re,
     _freeze_verdict,
@@ -33,6 +31,7 @@ from coherence_bath.two_qubit import channel_kraus
 
 UNBOUNDED = Geometry.unbounded()
 PARALLEL = PolarizationWeights.parallel()
+GAMMA = decay_rate(suppression_factor(UNBOUNDED, PARALLEL))  # gamma_eff = 1: q' = q
 
 # Frozen 50-digit values for theta = pi/2 in the unbounded vacuum.
 C_RE_Q050 = 0.45669922179386298
@@ -131,14 +130,14 @@ def test_evolve_takes_an_angle_tuple():
 
 
 def test_trajectory_examples():
-    assert c_l1_trajectory(math.pi / 2, 0.75, UNBOUNDED, PARALLEL) == pytest.approx(0.5)
-    assert c_l1_trajectory(0.0, 0.5, UNBOUNDED, PARALLEL) == 0.0
-    assert c_re_trajectory(math.pi / 2, 0.0, UNBOUNDED, PARALLEL) == pytest.approx(1.0)
-    assert c_re_trajectory(math.pi / 2, 1.0, UNBOUNDED, PARALLEL) == 0.0
-    assert c_re_trajectory(math.pi / 2, 0.5, UNBOUNDED, PARALLEL) == pytest.approx(
+    assert c_l1_single(math.pi / 2, noise_to_damping(0.75, GAMMA)) == pytest.approx(0.5)
+    assert c_l1_single(0.0, noise_to_damping(0.5, GAMMA)) == 0.0
+    assert c_re_single(math.pi / 2, noise_to_damping(0.0, GAMMA)) == pytest.approx(1.0)
+    assert c_re_single(math.pi / 2, noise_to_damping(1.0, GAMMA)) == 0.0
+    assert c_re_single(math.pi / 2, noise_to_damping(0.5, GAMMA)) == pytest.approx(
         C_RE_Q050, abs=1e-14
     )
-    assert c_re_trajectory(math.pi / 2, 0.75, UNBOUNDED, PARALLEL) == pytest.approx(
+    assert c_re_single(math.pi / 2, noise_to_damping(0.75, GAMMA)) == pytest.approx(
         C_RE_Q075, abs=1e-14
     )
 
@@ -146,17 +145,17 @@ def test_trajectory_examples():
 def test_trajectory_constant_when_frozen():
     # gamma_eff is exactly zero at u = 1e-9, so the full grid including the
     # q = 1 endpoint stays at the initial value
-    geometry = Geometry.mirror(1e-9)
-    values_l1 = [c_l1_trajectory(1.2, q, geometry, PARALLEL) for q in np.linspace(0, 1, 11)]
-    values_re = [c_re_trajectory(1.2, q, geometry, PARALLEL) for q in np.linspace(0, 1, 11)]
+    gamma = decay_rate(suppression_factor(Geometry.mirror(1e-9), PARALLEL))
+    values_l1 = [c_l1_single(1.2, noise_to_damping(q, gamma)) for q in np.linspace(0, 1, 11)]
+    values_re = [c_re_single(1.2, noise_to_damping(q, gamma)) for q in np.linspace(0, 1, 11)]
     assert max(values_l1) - min(values_l1) < 1e-12
     assert max(values_re) - min(values_re) < 1e-12
     # at u = 1e-7 gamma_eff ~ 8e-15 is positive: frozen for every finite
     # time, with the tau = infinity endpoint still the ground state
-    near = Geometry.mirror(1e-7)
-    interior = [c_l1_trajectory(1.2, q, near, PARALLEL) for q in np.linspace(0, 0.99, 100)]
+    near = decay_rate(suppression_factor(Geometry.mirror(1e-7), PARALLEL))
+    interior = [c_l1_single(1.2, noise_to_damping(q, near)) for q in np.linspace(0, 0.99, 100)]
     assert max(interior) - min(interior) < 1e-12
-    assert c_l1_trajectory(1.2, 1.0, near, PARALLEL) == 0.0
+    assert c_l1_single(1.2, noise_to_damping(1.0, near)) == 0.0
 
 
 def test_closed_form_matches_measures_randomized(rng):
@@ -166,8 +165,9 @@ def test_closed_form_matches_measures_randomized(rng):
         q = float(rng.uniform(0.0, 0.999))
         ch = _channel(q, geometry, polarization, omega=float(rng.uniform(0.2, 3.0)))
         rho = evolve_closed_form(InitialAngles(theta, float(rng.uniform(0, 2 * math.pi))), ch)
-        assert abs(c_l1_trajectory(theta, q, geometry, polarization) - c_l1(rho)) < 1e-12
-        assert abs(c_re_trajectory(theta, q, geometry, polarization) - c_re(rho)) < 1e-10
+        qp = noise_to_damping(q, decay_rate(suppression_factor(geometry, polarization)))
+        assert abs(c_l1_single(theta, qp) - c_l1(rho)) < 1e-12
+        assert abs(c_re_single(theta, qp) - c_re(rho)) < 1e-10
 
 
 def test_closed_form_matches_integrator_spot_checks():
@@ -197,16 +197,12 @@ def test_derivatives_match_central_differences(rng):
     ]
     for geometry, polarization in environments:
         f = suppression_factor(geometry, polarization)
+        gamma = decay_rate(f)
         for theta in (0.4, 1.0, math.pi / 2, 2.3):
             for q in (0.1, 0.35, 0.6, 0.85):
-                fd_l1 = abs(
-                    c_l1_trajectory(theta, q + step, geometry, polarization)
-                    - c_l1_trajectory(theta, q - step, geometry, polarization)
-                ) / (2 * step)
-                fd_re = abs(
-                    c_re_trajectory(theta, q + step, geometry, polarization)
-                    - c_re_trajectory(theta, q - step, geometry, polarization)
-                ) / (2 * step)
+                above, below = noise_to_damping(q + step, gamma), noise_to_damping(q - step, gamma)
+                fd_l1 = abs(c_l1_single(theta, above) - c_l1_single(theta, below)) / (2 * step)
+                fd_re = abs(c_re_single(theta, above) - c_re_single(theta, below)) / (2 * step)
                 analytic_l1 = dq_c_l1(theta, q, f)
                 analytic_re = dq_c_re(theta, q, f)
                 if analytic_l1 > 1e-3:
@@ -234,8 +230,8 @@ def test_derivative_domain_errors():
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.1, 3.2])
 def test_theta_outside_zero_pi_rejected(theta):
     calls = [
-        lambda: c_l1_trajectory(theta, 0.5, UNBOUNDED, PARALLEL),
-        lambda: c_re_trajectory(theta, 0.5, UNBOUNDED, PARALLEL),
+        lambda: c_l1_single(theta, 0.5),
+        lambda: c_re_single(theta, 0.5),
         lambda: dq_c_l1(theta, 0.5, 0.0),
         lambda: dq_c_re(theta, 0.5, 0.0),
         lambda: freezing_report(theta, UNBOUNDED, PARALLEL),
@@ -254,7 +250,8 @@ def test_l1_strictly_decreasing_when_decaying():
         (UNBOUNDED, PARALLEL),
         (Geometry.mirror(0.4), PolarizationWeights.isotropic()),
     ]:
-        values = [c_l1_trajectory(1.0, q, geometry, polarization) for q in grid]
+        gamma = decay_rate(suppression_factor(geometry, polarization))
+        values = [c_l1_single(1.0, noise_to_damping(q, gamma)) for q in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -335,14 +332,14 @@ def test_phase_tracks_omega_and_phi():
 
 
 def test_damping_mapping_consistency(rng):
-    # trajectory exponent (1-q)^((1-f)/2) equals sqrt(1-q') elementwise
+    # the exponent (1-q)^((1-f)/2) equals sqrt(1-q') elementwise
     for _ in range(20):
         geometry, polarization = _random_environment(rng)
         f = suppression_factor(geometry, polarization)
         gamma = decay_rate(f)
         q = float(rng.uniform(0.0, 0.999))
         direct = abs(math.sin(1.0)) * (1.0 - q) ** (0.5 * (1.0 - f))
-        assert c_l1_trajectory(1.0, q, geometry, polarization) == pytest.approx(
+        assert c_l1_single(1.0, noise_to_damping(q, gamma)) == pytest.approx(
             direct, abs=1e-12
         )
         assert noise_to_damping(q, gamma) == pytest.approx(

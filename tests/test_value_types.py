@@ -31,7 +31,7 @@ from coherence_bath import (
 # value, repr, keyword fields, (field, rejected value, message start)
 TUPLES = [
     (Geometry(0.5), "Geometry(u=0.5)", {"u": 0.5},
-     ("u", -0.5, "boundary distance u must be finite and positive, got -0.5")),
+     ("u", -0.5, "boundary distance u must be positive, got -0.5")),
     (PolarizationWeights(0.25, 0.0, 0.75), "PolarizationWeights(ax=0.25, ay=0.0, az=0.75)",
      {"ax": 0.25, "ay": 0.0, "az": 0.75},
      ("ax", -0.25, "polarization weight ax must be nonnegative, got -0.25")),
