@@ -37,10 +37,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
-# Tables are computed, formatted and written this many rows at a time, so
+# Tables are computed this many rows at a time and written row by row, so
 # peak memory does not grow with the grid.  A multiple of 64 keeps every
 # element in the SIMD lane of the whole-grid call, so the bits do not move.
-BLOCK_ROWS = 2**10
+BLOCK_ROWS = 2**9
 
 def _finite_float(text) -> float:
     return _real(float(text), "value")
@@ -291,23 +291,21 @@ def _write_table(spec: dict, names, blocks) -> None:
     """Write ``blocks``, each a list of equal-length text columns (see _cells),
     to spec["out"] as CSV, or as the JSON list of row objects that
     json.dumps(rows, indent=2) writes, byte for byte.  Each block is written
-    before the next is taken, so a lazy ``blocks`` computes one at a time."""
-    csv = spec["format"] == "csv"
-    if csv:
-        head, sep, row = ",".join(names) + "\n", "\n", ",".join
+    before the next is taken, so a lazy ``blocks`` computes one at a time;
+    each row is written as it is formatted, so no block's text is held whole."""
+    if spec["format"] == "csv":
+        head, sep, tail, row = ",".join(names) + "\n", "", "", ",".join(["%s"] * len(names)) + "\n"
     else:
         fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in names)
-        head, sep, row = "[\n", ",\n", ("  {\n" + fields + "\n  }").__mod__
+        head, sep, tail, row = "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
     with _output(spec["out"]) as handle:
         handle.write(head)
-        joint = ""
+        joint = ""  # a CSV row ends its line; a JSON row is joined to the one before
         for block in blocks:
-            text = sep.join(map(row, zip(*block)))
-            # A CSV block ends its last line; a JSON block is joined to the one before.
-            handle.write(text + "\n" if csv else joint + text)
-            joint = sep
-        if not csv:
-            handle.write("\n]\n")
+            for cells in zip(*block):
+                handle.write(joint + row % cells)
+                joint = sep
+        handle.write(tail)
 
 
 def _write_sweep(spec: dict, names, state, kernels) -> int:
@@ -348,13 +346,14 @@ def cmd_surface(spec) -> int:
         u_grid = np.geomspace(u_start, u_stop, spec["u_count"])
     _check_increasing([u_grid], "u", u_start, u_stop)
     kernel = c_l1_single if spec["measure"] == "l1" else c_re_single
-    # A q axis of one block is kept with its cells, made once, not once per u.
-    one_block = [(q, list(_cells(q))) for q in q_blocks()] if spec["q_count"] <= BLOCK_ROWS else None
+    # A q axis of at most two blocks (1024 points) is kept with its cells,
+    # made once, not once per u: about 0.7 ms of repr per u row at 1001 points.
+    kept = [(q, list(_cells(q))) for q in q_blocks()] if spec["q_count"] <= 2 * BLOCK_ROWS else None
     gammas = (decay_rate(suppression_factor(Geometry.mirror(u), polarization)) for u in u_grid.tolist())
     blocks = (  # one per (u, q block)
         ([u_cell] * len(q), q_cells, _cells(kernel(math.pi / 2, noise_to_damping(q, gamma))))
         for u_cell, gamma in zip(_cells(u_grid), gammas)
-        for q, q_cells in one_block or ((q, _cells(q)) for q in q_blocks())
+        for q, q_cells in kept or ((q, _cells(q)) for q in q_blocks())
     )
     _write_table(spec, ("u", "q", "value"), blocks)
     return EXIT_OK

@@ -82,10 +82,14 @@ def entropy_bits(values):
         )
     if np.any(vals > 1.0 - EIGENVALUE_FLOOR):
         raise ValueError(f"probability {float(vals.max())!r} above 1")
-    vals = np.sort(np.clip(vals, 0.0, 1.0), axis=-1)
+    # clip makes the one working copy, changed in place from here on; the
+    # caller's array, which _real_array may return as it is, is never written.
+    vals = np.clip(vals, 0.0, 1.0)
+    vals.sort(axis=-1)
     # Zero slots add an exact 0.0 to the running sum, as if absent.
-    positive = np.where(vals > 0.0, vals, 1.0)
-    return _float_if_scalar(-(positive * np.log2(positive)).sum(axis=-1))
+    vals[vals <= 0.0] = 1.0
+    vals *= np.log2(vals)
+    return _float_if_scalar(-vals.sum(axis=-1))
 
 
 def _float_if_scalar(x):

@@ -632,7 +632,7 @@ def test_repeated_q_past_the_first_block_rejected(tmp_path, capsys, command):
     # Points below 0.5 lie 1.5 ulps apart and those above 0.75 ulps, so the
     # grid first repeats after 0.5, which the second block crosses.
     step = 1.5 * 2.0**-54
-    start, count = 0.5 - 1500 * step, 2 * BLOCK_ROWS + 1
+    start, count = 0.5 - (3 * BLOCK_ROWS // 2) * step, 2 * BLOCK_ROWS + 1
     stop = start + (count - 1) * step
     whole = np.linspace(start, stop, count)
     repeats = np.flatnonzero(whole[1:] <= whole[:-1])
@@ -776,6 +776,22 @@ def test_surface_blocks_match_whole_grid(tmp_path, q_count, fmt):
     assert out.read_text() == text(["u", "q", "value"], rows)
 
 
+@pytest.mark.parametrize("q_count, q_cells", [(2 * BLOCK_ROWS, 2), (2 * BLOCK_ROWS + 1, 3 * 3)])
+def test_surface_makes_the_cells_of_a_short_q_axis_once(tmp_path, monkeypatch, q_count, q_cells):
+    # Up to two blocks, the q axis's cells are made once; past that, once per u row.
+    lengths = []
+
+    def counted(column):
+        lengths.append(len(column))
+        return _cells(column)
+
+    monkeypatch.setattr(cli, "_cells", counted)
+    argv = ["surface", "--u-count", "3", "--q-count", str(q_count), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    u_cells, value_cells = 1, 3 * len(range(0, q_count, BLOCK_ROWS))
+    assert len(lengths) == u_cells + q_cells + value_cells
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["single", "surface"])
 def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, monkeypatch, command, fmt):
@@ -845,6 +861,27 @@ def test_peak_memory_is_flat_in_grid_size(tmp_path):
 
     for argv in (["single"], ["surface", "--measure", "re", "--u-count", "2"]):
         assert peak_kib(argv, 300001) - peak_kib(argv, 10001) <= 16 * 1024, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["two", "--c1", "0.3", "--c2", "-0.4", "--c3", "0.2"], ["single", "--format", "json"]],
+    ids=["two", "single-json"],
+)
+def test_block_working_set_is_small(tmp_path, argv):
+    # The traced peak of one table run is one block's working set: its q
+    # points, its kernels' temporaries and its cells, while rows stream out.
+    import tracemalloc
+
+    argv = [*argv, "--q-count", "10001", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # warm-up: imports, caches and interned text
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 384 * 1024, peak
 
 
 def test_config_default_section_serves_only_commands_with_the_field(tmp_path, capsys):

@@ -127,6 +127,32 @@ def test_entropy_takes_ints_and_every_float_width():
     assert entropy_bits(np.array([0.5, 0.5], dtype=np.float32)) == entropy_bits([np.float64(0.5), 0.5]) == 1.0
 
 
+def _entropy_bits_by_where(values):
+    # The sum entropy_bits takes, written with a new array at each step: sort
+    # a clipped copy, put 1 in the zero slots with np.where, multiply by log2.
+    vals = np.sort(np.clip(np.asarray(values, dtype=float), 0.0, 1.0), axis=-1)
+    positive = np.where(vals > 0.0, vals, 1.0)
+    return -(positive * np.log2(positive)).sum(axis=-1)
+
+
+def test_entropy_works_in_its_own_copy_with_the_same_bits(rng):
+    # zeros of both signs, a subnormal, 1.0 and round-off just outside [0, 1]
+    special = [0.0, -0.0, 5e-324, 1.0, -1e-12, 1.0 + 1e-12, -5e-324, 0.5]
+    for n in (1, 7, 512, 513):
+        values = rng.dirichlet(np.ones(4), size=n)
+        slots = rng.random((n, 4)) < 0.4
+        values[slots] = rng.choice(special, size=int(slots.sum()))
+        given = values.copy()
+        bits = entropy_bits(values)
+        assert values.tobytes() == given.tobytes()  # a float64 input comes back unchanged
+        assert bits.tobytes() == _entropy_bits_by_where(given).tobytes()
+        assert entropy_bits(given[0]) == float(_entropy_bits_by_where(given[0]))
+    with pytest.raises(np.exceptions.AxisError):
+        entropy_bits(0.5)
+    bits = entropy_bits([])
+    assert bits == 0.0 and math.copysign(1.0, bits) == -1.0
+
+
 def test_entropy_invariant_under_diagonal_permutation(rng):
     probs = rng.dirichlet(np.ones(4))
     base = von_neumann_entropy(np.diag(probs).astype(complex))
