@@ -12,6 +12,13 @@ by the relative polarizability they suppress (or enhance) the spontaneous
 emission rate: gamma_eff = 1 - sum_i alpha_i f_i, in units of the free-space
 rate.  gamma_eff -> 0 as u -> 0 for purely in-plane polarization, which is
 the configuration that freezes coherence.
+
+One evaluation gives both responses, in one of three regimes: the Maclaurin
+series for u < SERIES_CUTOFF = 0.1, where the closed forms cancel (a
+numerator of order u^3 built from O(u) terms); the closed forms up to
+TERMWISE_U = 1e100; and beyond it the closed forms divided by u term by term,
+because 16 u^3 overflows to inf (silently giving 0) from u ~ 2.2e102 and
+u**3 raises OverflowError from u ~ 5.6e102.
 """
 
 import collections
@@ -25,13 +32,8 @@ import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
 GAMMA_CLAMP = -1e-12
-# Below this separation the direct formulas cancel catastrophically
-# (numerator ~ u^3 built from O(u) terms), so the Maclaurin series is used.
 SERIES_CUTOFF = 0.1
 _SERIES_TERMS = 10
-# From u ~ 2.2e102 the factor 16 u^3 overflows: to inf, which silently gives
-# 0, and from u ~ 5.6e102 u**3 raises OverflowError.  From here on the
-# direct forms divide by u term by term.
 TERMWISE_U = 1e100
 
 
@@ -90,47 +92,40 @@ def _check_u(u: float) -> float:
     return u
 
 
-def f_parallel_direct(u: float) -> float:
-    """Direct evaluation of f_parallel; accurate away from u -> 0."""
-    u = _check_u(u)
-    if u >= TERMWISE_U:
-        cos2, sin2 = _double_angle(u)
-        return 3.0 / 16.0 * (2.0 * cos2 / u / u + (4.0 - 1.0 / u / u) * sin2 / u)
-    return 3.0 / (16.0 * u**3) * (2.0 * u * math.cos(2.0 * u) + (4.0 * u * u - 1.0) * math.sin(2.0 * u))
-
-
-def f_perpendicular_direct(u: float) -> float:
-    """Direct evaluation of f_perpendicular; accurate away from u -> 0."""
-    u = _check_u(u)
-    if u >= TERMWISE_U:
-        cos2, sin2 = _double_angle(u)
-        return 3.0 / 8.0 * (2.0 * cos2 / u / u - sin2 / u / u / u)
-    return 3.0 / (8.0 * u**3) * (2.0 * u * math.cos(2.0 * u) - math.sin(2.0 * u))
-
-
-def _double_angle(u: float) -> tuple[float, float]:
-    """cos 2u and sin 2u from sin u and cos u, so 2u never overflows."""
-    sin, cos = math.sin(u), math.cos(u)
-    return (cos - sin) * (cos + sin), 2.0 * sin * cos
-
-
-def _series(coeffs: list[float], u: float) -> float:
-    u2 = u * u
-    acc, power = 0.0, 1.0
-    for coeff in coeffs:
-        acc += coeff * power
+def _series_response(u: float) -> tuple[float, float]:
+    """(f_parallel, f_perpendicular) from their Maclaurin series."""
+    u2, par, perp, power = u * u, 0.0, 0.0, 1.0
+    for par_coeff, perp_coeff in zip(_PAR_COEFFS, _PERP_COEFFS):
+        par += par_coeff * power
+        perp += perp_coeff * power
         power *= u2
-    return acc
+    return par, perp
 
 
-def f_parallel_series(u: float) -> float:
-    """Maclaurin evaluation of f_parallel: 1 - (4/5)u^2 + (6/35)u^4 - ..."""
-    return _series(_PAR_COEFFS, _check_u(u))
+def _closed_response(u: float) -> tuple[float, float]:
+    """(f_parallel, f_perpendicular) from the closed forms."""
+    cos2, sin2, u3 = math.cos(2.0 * u), math.sin(2.0 * u), u**3
+    return (
+        3.0 / (16.0 * u3) * (2.0 * u * cos2 + (4.0 * u * u - 1.0) * sin2),
+        3.0 / (8.0 * u3) * (2.0 * u * cos2 - sin2),
+    )
 
 
-def f_perpendicular_series(u: float) -> float:
-    """Maclaurin evaluation of f_perpendicular: -1 + (2/5)u^2 - (2/35)u^4 + ..."""
-    return _series(_PERP_COEFFS, _check_u(u))
+def _termwise_response(u: float) -> tuple[float, float]:
+    """(f_parallel, f_perpendicular) divided by u term by term; 4 - 1/u^2 rounds to 4 here, so it is 4."""
+    sin, cos = math.sin(u), math.cos(u)  # not 2u, which overflows at max float
+    cos2, sin2 = (cos - sin) * (cos + sin), 2.0 * sin * cos
+    return (
+        3.0 / 16.0 * (2.0 * cos2 / u / u + 4.0 * sin2 / u),
+        3.0 / 8.0 * (2.0 * cos2 / u / u - sin2 / u / u / u),
+    )
+
+
+def _response(u: float) -> tuple[float, float]:
+    """(f_parallel, f_perpendicular) at a checked u > 0, from the evaluator of its regime."""
+    if u < SERIES_CUTOFF:
+        return _series_response(u)
+    return _closed_response(u) if u < TERMWISE_U else _termwise_response(u)
 
 
 def f_parallel(u: float) -> float:
@@ -139,7 +134,7 @@ def f_parallel(u: float) -> float:
     Tends to 1 as u -> 0 (image dipole reinforces the field) and decays to 0
     with oscillations as u grows, recovering the unbounded vacuum.
     """
-    return f_parallel_series(u) if _check_u(u) < SERIES_CUTOFF else f_parallel_direct(u)
+    return _response(_check_u(u))[0]
 
 
 def f_perpendicular(u: float) -> float:
@@ -148,7 +143,7 @@ def f_perpendicular(u: float) -> float:
     Tends to -1 as u -> 0, doubling the decay rate of a normally polarized
     atom, and decays to 0 at large separation.
     """
-    return f_perpendicular_series(u) if _check_u(u) < SERIES_CUTOFF else f_perpendicular_direct(u)
+    return _response(_check_u(u))[1]
 
 
 class PolarizationWeights(_value_type("ax ay az")):
@@ -222,8 +217,8 @@ def suppression_factor(geometry: Geometry, polarization: PolarizationWeights) ->
     polarization = _as(PolarizationWeights, polarization, "polarization")
     if not geometry.has_boundary:
         return 0.0
-    fp = f_parallel(geometry.u)
-    return (polarization.ax + polarization.ay) * fp + polarization.az * f_perpendicular(geometry.u)
+    par, perp = _response(geometry.u)
+    return (polarization.ax + polarization.ay) * par + polarization.az * perp
 
 
 def decay_rate(f: float) -> float:

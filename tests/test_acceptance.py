@@ -17,15 +17,13 @@ import pytest
 
 from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
+    _closed_response,
+    _series_response,
     Geometry,
     PolarizationWeights,
     decay_rate,
     f_parallel,
-    f_parallel_direct,
-    f_parallel_series,
     f_perpendicular,
-    f_perpendicular_direct,
-    f_perpendicular_series,
     noise_to_damping,
     suppression_factor,
 )
@@ -389,12 +387,9 @@ def test_criterion_9_response_function_numerics():
     assert abs(ref_perp - -0.99600571005483346) < 1e-15
 
     series_worst = 0.0
-    for point in np.linspace(0.05, 0.5, 90):
-        series_worst = max(
-            series_worst,
-            abs(f_parallel_series(float(point)) - f_parallel_direct(float(point))),
-            abs(f_perpendicular_series(float(point)) - f_perpendicular_direct(float(point))),
-        )
+    for point in np.linspace(0.05, 0.5, 90).tolist():
+        series, closed = _series_response(point), _closed_response(point)
+        series_worst = max(series_worst, *(abs(s - c) for s, c in zip(series, closed)))
     err_par = abs(f_parallel(0.1) - ref_par)
     err_perp = abs(f_perpendicular(0.1) - ref_perp)
     ok = series_worst < 1e-9 and err_par < 1e-8 and err_perp < 1e-8

@@ -8,15 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from coherence_bath.boundary import (
     TERMWISE_U,
+    _closed_response,
     _series_coefficients,
+    _series_response,
     Geometry,
     PolarizationWeights,
     f_parallel,
-    f_parallel_direct,
-    f_parallel_series,
     f_perpendicular,
-    f_perpendicular_direct,
-    f_perpendicular_series,
     decay_rate,
     noise_to_damping,
     suppression_factor,
@@ -93,18 +91,16 @@ def test_series_leading_terms():
     # 1 - (4/5) u^2 + (6/35) u^4 - (16/945) u^6 and
     # -1 + (2/5) u^2 - (2/35) u^4 + (4/945) u^6
     u = 0.02
-    assert f_parallel_series(u) == pytest.approx(
-        1 - 0.8 * u**2 + (6 / 35) * u**4 - (16 / 945) * u**6, abs=1e-14
-    )
-    assert f_perpendicular_series(u) == pytest.approx(
-        -1 + 0.4 * u**2 - (2 / 35) * u**4 + (4 / 945) * u**6, abs=1e-14
-    )
+    par, perp = _series_response(u)
+    assert par == pytest.approx(1 - 0.8 * u**2 + (6 / 35) * u**4 - (16 / 945) * u**6, abs=1e-14)
+    assert perp == pytest.approx(-1 + 0.4 * u**2 - (2 / 35) * u**4 + (4 / 945) * u**6, abs=1e-14)
 
 
 def test_series_direct_agreement_on_overlap_window():
-    for u in np.linspace(0.05, 0.5, 90):
-        assert abs(f_parallel_series(u) - f_parallel_direct(u)) < 1e-9
-        assert abs(f_perpendicular_series(u) - f_perpendicular_direct(u)) < 1e-9
+    for u in np.linspace(0.05, 0.5, 90).tolist():
+        series, closed = _series_response(u), _closed_response(u)
+        assert abs(series[0] - closed[0]) < 1e-9
+        assert abs(series[1] - closed[1]) < 1e-9
 
 
 def test_continuity_at_switchover():

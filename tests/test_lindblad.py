@@ -41,6 +41,8 @@ def test_spec_takes_only_an_int_qubit_count(n_qubits):
 def test_integrator_config_validation():
     with pytest.raises(ValueError, match="at most 1e-2"):
         IntegratorConfig(0.5)
+    with pytest.raises(ValueError, match="^step must be at most 1e-2, got 0.010000000000000002$"):
+        IntegratorConfig(math.nextafter(1e-2, 1.0))
     with pytest.raises(ValueError, match="positive"):
         IntegratorConfig(0.0)
 

@@ -381,8 +381,6 @@ def test_dq_c_re_where_damping_rounds_to_one(theta, q, f):
     [
         (1e-8, 1e-16, 0.5, 0.292481250361),  # cos(theta) and 1 - q' round to 1
         (1e-12, 0.01, math.nextafter(1.0, 0.0), 3.6249225301e-23),  # the same at gamma = 2^-53
-        (math.pi / 2, 1e-300, 1 - 1e-13, 2.60521744094e-11),  # (1 + r) / (1 - r) overflows
-        (2.0, 1e-310, 0.0, 88.4364517954),  # 1 - r is subnormal, the ratio overflows
         (math.pi - 1e-4, 1e-308, 0.0, 7.14385685846e-8),  # q'(1 + cos theta)^2 underflows to 0
     ],
 )
@@ -390,6 +388,19 @@ def test_dq_c_re_where_rounding_empties_a_logarithm(theta, q, f, reference):
     # 1 - bz or 1 - r rounds to zero or the subnormal range; the references
     # evaluate the same analytic derivative in 400-digit mpmath
     assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "theta, q, f, reference",
+    [
+        (math.pi / 2, 1e-300, 1 - 1e-13, 2.6052174409389066e-11),  # (1 + r) / (1 - r) overflows
+        (2.0, 1e-310, 0.0, 88.436451795396376),  # 1 - r is subnormal, the ratio overflows
+    ],
+)
+def test_dq_c_re_where_the_damping_is_subnormal(theta, q, f, reference):
+    # q' = gamma q is subnormal, so log2(q'(1 - q')) is taken as log2(gamma) + log2(q);
+    # 17-digit references of the analytic derivative in 400-digit mpmath
+    assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

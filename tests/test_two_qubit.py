@@ -73,6 +73,14 @@ def test_bd_density_example_entries():
     assert rho[1, 1].real == pytest.approx(0.3, abs=1e-15)
 
 
+def test_eigenvalues_are_the_spectrum_of_the_density(rng):
+    # the four Bell states, the origin and seeded random physical vectors
+    fixed = [(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)]
+    for bd in [BellDiagonalParams(*c) for c in fixed] + [_random_physical_bd(rng) for _ in range(100)]:
+        slots = sorted(bd.eigenvalues().values())
+        assert slots == pytest.approx(np.linalg.eigvalsh(bd_density(bd)).tolist(), rel=0.0, abs=1e-15)
+
+
 def test_bd_params_reject_unphysical():
     with pytest.raises(ValueError, match=r"\(1 - c3 - \(c1 \+ c2\)\)/4"):
         BellDiagonalParams(1.0, 1.0, 1.0)
