@@ -1,5 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+
+from coherence_bath.two_qubit import BellDiagonalParams
+
+
+@pytest.fixture(autouse=True)
+def mpmath_keeps_its_default_precision():
+    """No test changes mpmath's global precision: tests/reference.py sets its own per call."""
+    assert mpmath.mp.dps == 15, f"mpmath.mp.dps is {mpmath.mp.dps} before the test"
+    yield
+    assert mpmath.mp.dps == 15, f"the test left mpmath.mp.dps at {mpmath.mp.dps}"
 
 
 @pytest.fixture
@@ -20,6 +31,19 @@ def random_density():
             rho += w * np.outer(vec, vec.conj())
         rho = 0.5 * (rho + rho.conj().T)
         return rho / rho.trace().real
+
+    return make
+
+
+@pytest.fixture
+def random_bd():
+    """Factory for physical Bell-diagonal states: c uniform in [-1, 1]^3, redrawn until its spectrum is >= 0."""
+
+    def make(rng):
+        while True:
+            c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
+            if min(1.0 + c3 + (c1 - c2), 1.0 + c3 - (c1 - c2), 1.0 - c3 + (c1 + c2), 1.0 - c3 - (c1 + c2)) >= 0.0:
+                return BellDiagonalParams(float(c1), float(c2), float(c3))
 
     return make
 

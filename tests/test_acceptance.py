@@ -11,10 +11,9 @@ u <= 3e-4).  The l1 and two-qubit clauses hold.  Everything else passes.
 import math
 import time
 
-import mpmath as mp
 import numpy as np
-import pytest
 
+import reference
 from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     _closed_response,
@@ -29,7 +28,6 @@ from coherence_bath.boundary import (
 )
 from coherence_bath.lindblad import (
     GeneratorSpec,
-    IntegratorConfig,
     closed_form_initial,
     integrate,
 )
@@ -72,21 +70,6 @@ def _report(number: int, name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-def _random_physical_bd(rng) -> BellDiagonalParams:
-    while True:
-        c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
-        if (
-            min(
-                1.0 + c3 + (c1 - c2),
-                1.0 + c3 - (c1 - c2),
-                1.0 - c3 + (c1 + c2),
-                1.0 - c3 - (c1 + c2),
-            )
-            >= 0.0
-        ):
-            return BellDiagonalParams(float(c1), float(c2), float(c3))
-
-
 def test_criterion_1_single_qubit_oracle_equivalence():
     started = time.perf_counter()
     worst = 0.0
@@ -115,12 +98,12 @@ def test_criterion_1_single_qubit_oracle_equivalence():
     )
 
 
-def test_criterion_2_two_qubit_oracle_equivalence():
+def test_criterion_2_two_qubit_oracle_equivalence(random_bd):
     rng = np.random.default_rng(2024)
     worst = 0.0
     alt_confirmations = 0
     for _ in range(50):
-        bd = _random_physical_bd(rng)
+        bd = random_bd(rng)
         for q in (0.1, 0.3, 0.5, 0.7, 0.9):
             tau = -math.log1p(-q)
             omega = 0.9
@@ -236,7 +219,7 @@ def test_criterion_5_perpendicular_enhancement():
     )
 
 
-def test_criterion_6_derivatives_and_freezing_classification():
+def test_criterion_6_derivatives_and_freezing_classification(random_bd):
     # analytic derivatives against central differences
     step = 1e-5
     worst_rel = 0.0
@@ -268,7 +251,7 @@ def test_criterion_6_derivatives_and_freezing_classification():
             if index % 16 == 3:
                 bd = BellDiagonalParams(0.0, 0.0, float(rng.uniform(-0.9, 0.9)))
             else:
-                bd = _random_physical_bd(rng)
+                bd = random_bd(rng)
             if index % 8 == 7:
                 geometry, polarization = Geometry.mirror(1e-7), PRESETS["parallel"]
             else:
@@ -302,7 +285,7 @@ def test_criterion_6_derivatives_and_freezing_classification():
     )
 
 
-def test_criterion_7_measure_consistency():
+def test_criterion_7_measure_consistency(random_bd):
     rng = np.random.default_rng(707)
     worst_single = 0.0
     for _ in range(200):
@@ -326,7 +309,7 @@ def test_criterion_7_measure_consistency():
     worst_matched_formula = 0.0
     max_unmatched_gap = 0.0
     for _ in range(150):
-        bd = _random_physical_bd(rng)
+        bd = random_bd(rng)
         qp = float(rng.uniform(0.0, 1.0))
         evolved = apply_one_sided_channel(
             bd_density(bd), OneSidedChannel(qp, float(rng.uniform(0.0, 2.0 * math.pi)))
@@ -377,12 +360,8 @@ def test_criterion_8_channel_complete_positivity():
 
 
 def test_criterion_9_response_function_numerics():
-    # high-precision references, frozen from 50-digit evaluations and
-    # re-derived here from scratch
-    mp.mp.dps = 50
-    u = mp.mpf(1) / 10
-    ref_par = float((3 / (16 * u**3)) * (2 * u * mp.cos(2 * u) + (4 * u**2 - 1) * mp.sin(2 * u)))
-    ref_perp = float((3 / (8 * u**3)) * (2 * u * mp.cos(2 * u) - mp.sin(2 * u)))
+    # the stated constants against the 50-digit references at u = 1/10 exactly
+    ref_par, ref_perp = reference.f_parallel("0.1", dps=50), reference.f_perpendicular("0.1", dps=50)
     assert abs(ref_par - 0.99201712593554238) < 1e-15
     assert abs(ref_perp - -0.99600571005483346) < 1e-15
 

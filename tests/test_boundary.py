@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 from coherence_bath.boundary import (
     TERMWISE_U,
     _closed_response,
@@ -20,43 +20,26 @@ from coherence_bath.boundary import (
     suppression_factor,
 )
 
-# Frozen from the 50-digit evaluations below.  Note: truncating the series
-# at u^4 gives 0.99201714, which sits 1.4e-8 from the exact value; the
-# reference here is the exact one.
-F_PAR_01 = 0.99201712593554238
-F_PERP_01 = -0.99600571005483346
-
-mp.mp.dps = 50
-
-
-def _mp_f_parallel(u):
-    u = mp.mpf(u)
-    return (3 / (16 * u**3)) * (2 * u * mp.cos(2 * u) + (4 * u**2 - 1) * mp.sin(2 * u))
-
-
-def _mp_f_perpendicular(u):
-    u = mp.mpf(u)
-    return (3 / (8 * u**3)) * (2 * u * mp.cos(2 * u) - mp.sin(2 * u))
-
 
 def test_reference_constants_match_high_precision_oracle():
-    assert abs(float(_mp_f_parallel("0.1")) - F_PAR_01) < 1e-15
-    assert abs(float(_mp_f_perpendicular("0.1")) - F_PERP_01) < 1e-15
+    # The stated u = 1/10 values; the series cut at u^4 gives 0.99201714, 1.4e-8 off.
+    assert abs(reference.f_parallel("0.1", dps=50) - 0.99201712593554238) < 1e-15
+    assert abs(reference.f_perpendicular("0.1", dps=50) - -0.99600571005483346) < 1e-15
 
 
 def test_f_parallel_reference_value():
-    assert f_parallel(0.1) == pytest.approx(F_PAR_01, abs=1e-8)
+    assert f_parallel(0.1) == pytest.approx(reference.f_parallel("0.1", dps=50), abs=1e-8)
 
 
 def test_f_perpendicular_reference_value():
-    assert f_perpendicular(0.1) == pytest.approx(F_PERP_01, abs=1e-8)
+    assert f_perpendicular(0.1) == pytest.approx(reference.f_perpendicular("0.1", dps=50), abs=1e-8)
 
 
 def test_f_functions_against_mpmath(rng):
     for _ in range(25):
         u = float(np.exp(rng.uniform(math.log(1e-3), math.log(50.0))))
-        assert f_parallel(u) == pytest.approx(float(_mp_f_parallel(u)), abs=1e-12)
-        assert f_perpendicular(u) == pytest.approx(float(_mp_f_perpendicular(u)), abs=1e-12)
+        assert f_parallel(u) == pytest.approx(reference.f_parallel(u, dps=50), abs=1e-12)
+        assert f_perpendicular(u) == pytest.approx(reference.f_perpendicular(u, dps=50), abs=1e-12)
 
 
 
@@ -70,8 +53,8 @@ def test_f_functions_against_mpmath_up_to_max_float(u):
     # Tolerance 1e-13 of the envelopes 3/(4u) and 3/(4u^2), plus a few
     # subnormal ulps where they underflow.
     par_envelope, perp_envelope = 3.0 / (4.0 * u), 3.0 / (4.0 * u) / u
-    assert abs(f_parallel(u) - float(_mp_f_parallel(u))) <= 1e-13 * par_envelope + 1e-322
-    assert abs(f_perpendicular(u) - float(_mp_f_perpendicular(u))) <= 1e-13 * perp_envelope + 1e-322
+    assert abs(f_parallel(u) - reference.f_parallel(u, dps=50)) <= 1e-13 * par_envelope + 1e-322
+    assert abs(f_perpendicular(u) - reference.f_perpendicular(u, dps=50)) <= 1e-13 * perp_envelope + 1e-322
 
 
 def test_series_coefficients_equal_exact_fractions():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from coherence_bath.single_qubit import (
     CoherenceTrace,
@@ -54,12 +55,9 @@ def polarizations(draw):
 
 @st.composite
 def physical_bd(draw):
-    # From a spectrum (p1..p4) on the simplex; zero weights give the
-    # rank-deficient states on the physicality boundary, Bell states included.
-    raw = [draw(unit) for _ in range(4)]
-    total = sum(raw)
-    p1, p2, p3, p4 = [r / total for r in raw] if total > 0.0 else [0.25] * 4
-    return BellDiagonalParams((p1 - p2) + (p3 - p4), -(p1 - p2) + (p3 - p4), 2.0 * (p1 + p2) - 1.0)
+    # Zero weights give the rank-deficient states on the physicality
+    # boundary, Bell states included.
+    return BellDiagonalParams(*reference.bd_from_spectrum(*(draw(unit) for _ in range(4)), dps=50))
 
 
 def _grid(interior):

@@ -1,10 +1,10 @@
 import math
 import re
 
-import mpmath as mp
 import numpy as np
 import pytest
 
+import reference
 from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
@@ -32,10 +32,6 @@ from coherence_bath.two_qubit import channel_kraus
 UNBOUNDED = Geometry.unbounded()
 PARALLEL = PolarizationWeights.parallel()
 GAMMA = decay_rate(suppression_factor(UNBOUNDED, PARALLEL))  # gamma_eff = 1: q' = q
-
-# Frozen 50-digit values for theta = pi/2 in the unbounded vacuum.
-C_RE_Q050 = 0.45669922179386298
-C_RE_Q075 = 0.26012250767013771
 
 
 def _channel(q, geometry=UNBOUNDED, polarization=PARALLEL, omega=1.0):
@@ -134,12 +130,10 @@ def test_trajectory_examples():
     assert c_l1_single(0.0, noise_to_damping(0.5, GAMMA)) == 0.0
     assert c_re_single(math.pi / 2, noise_to_damping(0.0, GAMMA)) == pytest.approx(1.0)
     assert c_re_single(math.pi / 2, noise_to_damping(1.0, GAMMA)) == 0.0
-    assert c_re_single(math.pi / 2, noise_to_damping(0.5, GAMMA)) == pytest.approx(
-        C_RE_Q050, abs=1e-14
-    )
-    assert c_re_single(math.pi / 2, noise_to_damping(0.75, GAMMA)) == pytest.approx(
-        C_RE_Q075, abs=1e-14
-    )
+    for q in (0.5, 0.75):  # q' = q at gamma_eff = 1
+        assert c_re_single(math.pi / 2, noise_to_damping(q, GAMMA)) == pytest.approx(
+            reference.c_re_single(math.pi / 2, q, dps=50), abs=1e-14
+        )
 
 
 def test_trajectory_constant_when_frozen():
@@ -347,18 +341,6 @@ def test_damping_mapping_consistency(rng):
         )
 
 
-def _c_re_mp(theta, q, f):
-    """Relative entropy of coherence at sweep point q, in mpmath arithmetic."""
-    one_minus_qp = (1 - q) ** (1 - f)
-    bz = mp.cos(theta) * one_minus_qp - (1 - one_minus_qp)
-    radius = mp.sqrt(mp.sin(theta) ** 2 * one_minus_qp + bz * bz)
-
-    def h2(p):
-        return -(p * mp.log(p, 2) + (1 - p) * mp.log(1 - p, 2))
-
-    return h2((1 + bz) / 2) - h2((1 + radius) / 2)
-
-
 @pytest.mark.parametrize(
     "theta, q, f",
     [(math.pi / 2, 1 - 1e-9, -1.0), (1.0, 1 - 1e-12, -0.5), (2.5, 1 - 2.0**-40, -1.0)],
@@ -368,51 +350,43 @@ def test_dq_c_re_where_damping_rounds_to_one(theta, q, f):
     assert -math.expm1((1 - f) * math.log1p(-q)) == 1.0
     value = dq_c_re(theta, q, f)
     assert math.isfinite(value) and value >= 0.0
-    with mp.workdps(40):
-        x, step = mp.mpf(q), mp.mpf("1e-20")
-        reference = abs(_c_re_mp(mp.mpf(theta), x + step, f) - _c_re_mp(mp.mpf(theta), x - step, f))
-        reference /= 2 * step
-    # the 40-digit difference quotient itself is good to a few 1e-9 in the last case
-    assert value == pytest.approx(float(reference), rel=1e-7, abs=0.0)
+    assert value == pytest.approx(reference.dq_c_re(theta, q, f, dps=400), rel=1e-7, abs=0.0)
 
 
 @pytest.mark.parametrize(
-    "theta, q, f, reference",
+    "theta, q, f",
     [
-        (1e-8, 1e-16, 0.5, 0.292481250361),  # cos(theta) and 1 - q' round to 1
-        (1e-12, 0.01, math.nextafter(1.0, 0.0), 3.6249225301e-23),  # the same at gamma = 2^-53
-        (math.pi - 1e-4, 1e-308, 0.0, 7.14385685846e-8),  # q'(1 + cos theta)^2 underflows to 0
+        (1e-8, 1e-16, 0.5),  # cos(theta) and 1 - q' round to 1
+        (1e-12, 0.01, math.nextafter(1.0, 0.0)),  # the same at gamma = 2^-53
+        (math.pi - 1e-4, 1e-308, 0.0),  # q'(1 + cos theta)^2 underflows to 0
     ],
 )
-def test_dq_c_re_where_rounding_empties_a_logarithm(theta, q, f, reference):
-    # 1 - bz or 1 - r rounds to zero or the subnormal range; the references
-    # evaluate the same analytic derivative in 400-digit mpmath
-    assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-6, abs=0.0)
+def test_dq_c_re_where_rounding_empties_a_logarithm(theta, q, f):
+    # 1 - bz or 1 - r rounds to zero or the subnormal range
+    assert dq_c_re(theta, q, f) == pytest.approx(reference.dq_c_re(theta, q, f, dps=400), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize(
-    "theta, q, f, reference",
+    "theta, q, f",
     [
-        (math.pi / 2, 1e-300, 1 - 1e-13, 2.6052174409389066e-11),  # (1 + r) / (1 - r) overflows
-        (2.0, 1e-310, 0.0, 88.436451795396376),  # 1 - r is subnormal, the ratio overflows
+        (math.pi / 2, 1e-300, 1 - 1e-13),  # (1 + r) / (1 - r) overflows
+        (2.0, 1e-310, 0.0),  # 1 - r is subnormal, the ratio overflows
     ],
 )
-def test_dq_c_re_where_the_damping_is_subnormal(theta, q, f, reference):
-    # q' = gamma q is subnormal, so log2(q'(1 - q')) is taken as log2(gamma) + log2(q);
-    # 17-digit references of the analytic derivative in 400-digit mpmath
-    assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-12, abs=0.0)
+def test_dq_c_re_where_the_damping_is_subnormal(theta, q, f):
+    # q' = gamma q is subnormal, so log2(q'(1 - q')) is taken as log2(gamma) + log2(q)
+    assert dq_c_re(theta, q, f) == pytest.approx(reference.dq_c_re(theta, q, f, dps=400), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
-    "theta, q, f, reference",
+    "theta, q, f",
     [
-        (1.0, 5e-324, 0.5, 318.360616062008),  # gamma q rounds q' to 0
-        (2.0, 1e-320, 0.9, 9.15505362582263),  # q' is subnormal
-        (1e-200, 5e-324, 0.5, 7.30011817778022e-78),  # and so is 1 - bz = 2 (sin^2(theta/2) + q')
-        (1e-160, 1e-320, 0.0, 0.321931307171615),
+        (1.0, 5e-324, 0.5),  # gamma q rounds q' to 0
+        (2.0, 1e-320, 0.9),  # q' is subnormal
+        (1e-200, 5e-324, 0.5),  # and so is 1 - bz = 2 (sin^2(theta/2) + q')
+        (1e-160, 1e-320, 0.0),
     ],
 )
-def test_dq_c_re_where_damping_underflows(theta, q, f, reference):
-    # q' = gamma q (1 + O(q)) below the normal range; the references evaluate
-    # the derivative of the relative entropy in 400-digit mpmath
-    assert dq_c_re(theta, q, f) == pytest.approx(reference, rel=1e-9, abs=0.0)
+def test_dq_c_re_where_damping_underflows(theta, q, f):
+    # q' = gamma q (1 + O(q)) below the normal range
+    assert dq_c_re(theta, q, f) == pytest.approx(reference.dq_c_re(theta, q, f, dps=400), rel=1e-9, abs=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import reference
 from coherence_bath import c_l1, c_re
 from coherence_bath.boundary import (
     Geometry,
@@ -30,26 +31,9 @@ from coherence_bath.two_qubit import (
 # flipping c3 keeps every anti-diagonal entry and the l1 value while staying
 # a valid state.
 EXAMPLE_BD = BellDiagonalParams(0.8, 0.4, -0.2)
-# Frozen 50-digit value of the initial relative entropy of EXAMPLE_BD.
-EXAMPLE_BD_C_RE = 0.67548875021634685
 
 PARALLEL = PolarizationWeights.parallel()
 GROUND = np.diag([0.0, 1.0]).astype(complex)
-
-
-def _random_physical_bd(rng) -> BellDiagonalParams:
-    while True:
-        c1, c2, c3 = rng.uniform(-1.0, 1.0, size=3)
-        if (
-            min(
-                1.0 + c3 + (c1 - c2),
-                1.0 + c3 - (c1 - c2),
-                1.0 - c3 + (c1 + c2),
-                1.0 - c3 - (c1 + c2),
-            )
-            >= 0.0
-        ):
-            return BellDiagonalParams(float(c1), float(c2), float(c3))
 
 
 def test_bd_density_center():
@@ -73,10 +57,10 @@ def test_bd_density_example_entries():
     assert rho[1, 1].real == pytest.approx(0.3, abs=1e-15)
 
 
-def test_eigenvalues_are_the_spectrum_of_the_density(rng):
+def test_eigenvalues_are_the_spectrum_of_the_density(rng, random_bd):
     # the four Bell states, the origin and seeded random physical vectors
     fixed = [(1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, -1.0), (0.0, 0.0, 0.0)]
-    for bd in [BellDiagonalParams(*c) for c in fixed] + [_random_physical_bd(rng) for _ in range(100)]:
+    for bd in [BellDiagonalParams(*c) for c in fixed] + [random_bd(rng) for _ in range(100)]:
         slots = sorted(bd.eigenvalues().values())
         assert slots == pytest.approx(np.linalg.eigvalsh(bd_density(bd)).tolist(), rel=0.0, abs=1e-15)
 
@@ -140,8 +124,8 @@ def test_choi_matrix_equals_block_construction_bitwise(rng):
         assert np.ascontiguousarray(choi_matrix(ch)).tobytes() == blocks.tobytes()
 
 
-def test_measures_independent_of_channel_phase(rng):
-    bd = _random_physical_bd(rng)
+def test_measures_independent_of_channel_phase(rng, random_bd):
+    bd = random_bd(rng)
     rho = bd_density(bd)
     reference = apply_one_sided_channel(rho, OneSidedChannel(0.35, 0.0))
     for phase in (1.0, math.pi):
@@ -184,13 +168,13 @@ def test_c_l1_bd_examples():
 def test_c_re_bd_examples():
     assert c_re_bd((1.0, -1.0, 1.0), 0.0) == pytest.approx(1.0, abs=1e-12)
     assert c_re_bd(EXAMPLE_BD, 1.0) == 0.0
-    assert c_re_bd(EXAMPLE_BD, 0.0) == pytest.approx(EXAMPLE_BD_C_RE, abs=1e-13)
+    assert c_re_bd(EXAMPLE_BD, 0.0) == pytest.approx(reference.c_re_bd(EXAMPLE_BD, 0.0, dps=50)[0], abs=1e-13)
     assert c_re_bd(EXAMPLE_BD, 0.0) == pytest.approx(c_re(bd_density(EXAMPLE_BD)), abs=1e-10)
 
 
-def test_closed_forms_match_measures_randomized(rng):
+def test_closed_forms_match_measures_randomized(rng, random_bd):
     for _ in range(150):
-        bd = _random_physical_bd(rng)
+        bd = random_bd(rng)
         qp = float(rng.uniform(0.0, 1.0))
         evolved = apply_one_sided_channel(
             bd_density(bd), OneSidedChannel(qp, float(rng.uniform(0.0, 2.0 * math.pi)))
@@ -213,14 +197,14 @@ def test_closed_form_comparison_exact_when_c1c2_zero(rng):
 
 
 def test_closed_form_comparison_deviates_otherwise():
-    # frozen gap 0.3137570577 from the 50-digit evaluation
+    exact, compact = reference.c_re_bd(EXAMPLE_BD, 0.5, dps=50)
     gap = abs(c_re_bd(EXAMPLE_BD, 0.5) - c_re_bd_closed_form(EXAMPLE_BD, 0.5))
-    assert gap == pytest.approx(0.31375705770189, abs=1e-10)
+    assert gap == pytest.approx(abs(exact - compact), abs=1e-10)
 
 
-def test_channel_matches_integrator(rng):
+def test_channel_matches_integrator(rng, random_bd):
     for _ in range(5):
-        bd = _random_physical_bd(rng)
+        bd = random_bd(rng)
         q = float(rng.uniform(0.1, 0.9))
         omega = float(rng.uniform(0.0, 3.0))
         tau = -math.log1p(-q)
@@ -257,8 +241,8 @@ def test_bd_l1_column_endpoints_unbounded():
     assert c_l1_column[-1] == 0.0
 
 
-def test_evolved_state_damping_matches_noise_mapping(rng):
-    bd = _random_physical_bd(rng)
+def test_evolved_state_damping_matches_noise_mapping(rng, random_bd):
+    bd = random_bd(rng)
     geometry = Geometry.mirror(0.2)
     gamma = decay_rate(suppression_factor(geometry, PARALLEL))
     q = 0.6
@@ -269,19 +253,7 @@ def test_evolved_state_damping_matches_noise_mapping(rng):
 
 @st.composite
 def physical_bd_vectors(draw):
-    raw = [
-        draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)) for _ in range(4)
-    ]
-    total = sum(raw)
-    if total == 0.0:
-        probs = [0.25] * 4
-    else:
-        probs = [r / total for r in raw]
-    p1, p2, p3, p4 = probs
-    c3 = 2.0 * (p1 + p2) - 1.0
-    c1 = (p1 - p2) + (p3 - p4)
-    c2 = -(p1 - p2) + (p3 - p4)
-    return c1, c2, c3
+    return reference.bd_from_spectrum(*(draw(st.floats(min_value=0.0, max_value=1.0)) for _ in range(4)), dps=50)
 
 
 @given(physical_bd_vectors())
