@@ -35,7 +35,7 @@ from .two_qubit import (
 from .single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
 from .boundary import (_PRESETS, Geometry, _as, _count, _real, _value_type, decay_rate, noise_to_damping,
                        suppression_factor)
-from .qmath import PAULI, as_density_matrix
+from .qmath import PAULI, _has_eigenvalue_below, as_density_matrix
 
 import numpy as np
 
@@ -145,17 +145,18 @@ def integrate(
     adjoint = evolved.conj().T
     hermiticity_drift = np.max(np.abs(evolved - adjoint))
     trace_drift = np.abs(np.trace(evolved) - 1.0)
-    min_eig = np.min(np.linalg.eigvalsh(0.5 * (evolved + adjoint)))
+    hermitian_part = 0.5 * (evolved + adjoint)
     # The RK4 map is a polynomial in a generator that keeps trace and
     # Hermiticity, so it keeps them exactly: their drift is round-off,
     # which grows with the step count, and a larger step cuts it.
     drift = max(hermiticity_drift, trace_drift)
     if drift > 1e-8:
         advice = f"round-off dominates; retry with step >= {min(1e-2, h * drift / 1e-9):.3e}"
-    elif min_eig < -1e-8:
+    elif _has_eigenvalue_below(hermitian_part, -1e-8):
         advice = f"retry with step <= {h / 2:.3e}"
     else:
         return evolved
+    min_eig = np.min(np.linalg.eigvalsh(hermitian_part))
     raise InstabilityError(
         f"integration unstable at step {h:.3e} "
         f"(hermiticity drift {hermiticity_drift:.2e}, trace drift {trace_drift:.2e}, "

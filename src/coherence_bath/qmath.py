@@ -47,12 +47,34 @@ def as_density_matrix(m) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian within 1e-12")
     if abs(rho.trace().real - 1.0) > TRACE_TOL or abs(rho.trace().imag) > TRACE_TOL:
         raise ValueError(f"density matrix trace {rho.trace():.17g} is not 1 within 1e-12")
-    smallest = float(np.min(np.linalg.eigvalsh(rho)))
-    if smallest < EIGENVALUE_FLOOR:
+    if _has_eigenvalue_below(rho, EIGENVALUE_FLOOR):
+        smallest = float(np.min(np.linalg.eigvalsh(rho)))
         raise PositivityError(
             f"density matrix has eigenvalue {smallest:.3e} below {EIGENVALUE_FLOOR}"
         )
     return rho
+
+
+def _has_eigenvalue_below(h: np.ndarray, floor: float) -> bool:
+    """Whether the Hermitian ``h``, read from its lower triangle as ``eigvalsh`` reads it,
+    has an eigenvalue below ``floor``: an LDL^H elimination of h - floor*I in Python
+    floats, without LAPACK.  By Sylvester's law of inertia a negative pivot, or a zero
+    pivot with a nonzero entry below it, means a negative eigenvalue of h - floor*I
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 10)."""
+    a = h.tolist()
+    for i, row in enumerate(a):
+        row[i] = row[i].real - floor
+    for k, pivot_row in enumerate(a):
+        if not (pivot := pivot_row[k].real) > 0.0:  # a NaN pivot counts as negative
+            if pivot != 0.0 or any(row[k] for row in a[k + 1:]):
+                return True
+            continue  # column k is zero below the pivot and changes nothing
+        for i in range(k + 1, len(a)):
+            row = a[i]
+            scaled = row[k] / pivot
+            for j in range(k + 1, i + 1):
+                row[j] -= scaled * a[j][k].conjugate()
+    return False
 
 
 def _real_array(values, what: str) -> np.ndarray:

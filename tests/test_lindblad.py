@@ -203,7 +203,10 @@ def test_instability_raises_with_suggestion():
 
 
 def test_instability_within_round_off_asks_for_half_the_step():
-    with pytest.raises(InstabilityError, match=r"retry with step <= 5\.000e-03"):
+    # No drift: the positivity check decides, and the message still carries
+    # the smallest eigenvalue of the result's Hermitian part.
+    with pytest.raises(InstabilityError, match=r"hermiticity drift 0\.00e\+00, trace drift \d\.\d\de-1\d, "
+                       r"min eigenvalue -4\.56e\+00\); retry with step <= 5\.000e-03$"):
         integrate(np.diag([1, 0]), GeneratorSpec(72.5, 72.5), 0.1, IntegratorConfig(0.01))
 
 
@@ -414,7 +417,7 @@ def test_instability_names_the_step_and_the_first_failing_case(monkeypatch):
         return integrate(rho0, spec, tau, cfg)
 
     monkeypatch.setattr(lindblad, "integrate", traced)
-    with pytest.raises(InstabilityError, match="round-off dominates"):
+    with pytest.raises(InstabilityError, match=r"min eigenvalue 4\.63e-01\); round-off dominates"):
         validate_all(1, 50, IntegratorConfig(2e-16))
     assert taus == [-math.log1p(-0.7), -math.log1p(-0.5)]  # cases 0 and 1, no further
 

@@ -151,6 +151,29 @@ def test_validate_loads_neither_numpy_random_nor_openssl():
     assert done.stdout.split() == ["0", "False", "False", "False"]
 
 
+def test_validate_calls_no_lapack(monkeypatch, tmp_path, capsys):
+    """validate decides positivity by elimination; LAPACK's eigen-solvers serve
+    only c_re, von_neumann_entropy and the messages of the raise paths."""
+    import numpy as np
+
+    from coherence_bath import cli
+    from coherence_bath.lindblad import validate_all
+
+    def run(out):
+        report = validate_all(1, 50)
+        assert cli.main(["validate", "--seed", "1", "--cases", "50", "--out", str(out)]) == 0
+        return report, out.read_bytes(), capsys.readouterr().out
+
+    expected = run(tmp_path / "lapack.txt")
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("validate called LAPACK")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, no_lapack)
+    assert run(tmp_path / "elimination.txt") == expected
+
+
 def _bench_constant(script: str, name: str):
     """The literal value that ``name`` is assigned at the top of ``bench/<script>``, read without running it."""
     tree = ast.parse((Path(SRC).parent / "bench" / script).read_text(encoding="utf-8"))

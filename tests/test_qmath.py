@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from coherence_bath.qmath import (
+    EIGENVALUE_FLOOR,
     PAULI,
     PositivityError,
+    _has_eigenvalue_below,
     as_density_matrix,
     entropy_bits,
     von_neumann_entropy,
@@ -185,3 +187,71 @@ def test_as_density_matrix_rejects_bad_trace():
 def test_as_density_matrix_rejects_wrong_shape():
     with pytest.raises(ValueError, match="2x2 or 4x4"):
         as_density_matrix(np.eye(3) / 3)
+
+
+def _below_by_lapack(h, floor):
+    return bool(np.linalg.eigvalsh(h).min() < floor)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 1e-9, -1e-9])
+def test_positivity_predicate_agrees_with_lapack(dim, shift):
+    """Random Hermitian matrices shifted so their smallest eigenvalue sits at
+    the floor plus ``shift``.  At a shift of 0 the matrix sits on the floor
+    to within round-off, where the two answers may split; they may split only
+    there, within a few units of round-off of the largest entry."""
+    rng = np.random.default_rng(20261020 + dim)
+    eye = np.eye(dim)
+    for _ in range(4000):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = 0.25 * (z + z.conj().T)
+        h = a - (np.linalg.eigvalsh(a).min() - EIGENVALUE_FLOOR - shift) * eye
+        below, smallest = _has_eigenvalue_below(h, EIGENVALUE_FLOOR), np.linalg.eigvalsh(h).min()
+        if shift == 0.0:
+            tie = 4 * dim * np.finfo(float).eps * np.abs(h).max()
+            assert below == (smallest < EIGENVALUE_FLOOR) or abs(smallest - EIGENVALUE_FLOOR) <= tie
+        else:
+            assert below == (shift < 0.0) == (smallest < EIGENVALUE_FLOOR)
+
+
+@pytest.mark.parametrize("dim, rank", [(2, 1), (4, 1), (4, 2)])
+def test_positivity_predicate_on_states_of_low_rank(rng, dim, rank):
+    for _ in range(200):
+        kets = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        rho = kets @ kets.conj().T
+        rho /= rho.trace().real
+        # The zero eigenvalues are above the round-off floor and below any positive one.
+        for floor in (EIGENVALUE_FLOOR, 1e-9):
+            assert _has_eigenvalue_below(rho, floor) == (floor > 0.0) == _below_by_lapack(rho, floor)
+        as_density_matrix(rho)
+
+
+@pytest.mark.parametrize("h, below", [
+    (np.diag([0.0, 1.0]), False),  # zero pivot, zero column
+    (np.array([[0.0, 0.5], [0.5, 1.0]]), True),  # zero pivot, nonzero column
+    (np.ones((2, 2)), False),  # the second pivot is 1 - 1*1/1 = 0 exactly
+    (np.array([[1.0, 1, 0, 0], [1, 1, 0.5, 0], [0, 0.5, 1, 0], [0, 0, 0, 1]]), True),  # same, mid-way
+    (np.array([[1.0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), False),
+])
+def test_positivity_predicate_on_an_exact_zero_pivot(h, below):
+    # The floor is 0, so h - floor*I is h itself and its pivots are exact.
+    assert _has_eigenvalue_below(h.astype(complex), 0.0) == below == _below_by_lapack(h, 0.0)
+
+
+def test_positivity_predicate_reads_the_lower_triangle():
+    # Read from its lower triangle the state has eigenvalue 1/2 - |c| = floor - 3e-13;
+    # its upper triangle, 6e-13 away, gives floor + 3e-13.  eigvalsh reads the lower.
+    c = 0.5 - EIGENVALUE_FLOOR + 3e-13
+    rho = np.array([[0.5, c - 6e-13], [c, 0.5]], dtype=complex)
+    for m, below in ((rho, True), (rho.conj().T, False)):
+        assert _has_eigenvalue_below(m, EIGENVALUE_FLOOR) == below == _below_by_lapack(m, EIGENVALUE_FLOOR)
+    with pytest.raises(PositivityError):
+        as_density_matrix(rho)
+    as_density_matrix(rho.conj().T)
+
+
+def test_positivity_error_names_the_eigenvalue(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for rho in (np.diag([1.0 + 1e-9, -1e-9]), q @ np.diag([0.5 + 1e-9, 0.3, 0.2, -1e-9]) @ q.conj().T):
+        with pytest.raises(PositivityError, match=r"^density matrix has eigenvalue -1\.000e-09 below -1e-10$"):
+            as_density_matrix(rho)
