@@ -211,7 +211,7 @@ def dump_spec(command: str, spec: dict, path: str) -> None:
         value = spec[name]
         if value is None:
             continue
-        lines.append(f"{name} = {repr(value) if isinstance(value, float) else value}")
+        lines.append(f"{name} = {value}")  # str of a float is its repr
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -8,13 +8,19 @@ assembled directly from the sigma-operator dissipator
     a_ij = A delta_ij - i B eps_ij3 - A delta_i3 delta_j3,
 
 plus the commutator with (Omega/2) sigma_3, never from the amplitude-damping
-shortcut the closed forms rely on.  For two qubits the sigmas act on the A
-factor tensored with identity.  On row-major vectorized matrices, where
-vec(X rho Y) = (X kron Y^T) vec rho, the Liouvillian is Omega H + A D_A + B D_B
-with three constant superoperators: H = -i/2 [sigma_3, .], the A part
-D_A = sigma_1 . sigma_1 + sigma_2 . sigma_2 - 2, and the B part
-D_B = i (sigma_1 . sigma_2 - sigma_2 . sigma_1) - {sigma_3, .}.  Times are in
-units of the inverse free-space decay rate; Omega is in units of that rate.
+shortcut the closed forms rely on.  The bath is the electromagnetic vacuum
+at zero temperature, so A = B = gamma_eff / 4 (Benatti, Floreani & Piani,
+PRL 91, 070402 (2003)).  For two qubits the sigmas act on the A factor
+tensored with identity.  On row-major vectorized matrices, where
+vec(X rho Y) = (X kron Y^T) vec rho, the Liouvillian is
+Omega H + (gamma_eff / 4) D with two constant superoperators:
+H = -i/2 [sigma_3, .] and D = D_A + D_B, the sum of the A part
+D_A = sigma_1 . sigma_1 + sigma_2 . sigma_2 - 2 and the B part
+D_B = i (sigma_1 . sigma_2 - sigma_2 . sigma_1) - {sigma_3, .}.  D is real
+with entries of magnitude at most 4 and H imaginary with entries of
+magnitude at most 1, so every finite (gamma_eff, Omega) gives a finite
+generator.  Times are in units of the inverse free-space decay rate;
+gamma_eff and Omega are in units of that rate.
 
 The generator is a constant linear map, so the classical fixed-step RK4
 update reduces exactly to the degree-4 Taylor propagator of the Liouvillian;
@@ -46,28 +52,17 @@ class InstabilityError(RuntimeError):
     """The fixed step was too large for the generator's decay rates."""
 
 
-class GeneratorSpec(_value_type("a_coeff b_coeff omega n_qubits")):
-    """Kossakowski coefficients and level spacing defining the generator.
-
-    ``a_coeff`` and ``b_coeff`` are the A and B entries of the Kossakowski
-    matrix (units of the free-space rate); complete positivity requires
-    a_coeff >= |b_coeff|.  For two qubits the dissipator always acts on
-    qubit A.
-    """
+class GeneratorSpec(_value_type("gamma_eff omega")):
+    """Effective decay rate gamma_eff and level spacing omega defining the
+    generator, both in units of the free-space rate.  For two qubits the
+    dissipator acts on qubit A."""
 
     __slots__ = ()
-    def __new__(cls, a_coeff: float, b_coeff: float, omega: float = 0.0, n_qubits: int = 1):
-        a_coeff, b_coeff, omega = _real(a_coeff, "a_coeff"), _real(b_coeff, "b_coeff"), _real(omega, "omega")
-        n_qubits = _count(n_qubits, "n_qubits")
-        if a_coeff < abs(b_coeff) - 1e-12:
-            raise ValueError(f"complete positivity requires a_coeff >= |b_coeff|, got a={a_coeff}, b={b_coeff}")
-        if n_qubits not in (1, 2):
-            raise ValueError(f"n_qubits must be 1 or 2, got {n_qubits}")
-        return super().__new__(cls, a_coeff, b_coeff, omega, n_qubits)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
+    def __new__(cls, gamma_eff: float, omega: float = 0.0):
+        gamma_eff, omega = _real(gamma_eff, "gamma_eff"), _real(omega, "omega")
+        if gamma_eff < 0.0:
+            raise ValueError(f"gamma_eff must be nonnegative, got {gamma_eff}")
+        return super().__new__(cls, gamma_eff, omega)
 
 
 class IntegratorConfig(_value_type("step")):
@@ -84,8 +79,8 @@ class IntegratorConfig(_value_type("step")):
 
 
 @functools.cache
-def _superoperators(n_qubits: int) -> tuple[np.ndarray, ...]:
-    """H, D_A and D_B of the module docstring, on row-major vectorized matrices."""
+def _superoperators(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """H and D = D_A + D_B of the module docstring, on row-major vectorized matrices."""
     sx, sy, sz = (np.kron(s, np.eye(2 ** (n_qubits - 1))) for s in PAULI)
     one = np.eye(len(sz))
 
@@ -95,20 +90,19 @@ def _superoperators(n_qubits: int) -> tuple[np.ndarray, ...]:
     hamiltonian = -0.5j * (sandwich(sz, one) - sandwich(one, sz))
     d_a = sandwich(sx, sx) + sandwich(sy, sy) - 2.0 * sandwich(one, one)
     d_b = 1.0j * (sandwich(sx, sy) - sandwich(sy, sx)) - sandwich(sz, one) - sandwich(one, sz)
-    return hamiltonian, d_a, d_b
+    return hamiltonian, d_a + d_b
 
 
-def liouvillian_matrix(spec: GeneratorSpec) -> np.ndarray:
-    """Matrix of the generator acting on row-major vectorized matrices; column k
-    is the generator applied to the k-th matrix unit of the stacked basis.
-    ValueError when an entry goes beyond max float."""
+def liouvillian_matrix(spec: GeneratorSpec, n_qubits: int) -> np.ndarray:
+    """Matrix of the generator of 1 or 2 qubits acting on row-major vectorized
+    matrices; column k is the generator applied to the k-th matrix unit of
+    the stacked basis."""
     spec = _as(GeneratorSpec, spec, "spec")
-    hamiltonian, d_a, d_b = _superoperators(spec.n_qubits)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, rejected below
-        matrix = spec.omega * hamiltonian + spec.a_coeff * d_a + spec.b_coeff * d_b
-    if not np.isfinite(matrix).all():
-        raise ValueError(f"the generator of {spec} overflows a float")
-    return matrix
+    n_qubits = _count(n_qubits, "n_qubits")
+    if n_qubits not in (1, 2):
+        raise ValueError(f"n_qubits must be 1 or 2, got {n_qubits}")
+    hamiltonian, dissipator = _superoperators(n_qubits)
+    return spec.omega * hamiltonian + 0.25 * spec.gamma_eff * dissipator
 
 
 def integrate(
@@ -127,8 +121,6 @@ def integrate(
     """
     rho = as_density_matrix(rho0)
     spec, cfg = _as(GeneratorSpec, spec, "spec"), _as(IntegratorConfig, cfg, "cfg")
-    if rho.shape[0] != spec.dim:
-        raise ValueError(f"state dimension {rho.shape[0]} does not match spec dim {spec.dim}")
     tau = _real(tau, "tau")
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -137,7 +129,7 @@ def integrate(
     n_steps = max(1, math.ceil(tau / cfg.step))
     h = tau / n_steps
     with np.errstate(over="ignore", invalid="ignore"):  # a divergent step is inf or nan, rejected below
-        propagator = _rk4_step(h * liouvillian_matrix(spec))
+        propagator = _rk4_step(h * liouvillian_matrix(spec, rho.shape[0] // 2))
         evolved = (np.linalg.matrix_power(propagator, n_steps) @ rho.reshape(-1)).reshape(rho.shape)
     if not np.isfinite(evolved).all():
         raise InstabilityError(f"integration diverged at step {h:.3e}; retry with step <= {h / 10:.3e}")
@@ -309,19 +301,16 @@ def _case(rng, index: int, cfg: IntegratorConfig) -> tuple[str, float, float | N
         omega = rng.uniform(0.1, 4.0)
     pol_name, polarization = _ARCHETYPES[index % 3]
     gamma = decay_rate(suppression_factor(geometry, polarization))
-    quarter = 0.25 * gamma  # zero temperature: A = B = gamma_eff / 4
     tau = -math.log1p(-q)
     channel = OneSidedChannel(noise_to_damping(q, gamma), omega * tau)  # one channel, either size
     setting = f"{label} pol={pol_name} q={q:.3f} omega={omega:.3f}"
-    gap = None
+    spec, gap = GeneratorSpec(gamma, omega), None
     if index < 2 or index % 2 == 0:  # single qubit
-        spec = GeneratorSpec(quarter, quarter, omega, 1)
         rho0 = closed_form_initial(theta, phi)
         closed = evolve_closed_form(InitialAngles(theta, phi), channel)
         description = f"single-qubit theta={theta:.3f} phi={phi:.3f} {setting}"
     else:
         bd = _random_bd(rng)
-        spec = GeneratorSpec(quarter, quarter, omega, 2)
         rho0 = bd_density(bd)
         closed = apply_one_sided_channel(rho0, channel)
         description = f"two-qubit c=({bd.c1:.3f},{bd.c2:.3f},{bd.c3:.3f}) {setting}"

@@ -140,10 +140,8 @@ def dq_c_l1(theta: float, q: float, f: float) -> float:
     """
     InitialAngles(theta)
     _check_open_interval(q)
-    gamma = decay_rate(f)
-    if gamma == 0.0:
-        return 0.0
-    return 0.5 * abs(math.sin(theta)) * gamma * (1.0 - q) ** (-0.5 * (1.0 + f))
+    # gamma = 0 gives 0.0 exactly: for q < 1 the power is at most about 2**53.
+    return 0.5 * abs(math.sin(theta)) * decay_rate(f) * (1.0 - q) ** (-0.5 * (1.0 + f))
 
 
 def _log2_ratio(a: float, b: float) -> float:
@@ -158,6 +156,8 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     Chain rule through q' = 1 - (1-q)^(1-f): the inner derivative is
     (1-f)(1-q)^(-f), the outer one the analytic q'-derivative of the
     entropy difference.  The rate 1 - f is clamped as in ``dq_c_l1``.
+    ValueError where the magnitude is beyond max float, as it can be for a
+    suppression factor f near -max float.
     """
     InitialAngles(theta)
     _check_open_interval(q)
@@ -204,7 +204,10 @@ def dq_c_re(theta: float, q: float, f: float) -> float:
     else:
         log_ratio_over_radius = _log2_ratio(1.0 + radius, one_minus_r) / radius
     ds_full = -(one_plus * one_plus) * (2.0 * qp - 1.0) / 4.0 * log_ratio_over_radius
-    return abs(dqp_dq * (ds_diag - ds_full))
+    slope = abs(dqp_dq * (ds_diag - ds_full))
+    if math.isinf(slope):
+        raise ValueError(f"|dC_re/dq| at theta={theta}, q={q}, f={f} overflows a float")
+    return slope
 
 
 class FreezeReport(NamedTuple):

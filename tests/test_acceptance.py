@@ -84,7 +84,7 @@ def test_criterion_1_single_qubit_oracle_equivalence():
                     closed = evolve_closed_form(InitialAngles(float(theta), phi), channel)
                     numeric = integrate(
                         closed_form_initial(float(theta), phi),
-                        GeneratorSpec(0.25 * gamma, 0.25 * gamma, omega=1.0),
+                        GeneratorSpec(gamma, omega=1.0),
                         tau,
                     )
                     worst = max(worst, float(np.max(np.abs(closed - numeric))))
@@ -109,7 +109,7 @@ def test_criterion_2_two_qubit_oracle_equivalence(random_bd):
             omega = 0.9
             closed = apply_one_sided_channel(bd_density(bd), OneSidedChannel(q, omega * tau))
             numeric = integrate(
-                bd_density(bd), GeneratorSpec(0.25, 0.25, omega=omega, n_qubits=2), tau
+                bd_density(bd), GeneratorSpec(1.0, omega=omega), tau
             )
             worst = max(worst, float(np.max(np.abs(closed - numeric))))
             # counter-check: scaling the longitudinal correlation like the

@@ -323,6 +323,14 @@ def test_freeze_single_boundary(tmp_path, capsys):
     assert payload["numeric_consistent"]
 
 
+@pytest.mark.parametrize("mode", [["--mode", "single"], TWO_MODE])
+def test_freeze_unbounded_is_labelled_unbounded(tmp_path, capsys, mode):
+    twin = tmp_path / "freeze.json"
+    assert main(["freeze", *mode, "--geometry", "unbounded", "--out", str(twin)]) == 0
+    assert "\ngeometry: unbounded\n" in capsys.readouterr().out
+    assert json.loads(twin.read_text())["geometry"] == "unbounded"
+
+
 def test_freeze_two_trivial(capsys):
     code = main(["freeze", "--mode", "two", "--c1", "0", "--c2", "0", "--c3", "0.7"])
     assert code == 0
@@ -487,6 +495,18 @@ def test_arithmetic_and_memory_errors_in_a_handler_are_invalid_input(monkeypatch
 def test_invalid_grid_rejected(capsys):
     assert main(["single", "--q-start", "0.9", "--q-stop", "0.1"]) == 2
     assert main(["single", "--q-count", "1"]) == 2
+
+
+@pytest.mark.parametrize("grid, bounds", [(["--q-start", "0.5", "--q-stop", "1.5"], "[0.5, 1.5]"),
+                                          (["--q-start", "-0.1"], "[-0.1, 1.0]")])
+def test_q_grid_outside_the_unit_interval_writes_no_file(tmp_path, grid, bounds):
+    # The range is checked before the output opens; noise_to_damping would
+    # reject the same q only once the file exists.
+    out = tmp_path / "out.csv"
+    assert _run_main(["single", *grid, "--out", str(out)]) == (
+        2, "", f"error: q grid must satisfy 0 <= start < stop <= 1, got {bounds}\n"
+    )
+    assert not out.exists()
 
 
 def test_mirror_requires_u(capsys):

@@ -71,7 +71,7 @@ BD = (0.3, 0.2, 0.1)
 CHANNEL = OneSidedChannel(0.5, 0.0)
 MIRROR = Geometry.mirror(0.5)
 PARALLEL = PolarizationWeights.parallel()
-SPEC = GeneratorSpec(0.25, 0.25)
+SPEC = GeneratorSpec(1.0)
 
 # Per value type: VALUE, a tuple one field too short (where its fields have no
 # defaults), one field too long, and a value of another value type that it
@@ -79,7 +79,7 @@ SPEC = GeneratorSpec(0.25, 0.25)
 VALUE_OF = {
     Geometry: VALUE + ((0.5, 0.5), IntegratorConfig(0.005)),
     PolarizationWeights: VALUE + ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0), BellDiagonalParams(1.0, 0.0, 0.0)),
-    GeneratorSpec: VALUE + ((0.25,), (0.25, 0.25, 0.0, 1, 0.0), InitialAngles(0.25, 0.25)),
+    GeneratorSpec: VALUE + ((), (1.0, 0.0, 0.0), InitialAngles(0.25, 0.25)),
     IntegratorConfig: VALUE + ((0.005, 0.005), Geometry(0.005)),
     InitialAngles: VALUE + ((), (1.0, 0.0, 0.0), OneSidedChannel(0.5, 0.0)),
     OneSidedChannel: VALUE + ((), (0.5, 0.0, 0.0), InitialAngles(0.5, 0.0)),
@@ -137,10 +137,8 @@ CONTRACTS = {
     "suppression_factor": _env(suppression_factor),
     # lindblad
     "GeneratorSpec": {
-        "a_coeff": ("a_coeff", REAL, lambda x: GeneratorSpec(x, 0.0)),
-        "b_coeff": ("b_coeff", REAL, lambda x: GeneratorSpec(0.25, x)),
-        "omega": ("omega", REAL, lambda x: GeneratorSpec(0.25, 0.25, x)),
-        "n_qubits": ("n_qubits", COUNT, lambda x: GeneratorSpec(0.25, 0.25, 0.0, x)),
+        "gamma_eff": ("gamma_eff", REAL, GeneratorSpec),
+        "omega": ("omega", REAL, lambda x: GeneratorSpec(1.0, x)),
     },
     "InstabilityError": {},
     "IntegratorConfig": {"step": ("step", REAL, IntegratorConfig)},
@@ -151,7 +149,10 @@ CONTRACTS = {
         "tau": ("tau", REAL, lambda x: integrate(RHO, SPEC, x)),
         "cfg": ("cfg", VALUE_OF[IntegratorConfig], lambda x: integrate(RHO, SPEC, 0.5, x)),
     },
-    "liouvillian_matrix": {"spec": ("spec", VALUE_OF[GeneratorSpec], liouvillian_matrix)},
+    "liouvillian_matrix": {
+        "spec": ("spec", VALUE_OF[GeneratorSpec], lambda x: liouvillian_matrix(x, 1)),
+        "n_qubits": ("n_qubits", COUNT, lambda x: liouvillian_matrix(SPEC, x)),
+    },
     "validate_all": {
         "seed": ("seed", COUNT, lambda x: validate_all(x, 1)),
         "n_cases": ("n_cases", COUNT, lambda x: validate_all(1, x)),
@@ -233,7 +234,7 @@ NON_FINITE_CASES = [
 FIELDS_OF = {
     Geometry: (0.5,),
     PolarizationWeights: (1.0, 0.0, 0.0),
-    GeneratorSpec: (0.25, 0.25, 0.0),
+    GeneratorSpec: (1.0, 0.0),
     IntegratorConfig: (0.005,),
     InitialAngles: (1.0, 0.0),
     OneSidedChannel: (0.5, 0.0),
@@ -279,7 +280,7 @@ def test_a_non_finite_field_of_a_value_type_is_a_value_error_naming_the_field(la
 def test_the_rules_take_every_kind_of_number():
     # numpy scalars are numbers.Real and numbers.Integral; int, float and complex matrices are numbers.
     assert InitialAngles(np.float64(1.0), 0).theta == 1.0
-    assert GeneratorSpec(0.25, 0.25, 0.0, np.int64(2)).dim == 4
+    assert liouvillian_matrix(SPEC, np.int64(2)).shape == (16, 16)
     assert validate_all(np.int64(1), np.uint8(2)).n_cases == 2
     assert c_l1([[1, 0], [0, 0]]) == c_re([[1, 0], [0, 0]]) == 0.0
     assert c_l1(np.full((2, 2), 0.5, dtype=np.float32)) == 1.0

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,21 +22,21 @@ from coherence_bath.qmath import PAULI
 from coherence_bath.single_qubit import InitialAngles, OneSidedChannel, evolve_closed_form
 from coherence_bath.two_qubit import apply_one_sided_channel, bd_density
 
-UNBOUNDED_SPEC = GeneratorSpec(0.25, 0.25, omega=0.0, n_qubits=1)
+UNBOUNDED_SPEC = GeneratorSpec(1.0, omega=0.0)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="complete positivity"):
-        GeneratorSpec(0.1, 0.3)
+    with pytest.raises(ValueError, match="^gamma_eff must be nonnegative, got -0.1$"):
+        GeneratorSpec(-0.1)
     with pytest.raises(ValueError, match="n_qubits"):
-        GeneratorSpec(0.25, 0.25, n_qubits=3)
+        liouvillian_matrix(UNBOUNDED_SPEC, 3)
 
 
 @pytest.mark.parametrize("n_qubits", [2.0, True, "2"])
-def test_spec_takes_only_an_int_qubit_count(n_qubits):
+def test_liouvillian_takes_only_an_int_qubit_count(n_qubits):
     # 2.0 once gave the float dim 4.0, and True passed as one qubit.
     with pytest.raises(TypeError, match="n_qubits must be an int"):
-        GeneratorSpec(0.25, 0.25, 0.0, n_qubits)
+        liouvillian_matrix(UNBOUNDED_SPEC, n_qubits)
 
 
 def test_integrator_config_validation():
@@ -49,12 +50,12 @@ def test_integrator_config_validation():
 
 def _generator(spec, rho):
     """d rho / d tau: the Liouvillian times the row-major vec rho."""
-    return (liouvillian_matrix(spec) @ rho.reshape(-1)).reshape(rho.shape)
+    return (liouvillian_matrix(spec, len(rho) // 2) @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def test_rhs_zero_generator():
     rho = closed_form_initial(1.1, 0.4)
-    assert np.max(np.abs(_generator(GeneratorSpec(0.0, 0.0, omega=0.0), rho))) == 0.0
+    assert np.max(np.abs(_generator(GeneratorSpec(0.0, omega=0.0), rho))) == 0.0
 
 
 def test_rhs_ground_state_stationary():
@@ -69,24 +70,24 @@ def test_rhs_excited_state_decay_rate():
 
 def test_rhs_preserves_trace_and_hermiticity(rng, random_density):
     for n_qubits, omega in ((1, 2.4), (2, 1.7)):
-        spec = GeneratorSpec(0.3, 0.2, omega=omega, n_qubits=n_qubits)
+        spec = GeneratorSpec(1.2, omega=omega)
         for _ in range(10):
-            out = _generator(spec, random_density(rng, spec.dim))
+            out = _generator(spec, random_density(rng, 2**n_qubits))
             assert abs(out.trace()) < 1e-14
             assert np.max(np.abs(out - out.conj().T)) < 1e-13
 
 
 def test_rhs_two_qubit_acts_on_a_only(rng, random_density):
     # ground-A tensor anything is stationary for the damping generator
-    spec = GeneratorSpec(0.25, 0.25, omega=0.7, n_qubits=2)
+    spec = GeneratorSpec(1.0, omega=0.7)
     rho = np.kron(np.diag([0.0, 1.0]).astype(complex), random_density(rng, 2))
     assert np.max(np.abs(_generator(spec, rho))) < 1e-14
 
 
 def _docstring_generator(spec, rho):
     """The module docstring's L[rho], summed term by term over i, j = 1..3."""
-    sigmas = [np.kron(s, np.eye(spec.dim // 2)) for s in PAULI]
-    a, b = spec.a_coeff, spec.b_coeff
+    sigmas = [np.kron(s, np.eye(len(rho) // 2)) for s in PAULI]
+    a = b = 0.25 * spec.gamma_eff
     # a_ij = A delta_ij - i B eps_ij3 - A delta_i3 delta_j3
     kossakowski = np.array([[a, -1.0j * b, 0.0], [1.0j * b, a, 0.0], [0.0, 0.0, a - a]])
     out = -1.0j * (0.5 * spec.omega) * (sigmas[2] @ rho - rho @ sigmas[2])
@@ -100,21 +101,15 @@ def _docstring_generator(spec, rho):
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_liouvillian_equals_the_docstring_generator(rng, n_qubits):
     # Reference: the sigma-operator dissipator plus commutator, one matrix unit at a time.
-    for trial in range(100):
-        a = float(rng.uniform(0.0, 1.0))
-        b = a if trial % 2 else float(rng.uniform(-a, a))
-        spec = GeneratorSpec(a, b, float(rng.uniform(-5.0, 5.0)), n_qubits)
-        d = spec.dim
+    for _ in range(100):
+        spec = GeneratorSpec(float(rng.uniform(0.0, 4.0)), float(rng.uniform(-5.0, 5.0)))
+        d = 2**n_qubits
         reference = np.zeros((d * d, d * d), dtype=complex)
         for k in range(d * d):
             unit = np.zeros((d, d), dtype=complex)
             unit[k // d, k % d] = 1.0
             reference[:, k] = _docstring_generator(spec, unit).reshape(-1)
-        mat = liouvillian_matrix(spec)
-        if a == b:  # every validate case: A = B = gamma_eff / 4
-            assert mat.tobytes() == reference.tobytes()
-        else:
-            assert np.max(np.abs(mat - reference)) <= 1e-15
+        assert liouvillian_matrix(spec, n_qubits).tobytes() == reference.tobytes()
 
 
 def test_integrate_zero_time_identity(rng, random_density):
@@ -126,7 +121,7 @@ def test_integrate_matches_closed_form_single():
     tau = math.log(4.0)  # q = q' = 0.75 in the unbounded vacuum
     closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), OneSidedChannel(0.75, 1.0 * tau))
     numeric = integrate(
-        closed_form_initial(math.pi / 2, 0.0), GeneratorSpec(0.25, 0.25, omega=1.0), tau
+        closed_form_initial(math.pi / 2, 0.0), GeneratorSpec(1.0, omega=1.0), tau
     )
     assert np.max(np.abs(closed - numeric)) < 1e-8
 
@@ -135,7 +130,7 @@ def test_integrate_matches_channel_two_qubit():
     bd = (0.8, 0.4, -0.2)
     tau = math.log(4.0)
     closed = apply_one_sided_channel(bd_density(bd), OneSidedChannel(0.75, 1.3 * tau))
-    numeric = integrate(bd_density(bd), GeneratorSpec(0.25, 0.25, omega=1.3, n_qubits=2), tau)
+    numeric = integrate(bd_density(bd), GeneratorSpec(1.0, omega=1.3), tau)
     assert np.max(np.abs(closed - numeric)) < 1e-8
 
 
@@ -145,7 +140,7 @@ def test_convergence_is_fourth_order():
     channel = OneSidedChannel(-math.expm1(-tau), 2.0 * tau)  # unbounded vacuum: q' = q
     closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.0), channel)
     rho0 = closed_form_initial(math.pi / 2, 0.0)
-    spec = GeneratorSpec(0.25, 0.25, omega=2.0)
+    spec = GeneratorSpec(1.0, omega=2.0)
     err_coarse = np.max(
         np.abs(closed - integrate(rho0, spec, tau, IntegratorConfig(0.01)))
     )
@@ -158,23 +153,23 @@ def test_convergence_is_fourth_order():
 
 def test_trace_and_hermiticity_drift_long_run():
     rho0 = closed_form_initial(2.0, 1.0)
-    out = integrate(rho0, GeneratorSpec(0.25, 0.25, omega=3.0), 10.0)
+    out = integrate(rho0, GeneratorSpec(1.0, omega=3.0), 10.0)
     assert abs(out.trace() - 1.0) < 1e-9
     assert np.max(np.abs(out - out.conj().T)) < 1e-9
 
 
 def test_stationary_states():
     ground = np.diag([0.0, 1.0]).astype(complex)
-    out = integrate(ground, GeneratorSpec(0.25, 0.25, omega=1.0), 5.0)
+    out = integrate(ground, GeneratorSpec(1.0, omega=1.0), 5.0)
     assert np.max(np.abs(out - ground)) < 1e-10
     ground_a = np.kron(ground, np.diag([0.3, 0.7]).astype(complex))
-    out2 = integrate(ground_a, GeneratorSpec(0.25, 0.25, omega=1.0, n_qubits=2), 5.0)
+    out2 = integrate(ground_a, GeneratorSpec(1.0, omega=1.0), 5.0)
     assert np.max(np.abs(out2 - ground_a)) < 1e-10
 
 
 def test_phase_advances_as_minus_omega_tau():
     omega, tau, phi = 2.0, 0.8, 0.5
-    out = integrate(closed_form_initial(math.pi / 2, phi), GeneratorSpec(0.25, 0.25, omega=omega), tau)
+    out = integrate(closed_form_initial(math.pi / 2, phi), GeneratorSpec(1.0, omega=omega), tau)
     expected = -(omega * tau + phi)
     assert math.remainder(float(np.angle(out[0, 1])) - expected, 2.0 * math.pi) == pytest.approx(
         0.0, abs=1e-6
@@ -189,7 +184,7 @@ def test_default_display_scale_phase_matches():
     closed = evolve_closed_form(InitialAngles(math.pi / 2, 0.3), OneSidedChannel(q, omega * tau))
     numeric = integrate(
         closed_form_initial(math.pi / 2, 0.3),
-        GeneratorSpec(0.25, 0.25, omega=omega),
+        GeneratorSpec(1.0, omega=omega),
         tau,
         IntegratorConfig(5e-5),
     )
@@ -199,7 +194,7 @@ def test_default_display_scale_phase_matches():
 def test_instability_raises_with_suggestion():
     rho0 = closed_form_initial(math.pi / 2, 0.0)
     with pytest.raises(InstabilityError, match="retry with step"):
-        integrate(rho0, GeneratorSpec(500.0, 0.0), 1.0, IntegratorConfig(1e-2))
+        integrate(rho0, GeneratorSpec(2000.0), 1.0, IntegratorConfig(1e-2))
 
 
 def test_instability_within_round_off_asks_for_half_the_step():
@@ -207,12 +202,16 @@ def test_instability_within_round_off_asks_for_half_the_step():
     # the smallest eigenvalue of the result's Hermitian part.
     with pytest.raises(InstabilityError, match=r"hermiticity drift 0\.00e\+00, trace drift \d\.\d\de-1\d, "
                        r"min eigenvalue -4\.56e\+00\); retry with step <= 5\.000e-03$"):
-        integrate(np.diag([1, 0]), GeneratorSpec(72.5, 72.5), 0.1, IntegratorConfig(0.01))
+        integrate(np.diag([1, 0]), GeneratorSpec(290.0), 0.1, IntegratorConfig(0.01))
 
 
-def test_integrate_rejects_a_mismatched_state():
-    with pytest.raises(ValueError, match="state dimension 4 does not match spec dim 2"):
-        integrate(np.eye(4) / 4, UNBOUNDED_SPEC, 0.1)
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_integrate_rejects_a_mismatched_state(dim, monkeypatch):
+    # The qubit count is read from the state, so a state of neither one nor
+    # two qubits is refused by its shape before any generator is built.
+    monkeypatch.setattr(lindblad, "liouvillian_matrix", lambda *args: pytest.fail("generator built"))
+    with pytest.raises(ValueError, match=rf"^density matrix must be 2x2 or 4x4, got shape \({dim}, {dim}\)$"):
+        integrate(np.eye(dim) / dim, UNBOUNDED_SPEC, 0.1)
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan])
@@ -226,23 +225,26 @@ def test_overflowing_generator_raises_instability_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InstabilityError, match="diverged"):
-            integrate(np.eye(2) / 2, GeneratorSpec(0.25, 0.25, 1e308), 0.01)
+            integrate(np.eye(2) / 2, GeneratorSpec(1.0, 1e308), 0.01)
 
 
-@pytest.mark.parametrize("spec", [GeneratorSpec(1e308, 1e308), GeneratorSpec(1e308, -1e308, 1e308, 2)])
-def test_overflowing_liouvillian_raises_value_error_without_warnings(spec):
-    # No step size can fix a generator whose entries overflow, so it is an input error.
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("omega", [0.0, sys.float_info.max, -sys.float_info.max])
+def test_max_float_generator_is_finite_without_warnings(n_qubits, omega):
+    # D is real with entries of magnitude at most 4 and H imaginary with
+    # entries of magnitude at most 1, so no finite rate or spacing overflows.
+    spec = GeneratorSpec(sys.float_info.max, omega)
+    with np.errstate(all="raise"):
+        assert np.isfinite(liouvillian_matrix(spec, n_qubits)).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
-            liouvillian_matrix(spec)
-        with pytest.raises(ValueError, match="overflows"):
-            integrate(np.eye(spec.dim) / spec.dim, spec, 0.01)
+        with pytest.raises(InstabilityError, match="diverged"):
+            integrate(np.eye(2**n_qubits) / 2**n_qubits, spec, 0.01)
 
 
 def test_frozen_generator_keeps_initial_state():
     rho0 = closed_form_initial(math.pi / 2, 0.9)
-    out = integrate(rho0, GeneratorSpec(2e-15, 2e-15, omega=0.0), 2.0)
+    out = integrate(rho0, GeneratorSpec(8e-15, omega=0.0), 2.0)
     assert np.max(np.abs(out - rho0)) < 1e-10
 
 
@@ -278,14 +280,14 @@ def test_validate_all_rejects_bad_count():
 
 def test_validate_cases_use_the_zero_temperature_generator(monkeypatch):
     # A = B = gamma_eff / 4 (Benatti, Floreani & Piani, PRL 91, 070402 (2003))
-    rates, specs = [], []
+    rates, specs, dims = [], [], set()
     monkeypatch.setattr(lindblad, "decay_rate", lambda f: rates.append(decay_rate(f)) or rates[-1])
-    monkeypatch.setattr(lindblad, "integrate", lambda rho0, spec, tau, cfg: specs.append(spec) or rho0)
+    monkeypatch.setattr(lindblad, "integrate",
+                        lambda rho0, spec, tau, cfg: specs.append(spec) or dims.add(len(rho0)) or rho0)
     validate_all(3, 40)
-    assert {spec.n_qubits for spec in specs} == {1, 2}
-    for spec, gamma in zip(specs, rates, strict=True):
-        assert spec.a_coeff == spec.b_coeff == 0.25 * gamma
-    assert specs[1].a_coeff == 0.25  # unbounded: gamma_eff = 1
+    assert dims == {2, 4}
+    assert [spec.gamma_eff for spec in specs] == rates
+    assert specs[1].gamma_eff == 1.0  # unbounded
 
 
 def _case_draws(rng, cube) -> list:
@@ -349,7 +351,7 @@ def test_validate_all_keeps_the_first_of_equal_errors(monkeypatch):
 
     def far(rho0, spec, tau, cfg):
         specs.append(spec)
-        return np.full((spec.dim, spec.dim), 1e20)
+        return np.full(rho0.shape, 1e20)
 
     monkeypatch.setattr(lindblad, "integrate", far)
     report = validate_all(3, 130)
@@ -368,19 +370,18 @@ def test_integrate_rejects_more_than_2_53_steps(tau, step):
 
 @st.composite
 def _oracle_cases(draw, n_qubits):
-    """(spec, tau, state seed); the step counts cover tau = 0, matrix_power's
-    special cases 1-3 and bit patterns up to 3000 steps."""
-    a = draw(st.floats(0.0, 1.0))
-    spec = GeneratorSpec(a, draw(st.floats(-a, a)), draw(st.floats(-5.0, 5.0)), n_qubits)
+    """(spec, qubit count, tau, state seed); the step counts cover tau = 0,
+    matrix_power's special cases 1-3 and bit patterns up to 3000 steps."""
+    spec = GeneratorSpec(draw(st.floats(0.0, 4.0)), draw(st.floats(-5.0, 5.0)))
     n_steps = draw(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(4, 3000)))
     tau = 0.0 if n_steps == 0 else (n_steps - draw(st.floats(0.0, 0.999))) * 1e-3
-    return spec, tau, draw(st.integers(0, 2**32 - 1))
+    return spec, n_qubits, tau, draw(st.integers(0, 2**32 - 1))
 
 
 def _classical_rk4(spec, rho, tau, step):
     """The k1-k4 RK4 loop with uniform steps h <= step, on the vectorized state."""
     n_steps = max(1, math.ceil(tau / step))
-    h, generator, vec = tau / n_steps, liouvillian_matrix(spec), rho.reshape(-1)
+    h, generator, vec = tau / n_steps, liouvillian_matrix(spec, len(rho) // 2), rho.reshape(-1)
     for _ in range(n_steps):
         k1 = generator @ vec
         k2 = generator @ (vec + 0.5 * h * k1)
@@ -393,8 +394,8 @@ def _classical_rk4(spec, rho, tau, step):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([1, 2]).flatmap(_oracle_cases))
 def test_integrate_equals_a_classical_rk4_loop(random_density, case):
-    spec, tau, seed = case
-    rho = random_density(np.random.default_rng(seed), spec.dim)
+    spec, n_qubits, tau, seed = case
+    rho = random_density(np.random.default_rng(seed), 2**n_qubits)
     out = integrate(rho, spec, tau)
     if tau == 0.0:
         assert out.tobytes() == rho.tobytes()
@@ -405,9 +406,9 @@ def test_integrate_equals_a_classical_rk4_loop(random_density, case):
 def test_instability_names_the_step_and_the_first_failing_case(monkeypatch):
     rho0 = closed_form_initial(math.pi / 2, 0.0)
     with pytest.raises(InstabilityError, match="diverged at step 1.000e-02"):
-        integrate(rho0, GeneratorSpec(500.0, 0.0), 1.0, IntegratorConfig(1e-2))
+        integrate(rho0, GeneratorSpec(2000.0), 1.0, IntegratorConfig(1e-2))
     with pytest.raises(InstabilityError, match="diverged at step 9.950e-03"):
-        integrate(rho0, GeneratorSpec(900.0, 0.0), 0.995, IntegratorConfig(1e-2))
+        integrate(rho0, GeneratorSpec(3600.0), 0.995, IntegratorConfig(1e-2))
     # At 2e-16 case 1 loses its trace to round-off, and a later case would
     # need more than 2**53 steps; the first failing case is the one reported.
     taus = []

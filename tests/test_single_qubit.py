@@ -175,7 +175,7 @@ def test_closed_form_matches_integrator_spot_checks():
         closed = evolve_closed_form(InitialAngles(theta, 0.2), _channel(q, geometry, polarization, omega=1.5))
         numeric = integrate(
             closed_form_initial(theta, 0.2),
-            GeneratorSpec(0.25 * gamma, 0.25 * gamma, omega=1.5, n_qubits=1),
+            GeneratorSpec(gamma, omega=1.5),
             -math.log1p(-q),
         )
         assert np.max(np.abs(closed - numeric)) < 1e-8
@@ -390,3 +390,12 @@ def test_dq_c_re_where_the_damping_is_subnormal(theta, q, f):
 def test_dq_c_re_where_damping_underflows(theta, q, f):
     # q' = gamma q (1 + O(q)) below the normal range
     assert dq_c_re(theta, q, f) == pytest.approx(reference.dq_c_re(theta, q, f, dps=400), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [0.3, math.pi / 2])
+def test_dq_c_re_beyond_max_float_is_a_value_error(theta):
+    # At f = -1e308 the true |dC_re/dq| is 4.3e309 (theta = 0.3) or 1.3e309.
+    assert reference.dq_c_re(theta, 5e-324, -1e308, dps=400) == math.inf
+    message = rf"^\|dC_re/dq\| at theta={re.escape(repr(theta))}, q=5e-324, f=-1e\+308 overflows a float$"
+    with pytest.raises(ValueError, match=message):
+        dq_c_re(theta, 5e-324, -1e308)

@@ -210,7 +210,7 @@ def test_channel_matches_integrator(rng, random_bd):
         tau = -math.log1p(-q)
         closed = apply_one_sided_channel(bd_density(bd), OneSidedChannel(q, omega * tau))
         numeric = integrate(
-            bd_density(bd), GeneratorSpec(0.25, 0.25, omega=omega, n_qubits=2), tau
+            bd_density(bd), GeneratorSpec(1.0, omega=omega), tau
         )
         assert np.max(np.abs(closed - numeric)) < 1e-8
 
