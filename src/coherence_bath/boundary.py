@@ -236,9 +236,8 @@ def decay_rate(f: float) -> float:
 def _in_unit_interval(values, what: str) -> np.ndarray:
     """``values`` as a finite float array (see _real_array); ValueError names the first value outside [0, 1]."""
     arr = _real_array(values, what)
-    outside = (arr < 0.0) | (arr > 1.0)
-    if outside.any():
-        raise ValueError(f"{what} must lie in [0, 1], got {arr[outside][0]}")
+    if np.count_nonzero(arr < 0.0) or np.count_nonzero(arr > 1.0):
+        raise ValueError(f"{what} must lie in [0, 1], got {arr[(arr < 0.0) | (arr > 1.0)][0]}")
     return arr
 
 

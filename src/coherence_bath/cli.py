@@ -12,7 +12,6 @@ tolerance failure.
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -257,7 +256,7 @@ def _check_increasing(blocks, axis: str, start: float, stop: float) -> None:
     linspace and geomspace repeat points over a range of a few ulps."""
     last = -math.inf
     for grid in blocks:
-        if grid[0] <= last or np.any(grid[1:] <= grid[:-1]):
+        if grid[0] <= last or np.count_nonzero(grid[1:] <= grid[:-1]):
             raise ValueError(f"{axis} grid repeats values: [{start}, {stop}] is too narrow")
         last = grid[-1]
 
@@ -270,7 +269,7 @@ def _cells(column):
     NaN or Infinity.
     """
     values = np.asarray(column, dtype=float)
-    if not np.isfinite(values).all():
+    if np.count_nonzero(np.isfinite(values)) < values.size:
         raise ValueError(f"refusing to write a non-finite value: {values[~np.isfinite(values)][0]}")
     return map(repr, values.tolist())
 
@@ -287,6 +286,12 @@ def _write_text(out: str, text: str) -> None:
         handle.write(text)
 
 
+def _json_text(value) -> str:
+    import json  # here alone, so only the commands that write JSON load it
+
+    return json.dumps(value, indent=2)
+
+
 def _write_table(spec: dict, names, blocks) -> None:
     """Write ``blocks``, each a list of equal-length text columns (see _cells),
     to spec["out"] as CSV, or as the JSON list of row objects that
@@ -296,7 +301,7 @@ def _write_table(spec: dict, names, blocks) -> None:
     if spec["format"] == "csv":
         head, sep, tail, row = ",".join(names) + "\n", "", "", ",".join(["%s"] * len(names)) + "\n"
     else:
-        fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in names)
+        fields = ",\n".join(f"    {_json_text(name)}: %s" for name in names)
         head, sep, tail, row = "[\n", ",\n", "\n]\n", "  {\n" + fields + "\n  }"
     with _output(spec["out"]) as handle:
         handle.write(head)
@@ -398,7 +403,7 @@ def cmd_freeze(spec) -> int:
     del fields["frozen"]  # written as the flag keys of the mode
     payload = {**head, "geometry": geometry_label, **flags, **fields}
     print("\n".join(lines))
-    _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")
+    _write_text(spec["out"], _json_text(payload) + "\n")
     return EXIT_OK
 
 
@@ -423,7 +428,7 @@ def cmd_validate(spec) -> int:
         fields = report._asdict()
         payload = {"n_cases": fields.pop("n_cases"), "seed": spec["seed"], **fields}
         payload["passed"] = report.passed
-        _write_text(spec["out"], json.dumps(payload, indent=2) + "\n")
+        _write_text(spec["out"], _json_text(payload) + "\n")
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
 

@@ -41,7 +41,7 @@ def as_density_matrix(m) -> np.ndarray:
     rho = rho.astype(complex, copy=False)
     if rho.ndim != 2 or rho.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"density matrix must be 2x2 or 4x4, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
+    if np.count_nonzero(np.isfinite(rho)) < rho.size:
         raise ValueError("density matrix contains NaN or Inf entries")
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian within 1e-12")
@@ -82,7 +82,7 @@ def _real_array(values, what: str) -> np.ndarray:
     ValueError naming its first entry that is not finite."""
     if (arr := np.asarray(values)).dtype.kind not in "iuf":
         raise TypeError(f"{what} must be a real number or an array of them, got {reprlib.repr(values)}")
-    if not np.isfinite(arr := arr.astype(float, copy=False)).all():
+    if np.count_nonzero(np.isfinite(arr := arr.astype(float, copy=False))) < arr.size:
         raise ValueError(f"{what} must be finite, got {arr[~np.isfinite(arr)][0]}")
     return arr
 
@@ -96,22 +96,30 @@ def entropy_bits(values):
     below the floor raise PositivityError, values above 1 - EIGENVALUE_FLOOR,
     NaN or Inf raise ValueError, and bool, text or object entries TypeError.
     Values are summed in sorted order, so equal multisets give equal bits.
+    The sort is an odd-even transposition network of np.minimum/np.maximum
+    compare-exchanges (Knuth, TAOCP 3, 5.3.4): ndarray.sort would map numpy's SIMD sort code.
     """
     vals = _real_array(values, "probabilities")
-    if np.any(vals < EIGENVALUE_FLOOR):
+    if np.count_nonzero(vals < EIGENVALUE_FLOOR):
         raise PositivityError(
             f"probability {float(vals.min()):.3e} below the {EIGENVALUE_FLOOR} floor"
         )
-    if np.any(vals > 1.0 - EIGENVALUE_FLOOR):
+    if np.count_nonzero(vals > 1.0 - EIGENVALUE_FLOOR):
         raise ValueError(f"probability {float(vals.max())!r} above 1")
     # clip makes the one working copy, changed in place from here on; the
     # caller's array, which _real_array may return as it is, is never written.
     vals = np.clip(vals, 0.0, 1.0)
-    vals.sort(axis=-1)
+    slots = np.moveaxis(vals, -1, 0)  # a view; AxisError for a 0-d input, which has no last axis
+    for rung in range(len(slots)):
+        for k in range(rung % 2, len(slots) - 1, 2):
+            low, high = slots[k, ...], slots[k + 1, ...]  # views, 0-d for a 1-D input
+            larger = np.maximum(low, high)
+            np.minimum(low, high, out=low)
+            high[...] = larger
     # Zero slots add an exact 0.0 to the running sum, as if absent.
     vals[vals <= 0.0] = 1.0
     vals *= np.log2(vals)
-    return _float_if_scalar(-vals.sum(axis=-1))
+    return _float_if_scalar(vals.sum(axis=-1) * -1.0)  # an exact sign flip, without np.negative
 
 
 def _float_if_scalar(x):

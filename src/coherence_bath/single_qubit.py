@@ -80,7 +80,7 @@ class CoherenceTrace:
             object.__setattr__(self, name, column)
         if self.q.ndim != 1 or not self.q.shape == self.c_l1.shape == self.c_re.shape:
             raise ValueError("trace columns must be 1-D and of equal length")
-        if np.any(self.q[1:] <= self.q[:-1]):  # no float difference column; q is finite here
+        if np.count_nonzero(self.q[1:] <= self.q[:-1]):  # no float difference column; q is finite here
             raise ValueError("trace q values must be strictly increasing")
 
     def __setattr__(self, name, value=None):

@@ -15,6 +15,10 @@ tuple of another type's fields.  Every real number and every entry of an array
 of real numbers is finite: NaN, inf and -inf raise ValueError before any range
 rule, as ``<label> must be finite, got <value>``, also where a value type
 arrives as a tuple of its fields.
+
+``DOMAINS`` is a second column, for the kernels whose entropy path sorts
+spectral slots: a Hypothesis strategy over each argument's declared domain,
+and the mpmath reference of tests/reference.py that the result must match.
 """
 
 import math
@@ -22,8 +26,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coherence_bath
+import reference
 from coherence_bath import (
     BellDiagonalParams,
     CoherenceTrace,
@@ -255,8 +261,49 @@ NON_FINITE_FIELD_CASES = [
 ]
 
 
+# theta in [0, pi] and q' in [0, 1], each with its ends, a subnormal and the
+# float next to 1 drawn by name, and any physical (c1, c2, c3): the
+# Bell-diagonal state of four nonnegative weights, so zero weights give the
+# rank-deficient states on the boundary, Bell states included.
+THETA = st.one_of(st.sampled_from([0.0, 5e-324, math.pi / 2, math.pi]), st.floats(0.0, math.pi))
+Q_PRIME = st.one_of(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0]), st.floats(0.0, 1.0))
+PHYSICAL_C = st.tuples(*[st.floats(0.0, 1.0)] * 4).map(lambda p: reference.bd_from_spectrum(*p, dps=40))
+DOMAIN_DPS = 40  # the reference's digits: far beyond the bound below
+# Absolute: 8000 points drawn toward the ends of each domain (q' within 1e-100
+# of 0 or 1, theta within 1e-8 of 0 or pi, spectra with subnormal and zero
+# weights) stayed below 5.0e-15 on all three rows.
+DOMAIN_BOUND = 1e-14
+
+# name -> (strategy of the arguments, reference of the result, examples).
+# Each example runs an mpmath reference; the Bell-diagonal one has four slots
+# to the single qubit's two, so its rows draw half as many.  The three rows
+# take about 1.2 s of tier-1 together (2-core host), and draw their examples
+# from a fixed seed, so a run of tier-1 does not depend on the day's draws.
+DOMAINS = {
+    "c_re_single": (st.tuples(THETA, Q_PRIME), lambda t, qp: reference.c_re_single(t, qp, dps=DOMAIN_DPS), 300),
+    "c_re_bd": (st.tuples(PHYSICAL_C, Q_PRIME), lambda c, qp: reference.c_re_bd(c, qp, dps=DOMAIN_DPS)[0], 150),
+    "c_re_bd_closed_form": (st.tuples(PHYSICAL_C, Q_PRIME),
+                            lambda c, qp: reference.c_re_bd(c, qp, dps=DOMAIN_DPS)[1], 150),
+}
+
+
 def test_every_export_has_a_row():
     assert sorted(CONTRACTS) == coherence_bath.__all__
+    assert set(DOMAINS) <= set(CONTRACTS)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_a_kernel_matches_its_reference_over_its_domain(name):
+    arguments, expected, examples = DOMAINS[name]
+    kernel = getattr(coherence_bath, name)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(arguments)
+    def matches(args):
+        value = kernel(*args)
+        assert type(value) is float and abs(value - expected(*args)) <= DOMAIN_BOUND, args
+
+    matches()
 
 
 @pytest.mark.parametrize("label, call, bad", CASES)

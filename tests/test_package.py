@@ -84,6 +84,38 @@ def test_cli_import_skips_configparser_and_fractions():
     assert _probe()[2:4] == ["False", "False"]
 
 
+# Imports the CLI, then runs each command of argv (words split on spaces) in
+# the same process with its output to the null device; prints whether json
+# was loaded after the import and after each command.
+JSON_PROBE = """
+import contextlib, io, os, sys
+from coherence_bath import cli
+loaded = ['json' in sys.modules]
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*command.split(), '--out', os.devnull]) == 0, command
+    loaded.append('json' in sys.modules)
+print(*loaded)
+"""
+
+
+def _json_loaded(*commands):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", JSON_PROBE, *commands], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
+def test_only_the_commands_that_write_json_load_it():
+    # A CSV table needs no json; loading it maps about 48 kB of its extension.
+    tables = ["single --q-count 11", "two --c1 0.3 --c2 -0.4 --c3 0.2 --q-count 11",
+              "surface --measure re --q-count 11 --u-count 3"]
+    assert _json_loaded(*tables) == ["False"] * 4
+    for command in ["single --q-count 11 --format json", "freeze --mode single", "validate --cases 2"]:
+        assert _json_loaded(command) == ["False", "True"], command
+
+
 def test_no_command_loads_dataclasses():
     # The value types are named tuples and plain classes; the module and its
     # decorations would only add start-up time and memory to every command.

@@ -155,6 +155,23 @@ def test_entropy_works_in_its_own_copy_with_the_same_bits(rng):
     assert bits == 0.0 and math.copysign(1.0, bits) == -1.0
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_entropy_sorts_every_width_to_the_bits_of_np_sort(rng, width):
+    # entropy_bits sorts the last axis with a compare-exchange network, not
+    # np.sort; on rows with ties, zeros of both signs, a subnormal, 1.0 and
+    # round-off just outside [0, 1] it sums the same order to the same bits.
+    special = [0.0, -0.0, 5e-324, 1.0, -1e-12, 1.0 + 1e-12, -5e-324]
+    values = rng.dirichlet(np.ones(width), size=600)
+    ties = rng.random(values.shape) < 0.3
+    values[ties] = np.broadcast_to(values[:, :1], values.shape)[ties]
+    slots = rng.random(values.shape) < 0.3
+    values[slots] = rng.choice(special, size=int(slots.sum()))
+    assert entropy_bits(values).tobytes() == _entropy_bits_by_where(values).tobytes()
+    stacked = values.reshape(200, 3, width)
+    assert entropy_bits(stacked).tobytes() == _entropy_bits_by_where(stacked).tobytes()
+    assert [entropy_bits(row).hex() for row in values[:40]] == [_entropy_bits_by_where(row).hex() for row in values[:40]]
+
+
 def test_entropy_invariant_under_diagonal_permutation(rng):
     probs = rng.dirichlet(np.ones(4))
     base = von_neumann_entropy(np.diag(probs).astype(complex))
