@@ -77,3 +77,25 @@ def bd_from_spectrum(p1, p2, p3, p4, *, dps):
         total = mp.fsum(weights)
         p1, p2, p3, p4 = [p / total for p in weights] if total else [mp.mpf(1) / 4] * 4
         return float((p1 - p2) + (p3 - p4)), float((p3 - p4) - (p1 - p2)), float(2 * (p1 + p2) - 1)
+
+
+def c_l1_single(theta, q_prime, *, dps):
+    """l1 coherence |sin theta| sqrt(1 - q') of the damped pure single-qubit state at damping q'."""
+    with mp.workdps(dps):
+        return float(abs(mp.sin(mp.mpf(theta))) * mp.sqrt(1 - mp.mpf(q_prime)))
+
+
+def c_l1_bd(c, q_prime, *, dps):
+    """l1 coherence sqrt(1 - q') (|c1 + c2| + |c1 - c2|) / 2 of the one-sided damped
+    Bell-diagonal state with correlation vector c at damping q'."""
+    with mp.workdps(dps):
+        c1, c2, _ = (mp.mpf(v) for v in c)
+        return float(mp.sqrt(1 - mp.mpf(q_prime)) * (abs(c1 + c2) + abs(c1 - c2)) / 2)
+
+
+def noise_to_damping(q, gamma_eff, *, dps):
+    """The damping q' = 1 - (1 - q)^gamma_eff accumulated at rate gamma_eff by the sweep
+    point q, with 0^0 = 1; as -expm1(gamma_eff log1p(-q)), so a q or a q' near 0 keeps its digits."""
+    with mp.workdps(dps):
+        q, gamma = mp.mpf(q), mp.mpf(gamma_eff)
+        return 0.0 if gamma == 0 else float(-mp.expm1(gamma * mp.log1p(-q)))

@@ -5,15 +5,14 @@ import json
 import math
 import os
 import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import coherence_bath
 import coherence_bath.cli as cli
+import footprint
 from coherence_bath.boundary import Geometry, PolarizationWeights, decay_rate, noise_to_damping, suppression_factor
 from coherence_bath.cli import BLOCK_ROWS, _FIELDS, _REQUIRED, _cells, _q_grid, _write_table, build_parser, main
 from coherence_bath.single_qubit import c_l1_single, c_re_single
@@ -849,10 +848,9 @@ def test_failure_in_a_later_block_keeps_the_blocks_before_it(tmp_path, capsys, m
 
 
 def test_reader_closing_the_pipe_mid_stream_is_io_error():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
-    argv = [sys.executable, "-m", "coherence_bath.cli", "single", "--q-count", str(100 * BLOCK_ROWS)]
+    argv = [*footprint.CLI, "single", "--q-count", str(100 * BLOCK_ROWS)]
     with subprocess.Popen(
-        argv, env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        argv, env=footprint.environment(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
     ) as child:
         assert child.stdout.readline() == "q,c_l1,c_re\n"
         child.stdout.close()  # as `| head -1` does
@@ -862,25 +860,16 @@ def test_reader_closing_the_pipe_mid_stream_is_io_error():
 
 
 def test_peak_memory_is_flat_in_grid_size(tmp_path):
-    pytest.importorskip("resource")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
-    # A fresh interpreter runs the CLI and reports the peak RSS of its one child.
-    probe = (
-        "import resource, subprocess, sys; "
-        "subprocess.run([sys.executable, '-m', 'coherence_bath.cli', *sys.argv[1:]], check=True); "
-        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
-    )
+    if not hasattr(os, "wait4"):
+        pytest.skip("os.wait4 reads a child's peak RSS")
 
-    def peak_kib(argv, count):
-        argv = [*argv, "--q-count", str(count), "--out", str(tmp_path / "out.csv")]
-        done = subprocess.run(
-            [sys.executable, "-c", probe, *argv],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-        )
-        return int(done.stdout)
+    def peak_mb(argv, count):
+        code, mb = footprint.peak([*argv, "--q-count", str(count), "--out", str(tmp_path / "out.csv")], runs=1)
+        assert code == 0, argv
+        return mb
 
     for argv in (["single"], ["surface", "--measure", "re", "--u-count", "2"]):
-        assert peak_kib(argv, 300001) - peak_kib(argv, 10001) <= 16 * 1024, argv
+        assert peak_mb(argv, 300001) - peak_mb(argv, 10001) <= 16, argv
 
 
 @pytest.mark.parametrize(
@@ -1075,10 +1064,9 @@ def test_allocation_failure_is_invalid_input():
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
     done = subprocess.run(
-        [sys.executable, "-m", "coherence_bath.cli", "surface", "--u-count", "1000000000000"],
-        env={**os.environ, "PYTHONPATH": src},
+        [*footprint.CLI, "surface", "--u-count", "1000000000000"],
+        env=footprint.environment(),
         preexec_fn=limit_address_space,
         capture_output=True,
         text=True,

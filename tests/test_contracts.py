@@ -16,13 +16,15 @@ of real numbers is finite: NaN, inf and -inf raise ValueError before any range
 rule, as ``<label> must be finite, got <value>``, also where a value type
 arrives as a tuple of its fields.
 
-``DOMAINS`` is a second column, for the kernels whose entropy path sorts
-spectral slots: a Hypothesis strategy over each argument's declared domain,
-and the mpmath reference of tests/reference.py that the result must match.
+``DOMAINS`` is a second column, for the kernels that write the tables'
+values and the damping map they take q' from: a Hypothesis strategy over
+each argument's declared domain, the mpmath reference of tests/reference.py
+that the result must match, and the bound it must match within.
 """
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -268,22 +270,43 @@ NON_FINITE_FIELD_CASES = [
 THETA = st.one_of(st.sampled_from([0.0, 5e-324, math.pi / 2, math.pi]), st.floats(0.0, math.pi))
 Q_PRIME = st.one_of(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0]), st.floats(0.0, 1.0))
 PHYSICAL_C = st.tuples(*[st.floats(0.0, 1.0)] * 4).map(lambda p: reference.bd_from_spectrum(*p, dps=40))
-DOMAIN_DPS = 40  # the reference's digits: far beyond the bound below
-# Absolute: 8000 points drawn toward the ends of each domain (q' within 1e-100
-# of 0 or 1, theta within 1e-8 of 0 or pi, spectra with subnormal and zero
-# weights) stayed below 5.0e-15 on all three rows.
-DOMAIN_BOUND = 1e-14
+# gamma_eff >= 0: frozen, a subnormal, free space and the largest float by name.
+GAMMA_EFF = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, sys.float_info.max]), st.floats(0.0, sys.float_info.max))
+DOMAIN_DPS = 40  # the reference's digits: far beyond the bounds below
+# The entropy rows are absolute: 8000 points drawn toward the ends of each
+# domain (q' within 1e-100 of 0 or 1, theta within 1e-8 of 0 or pi, spectra
+# with subnormal and zero weights) stayed below 5.0e-15 on all three.
+ENTROPY_BOUND = (0.0, 1e-14)
+# The l1 rows and the damping map are relative: 8000 points of each row's
+# strategy, and 3000 drawn toward the ends of each domain (gamma_eff also
+# below 1e-300 and above 1e300), stayed below 4.2e-16 where the reference is a
+# normal float.  Below the smallest normal the float grid is 2**-1074 apart,
+# too coarse for any relative bound: there the bound is two of its steps (one
+# seen, at c_l1_single(1.1e-308, 0.28)).
+RELATIVE_BOUND = (1e-15, 2.0**-1073)
 
-# name -> (strategy of the arguments, reference of the result, examples).
-# Each example runs an mpmath reference; the Bell-diagonal one has four slots
-# to the single qubit's two, so its rows draw half as many.  The three rows
-# take about 1.2 s of tier-1 together (2-core host), and draw their examples
-# from a fixed seed, so a run of tier-1 does not depend on the day's draws.
+# name -> (strategy of the arguments, reference of the result, (relative,
+# absolute) bound as math.isclose takes them, examples).  Each example runs
+# an mpmath reference; the Bell-diagonal entropy has four slots to the single
+# qubit's two, so its rows draw half as many, and each Bell-diagonal example
+# also maps a spectrum to c in mpmath.  The entropy rows take about 1.2 s of
+# tier-1 together and the other three about 0.4 s (2-core host); all draw
+# their examples from a fixed seed, so a run of tier-1 does not depend on the
+# day's draws.
 DOMAINS = {
-    "c_re_single": (st.tuples(THETA, Q_PRIME), lambda t, qp: reference.c_re_single(t, qp, dps=DOMAIN_DPS), 300),
-    "c_re_bd": (st.tuples(PHYSICAL_C, Q_PRIME), lambda c, qp: reference.c_re_bd(c, qp, dps=DOMAIN_DPS)[0], 150),
+    "c_re_single": (st.tuples(THETA, Q_PRIME), lambda t, qp: reference.c_re_single(t, qp, dps=DOMAIN_DPS),
+                    ENTROPY_BOUND, 300),
+    "c_re_bd": (st.tuples(PHYSICAL_C, Q_PRIME), lambda c, qp: reference.c_re_bd(c, qp, dps=DOMAIN_DPS)[0],
+                ENTROPY_BOUND, 150),
     "c_re_bd_closed_form": (st.tuples(PHYSICAL_C, Q_PRIME),
-                            lambda c, qp: reference.c_re_bd(c, qp, dps=DOMAIN_DPS)[1], 150),
+                            lambda c, qp: reference.c_re_bd(c, qp, dps=DOMAIN_DPS)[1], ENTROPY_BOUND, 150),
+    "c_l1_single": (st.tuples(THETA, Q_PRIME), lambda t, qp: reference.c_l1_single(t, qp, dps=DOMAIN_DPS),
+                    RELATIVE_BOUND, 100),
+    "c_l1_bd": (st.tuples(PHYSICAL_C, Q_PRIME), lambda c, qp: reference.c_l1_bd(c, qp, dps=DOMAIN_DPS),
+                RELATIVE_BOUND, 60),
+    # q has the domain of q'.
+    "noise_to_damping": (st.tuples(Q_PRIME, GAMMA_EFF), lambda q, g: reference.noise_to_damping(q, g, dps=DOMAIN_DPS),
+                         RELATIVE_BOUND, 100),
 }
 
 
@@ -294,14 +317,14 @@ def test_every_export_has_a_row():
 
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_a_kernel_matches_its_reference_over_its_domain(name):
-    arguments, expected, examples = DOMAINS[name]
+    arguments, expected, (relative, absolute), examples = DOMAINS[name]
     kernel = getattr(coherence_bath, name)
 
     @settings(max_examples=examples, deadline=None, derandomize=True)
     @given(arguments)
     def matches(args):
         value = kernel(*args)
-        assert type(value) is float and abs(value - expected(*args)) <= DOMAIN_BOUND, args
+        assert type(value) is float and math.isclose(value, expected(*args), rel_tol=relative, abs_tol=absolute), args
 
     matches()
 

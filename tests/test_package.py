@@ -1,7 +1,6 @@
 import ast
 import importlib
 import inspect
-import json
 import os
 import subprocess
 import sys
@@ -10,27 +9,9 @@ from pathlib import Path
 import pytest
 
 import coherence_bath
+import footprint
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(coherence_bath.__file__)))
-
-# Imports the package alone, then the CLI module; prints whether numpy was
-# loaded before the CLI, the BLAS thread setting numpy then saw, and whether
-# configparser (only --config needs it), fractions and dataclasses (unused)
-# were loaded.
-PROBE = (
-    "import os, sys, coherence_bath; before = 'numpy' in sys.modules; "
-    "import coherence_bath.cli; print(before, os.environ.get('OPENBLAS_NUM_THREADS'), "
-    "'configparser' in sys.modules, 'fractions' in sys.modules, 'dataclasses' in sys.modules)"
-)
-
-
-def _probe(**env_changes):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env.update(env_changes, PYTHONPATH=SRC)
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.split()
 
 
 def test_every_export_resolves():
@@ -71,116 +52,44 @@ def test_every_coherence_kernel_takes_a_state_and_the_damping():
         assert len(parameters) == 2 and parameters[1:] == ["q_prime"], f"{name}{parameters}"
 
 
-def test_cli_defaults_blas_to_one_thread_before_numpy_loads():
-    before, threads = _probe()[:2]
-    assert (before, threads) == ("False", "1")
+# One row per command: what a fresh interpreter that runs it must load and
+# must not load besides NEVER, and the environment it runs in.  A CSV table
+# needs no json (its extension maps about 48 kB); only --config needs
+# configparser; fractions and dataclasses are unused (the value types are
+# named tuples and plain classes); validate draws its cases from a
+# pure-Python PCG64, so nothing loads numpy.random or OpenSSL.
+NEVER = ("_hashlib", "configparser", "dataclasses", "fractions", "numpy.random", "secrets")
+LEDGER = {
+    # id: (command, environment, loads, skips); an empty command imports coherence_bath.cli alone.
+    "import": ("", {}, (), ("json",)),
+    "import-blas-4": ("", {"OPENBLAS_NUM_THREADS": "4"}, (), ("json",)),
+    "single": ("single --q-count 11", {}, (), ("json",)),
+    "two": ("two --c1 0.3 --c2 -0.4 --c3 0.2 --q-count 11", {}, (), ("json",)),
+    "surface": ("surface --measure re --q-count 11 --u-count 3", {}, (), ("json",)),
+    "single-json": ("single --q-count 11 --format json", {}, ("json",), ()),
+    "freeze-single": ("freeze --mode single", {}, ("json",), ()),
+    "freeze-two": ("freeze --mode two --c1 0.3 --c2 0.2 --c3 0.1", {}, ("json",), ()),
+    "validate": ("validate --cases 3", {}, ("json",), ()),
+}
 
 
-def test_cli_keeps_the_users_blas_threads():
-    assert _probe(OPENBLAS_NUM_THREADS="4")[1] == "4"
-
-
-def test_cli_import_skips_configparser_and_fractions():
-    assert _probe()[2:4] == ["False", "False"]
-
-
-# Imports the CLI, then runs each command of argv (words split on spaces) in
-# the same process with its output to the null device; prints whether json
-# was loaded after the import and after each command.
-JSON_PROBE = """
-import contextlib, io, os, sys
-from coherence_bath import cli
-loaded = ['json' in sys.modules]
-for command in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([*command.split(), '--out', os.devnull]) == 0, command
-    loaded.append('json' in sys.modules)
-print(*loaded)
-"""
-
-
-def _json_loaded(*commands):
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run(
-        [sys.executable, "-c", JSON_PROBE, *commands], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.split()
-
-
-def test_only_the_commands_that_write_json_load_it():
-    # A CSV table needs no json; loading it maps about 48 kB of its extension.
-    tables = ["single --q-count 11", "two --c1 0.3 --c2 -0.4 --c3 0.2 --q-count 11",
-              "surface --measure re --q-count 11 --u-count 3"]
-    assert _json_loaded(*tables) == ["False"] * 4
-    for command in ["single --q-count 11 --format json", "freeze --mode single", "validate --cases 2"]:
-        assert _json_loaded(command) == ["False", "True"], command
-
-
-def test_no_command_loads_dataclasses():
-    # The value types are named tuples and plain classes; the module and its
-    # decorations would only add start-up time and memory to every command.
-    assert _probe()[4] == "False"
-    probe = (
-        "import contextlib, io, sys; from coherence_bath import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.main(['freeze', '--mode', 'two', '--c1', '0.3', '--c2', '0.2', '--c3', '0.1']),\n"
-        "             cli.main(['single', '--q-count', '11'])]\n"
-        "print(*codes, 'dataclasses' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "0", "False"]
-
-
-# Records, for each module of the package, whether numpy was already loaded
-# when the source loader fetched the module's code; get_code runs whether the
-# bytecode is cached or compiled from source.
-COMPILE_ORDER_PROBE = """
-import importlib.machinery, json, runpy, sys
-fetched, late = [], []
-get_code = importlib.machinery.SourceFileLoader.get_code
-def recorded(self, fullname):
-    if fullname.split(".")[0] == "coherence_bath":
-        fetched.append(fullname)
-        if "numpy" in sys.modules:
-            late.append(fullname)
-    return get_code(self, fullname)
-importlib.machinery.SourceFileLoader.get_code = recorded
-if sys.argv[1:]:
-    sys.argv[0] = "coherence_bath.cli"
-    try:
-        runpy.run_module("coherence_bath.cli", run_name="__main__")
-    except SystemExit as stop:
-        assert stop.code == 0, stop.code
-else:
-    import coherence_bath.cli
-print(json.dumps([sorted(fetched), late]))
-"""
-
-
-@pytest.mark.parametrize("argv", [[], ["freeze", "--mode", "two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1"]],
-                         ids=["import", "freeze"])
-def test_the_package_compiles_before_numpy_loads(argv):
+@pytest.mark.parametrize("command, env, loads, skips", LEDGER.values(), ids=list(LEDGER))
+def test_a_command_loads_what_its_ledger_row_says(command, env, loads, skips):
+    argv = command.split()
+    report = footprint.ledger([*argv, "--out", os.devnull] if argv else [], **env)
+    assert report["exit"] == 0
+    # The package alone imports no numpy, and the CLI sets BLAS to one thread
+    # before numpy loads, unless the user set it.
+    assert not report["numpy_at_import"]
+    assert report["blas"] == [env.get("OPENBLAS_NUM_THREADS", "1")]
     # A module compiled after numpy stacks the compiler's scratch memory on
     # numpy's and raises the process's peak.
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-c", COMPILE_ORDER_PROBE, *argv], env=env, capture_output=True,
-                          text=True, check=True)
-    fetched, late = json.loads(done.stdout.splitlines()[-1])
-    assert fetched == sorted(["coherence_bath", *(f"coherence_bath.{module}" for module in LAYERS)])
-    assert late == []
-
-
-def test_validate_loads_neither_numpy_random_nor_openssl():
-    probe = (
-        "import contextlib, io, sys; from coherence_bath import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['validate', '--cases', '3'])\n"
-        "print(code, *(name in sys.modules for name in ('numpy.random', 'secrets', '_hashlib')))"
-    )
-    env = {**os.environ, "PYTHONPATH": SRC}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["0", "False", "False", "False"]
+    assert sorted(name for name, _ in report["fetched"]) == sorted(
+        ["coherence_bath", *(f"coherence_bath.{module}" for module in LAYERS)])
+    assert [name for name, after_numpy in report["fetched"] if after_numpy] == []
+    modules = set(report["modules"])
+    assert sorted(set(loads) - modules) == []
+    assert sorted(modules & {*NEVER, *skips}) == []
 
 
 def test_validate_calls_no_lapack(monkeypatch, tmp_path, capsys):
