@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 invalid input, 3 I/O failure, 4 validation
 tolerance failure.
 """
 
-import argparse
 import contextlib
 import functools
 import math
@@ -181,16 +180,12 @@ def _load_section(path: str, command: str) -> dict:
     return {key: value for key, value in shared.items() if key in fields} | own
 
 
-def resolve_spec(command: str, args: argparse.Namespace) -> dict:
+def resolve_spec(command: str, texts: dict) -> dict:
     """Merge defaults and the flag, else config-file, text of each field, converted once, into one spec."""
-    fields = _FIELDS[command]
-    config = _load_section(args.config, command) if getattr(args, "config", None) else {}
+    config = _load_section(texts["config"], command) if texts.get("config") else {}
     spec = {}
-    for name, (convert, default) in fields.items():
-        text = getattr(args, name, None)
-        if text == []:  # argparse of Python 3.11 reads --name=-- as no value
-            raise ValueError(f"--{name.replace('_', '-')} needs a value")
-        text = config.get(name) if text is None else text
+    for name, (convert, default) in _FIELDS[command].items():
+        text = texts.get(name, config.get(name))
         if text is not None:
             try:
                 spec[name] = convert(text)
@@ -205,12 +200,8 @@ def resolve_spec(command: str, args: argparse.Namespace) -> dict:
 
 def dump_spec(command: str, spec: dict, path: str) -> None:
     """Serialize a resolved spec as an INI section, floats at full precision."""
-    lines = [f"[{command}]"]
-    for name in _FIELDS[command]:
-        value = spec[name]
-        if value is None:
-            continue
-        lines.append(f"{name} = {value}")  # str of a float is its repr
+    # str of a float is its repr; a field without a value (None) is left out
+    lines = [f"[{command}]", *(f"{name} = {spec[name]}" for name in _FIELDS[command] if spec[name] is not None)]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -286,10 +277,31 @@ def _write_text(out: str, text: str) -> None:
         handle.write(text)
 
 
-def _json_text(value) -> str:
-    import json  # here alone, so only the commands that write JSON load it
+# In a str json.dumps escapes these seven by a letter, other UTF-16 units outside ' '..'~' as \uXXXX.
+_JSON_SHORT = dict(zip(map(ord, '"\\\n\r\t\b\f'), '"\\nrtbf'))
 
-    return json.dumps(value, indent=2)
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for dicts with str keys, lists, tuples, str, int, float,
+    bool and None; TypeError on anything else.  ``indent`` is the line break and indent of ``value``'s level."""
+    if isinstance(value, str):  # a code point beyond U+FFFF as its UTF-16 surrogate pair
+        units = [unit for code in map(ord, value) for unit in (
+            (code,) if code < 0x10000 else (0xD800 + ((code - 0x10000) >> 10), 0xDC00 + (code & 0x3FF)))]
+        return '"' + "".join(chr(unit) if 31 < unit < 127 and unit not in _JSON_SHORT
+                             else "\\" + _JSON_SHORT.get(unit, "u%04x" % unit) for unit in units) + '"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, (int, float)):  # a subclass such as np.float64 writes as its base
+        text = (int if isinstance(value, int) else float).__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, dict):  # str.__str__ raises TypeError on a key that is not a str
+        ends, items = "{}", [f"{_json_text(str.__str__(k))}: {_json_text(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        ends, items = "[]", [_json_text(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def _write_table(spec: dict, names, blocks) -> None:
@@ -346,9 +358,12 @@ def cmd_surface(spec) -> int:
         raise ValueError(f"u grid must satisfy u_start < u_stop, got [{u_start}, {u_stop}]")
     polarization = _PRESETS[spec["preset"]]
     q_blocks = _q_grid(spec)
-    # Near max float an inner power of geomspace overflows; its endpoints are exact.
+    # np.geomspace(u_start, u_stop, u_count) bit for bit: its log10, linspace and power, less its sign and
+    # dtype steps (128 kB more of numpy's code).  Near max float an inner power overflows; the ends are exact.
+    lo, hi = np.log10([u_start, u_stop]).tolist()
     with np.errstate(over="ignore"):
-        u_grid = np.geomspace(u_start, u_stop, spec["u_count"])
+        u_grid = np.power(10.0, np.arange(spec["u_count"], dtype=float) * ((hi - lo) / (spec["u_count"] - 1)) + lo)
+    u_grid[0], u_grid[-1] = u_start, u_stop
     _check_increasing([u_grid], "u", u_start, u_stop)
     kernel = c_l1_single if spec["measure"] == "l1" else c_re_single
     # A q axis of at most two blocks (1024 points) is kept with its cells,
@@ -426,8 +441,7 @@ def cmd_validate(spec) -> int:
     print("\n".join(lines))
     if spec["out"] != "-":
         fields = report._asdict()
-        payload = {"n_cases": fields.pop("n_cases"), "seed": spec["seed"], **fields}
-        payload["passed"] = report.passed
+        payload = {"n_cases": fields.pop("n_cases"), "seed": spec["seed"], **fields, "passed": report.passed}
         _write_text(spec["out"], _json_text(payload) + "\n")
     return EXIT_OK if report.passed else EXIT_TOLERANCE
 
@@ -443,36 +457,61 @@ _FLAG_HELP = {
     "u": "mirror distance u = omega0 z0 / c",
     "polarization": "parallel | perpendicular | isotropic | 'ax,ay,az'",
     "out": "output path ('-' for stdout)",
+    "config": "INI config file; flags override file values",
+    "dump_config": "write the fully resolved spec to this path",
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per _FIELDS table, one flag per field, plus config I/O."""
-    parser = argparse.ArgumentParser(
-        prog="coherence-bath",
-        description="Coherence dynamics of two-level atoms in the electromagnetic vacuum",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for command, fields in _FIELDS.items():
-        p = sub.add_parser(command, help=_COMMANDS[command][1])
-        for name in fields:  # resolve_spec converts the text
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FLAG_HELP.get(name))
-        p.add_argument("--config", help="INI config file; flags override file values")
-        p.add_argument("--dump-config", help="write the fully resolved spec to this path")
-    return parser
+def build_parser() -> dict:
+    """The flag table: for each command, each --flag and the field it sets, _FIELDS' and config I/O."""
+    return {command: {"--" + name.replace("_", "-"): name for name in (*fields, "config", "dump_config")}
+            for command, fields in _FIELDS.items()}
+
+
+def _parse(argv, table):
+    """The command that ``argv`` names (None for none) and the text of each flag, by field, the last
+    of a repeated flag winning; no texts where ``argv`` is empty or holds -h or --help.  A flag is
+    --name VALUE or --name=VALUE, or a unique prefix of --name longer than '--'; VALUE is never '--',
+    and on its own never starts with '--'.  ValueError on anything else."""
+    command = argv[0] if argv and argv[0] in table else None
+    if not argv or "-h" in argv or "--help" in argv:
+        return command, None
+    if command is None:
+        raise ValueError(f"unknown command {argv[0]!r}; choose from {', '.join(table)}")
+    flags, texts, words = table[command], {}, iter(argv[1:])
+    for word in words:
+        flag, equals, text = word.partition("=")
+        matches = [flag] if flag in flags else [name for name in flags if len(flag) > 2 and name.startswith(flag)]
+        if len(matches) != 1:
+            kind, found = ("ambiguous", ": " + ", ".join(matches)) if matches else ("unknown", "")
+            raise ValueError(f"{kind} flag {flag!r} for {command!r}{found}")
+        text = text if equals else next(words, "--")
+        if text == "--" or not equals and text.startswith("--"):
+            raise ValueError(f"{matches[0]} needs a value")
+        texts[flags[matches[0]]] = text
+    return command, texts
+
+
+def _help(commands, table) -> str:
+    """The usage line, then each command with its _COMMANDS line and its flags with their _FLAG_HELP text."""
+    lines = ["usage: coherence-bath {%s} [--flag VALUE | --flag=VALUE ...]  (-h or --help: help)" % ",".join(table)]
+    for command in commands:
+        lines += ["", f"{command}: {_COMMANDS[command][1]}", *(
+            f"  {flag:<16}{_FLAG_HELP.get(name, '')}".rstrip() for flag, name in table[command].items())]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_INVALID
+    argv, table = sys.argv[1:] if argv is None else list(argv), build_parser()
     try:
-        spec = resolve_spec(args.command, args)
-        code = _COMMANDS[args.command][0](spec)
-        if args.dump_config:
-            dump_spec(args.command, spec, args.dump_config)
+        command, texts = _parse(argv, table)
+        if texts is None:  # help, asked for or for want of a command
+            print(_help([command] if command else table, table))
+            return EXIT_OK if argv else EXIT_INVALID
+        spec = resolve_spec(command, texts)
+        code = _COMMANDS[command][0](spec)
+        if texts.get("dump_config"):
+            dump_spec(command, spec, texts["dump_config"])
         return code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

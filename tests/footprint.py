@@ -75,15 +75,15 @@ def ledger(argv, **changes):
     return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
-def peak(argv, runs):
+def peak(argv, runs, program=CLI):
     """The largest exit code and the median peak RSS in MB (ru_maxrss / 1024) of ``runs`` runs of
-    ``python -m coherence_bath.cli *argv``; os.wait4 reads each child on its own.  The exit code is
-    the largest in magnitude, so a run killed by a signal (a negative code) is not hidden by one
-    that exits 0.  One run's peak varies by up to 0.3 MB, so a bound that fine needs the median
-    of several."""
+    ``*program, *argv``, by default ``python -m coherence_bath.cli *argv``; os.wait4 reads each
+    child on its own.  The exit code is the largest in magnitude, so a run killed by a signal (a
+    negative code) is not hidden by one that exits 0.  One run's peak varies by up to 0.3 MB, so a
+    bound that fine needs the median of several."""
     codes, peaks = [], []
     for _ in range(runs):
-        child = subprocess.Popen([*CLI, *argv], env=environment(), stdout=subprocess.DEVNULL)
+        child = subprocess.Popen([*program, *argv], env=environment(), stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
         codes.append(child.returncode)
@@ -94,13 +94,16 @@ def peak(argv, runs):
 def compare_peaks(rows):
     """Check each row (label, command, baseline, bound in MB, runs): both commands, words split on
     spaces and output to the null device, exit 0, and the command peaks at most the bound above the
-    baseline.  A command that several rows name is measured once.  Prints each gap; returns the
-    labels of the rows that fail and the (exit code, peak) of each command, by (command, runs)."""
+    baseline.  A command given as a tuple is the arguments of ``python`` itself, such as
+    ``("-c", "import numpy")``.  A command that several rows name is measured once.  Prints each
+    gap; returns the labels of the rows that fail and the (exit code, peak) of each command, by
+    (command, runs)."""
     peaks, failed = {}, []
     for label, command, baseline, bound, runs in rows:
         for argv in (command, baseline):
             if (argv, runs) not in peaks:
-                peaks[argv, runs] = peak([*argv.split(), "--out", os.devnull], runs)
+                peaks[argv, runs] = (peak(argv, runs, [sys.executable]) if isinstance(argv, tuple)
+                                     else peak([*argv.split(), "--out", os.devnull], runs))
         (code, peak_mb), (base_code, base_mb) = peaks[command, runs], peaks[baseline, runs]
         print(f"{label}: {command} peaks {peak_mb - base_mb:+.2f} MB above {baseline} "
               f"({peak_mb:.2f} against {base_mb:.2f} MB; exit {code} and {base_code}; bound {bound} MB)")

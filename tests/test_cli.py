@@ -1,10 +1,10 @@
-import argparse
 import contextlib
 import io
 import json
 import math
 import os
 import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -542,19 +542,94 @@ def test_value_the_field_never_accepts_is_rejected_where_unused(tmp_path, argv, 
 @pytest.mark.parametrize(
     "argv", [["single", "--theta=--"], ["single", "--out=--"], ["validate", "--cases=--"], ["surface", "--preset=--"]]
 )
-def test_double_dash_value_is_invalid_input(capsys, argv):
-    # argparse of Python 3.11 passes --name=-- on as an empty list; later
-    # versions may reject the value themselves.
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
+def test_double_dash_value_is_invalid_input(argv):
+    # '--' is never a value, after '=' or on its own
+    assert _run_main(argv) == (2, "", f"error: {argv[1].split('=')[0]} needs a value\n")
 
 
-def test_no_command_prints_help(capsys):
-    assert main([]) == 2
+def test_no_command_prints_help():
+    assert _run_main([]) == (2, _run_main(["--help"])[1], "")
+
+
+def _spec(argv):
+    """The spec that main resolves from ``argv``."""
+    command, texts = cli._parse(argv, build_parser())
+    return command, cli.resolve_spec(command, texts)
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["single", "--q-count", "5", "--theta", "1"], ["single", "--q-count=5", "--theta=1"]),
+        (["single", "--q-c", "5", "--pol=isotropic"], ["single", "--q-count", "5", "--polarization", "isotropic"]),
+        (["two", "--c1", "-0.4", "--c2", "-1e-3", "--c3", "-.5"], ["two", "--c1=-0.4", "--c2=-1e-3", "--c3=-.5"]),
+        (["single", "--theta", "1", "--q-count", "7", "--theta", "0.5"], ["single", "--q-count=7", "--theta=0.5"]),
+        (["surface", "--u-sta", "0.5", "--u-sto=2"], ["surface", "--u-start", "0.5", "--u-stop", "2"]),
+        (["single", "--out", "-", "--format=json"], ["single", "--format", "json"]),
+    ],
+    ids=["equals", "prefix", "negative", "last-wins", "prefixes", "dash-out"],
+)
+def test_flag_spellings_give_the_same_spec(argv, same):
+    assert _spec(argv) == _spec(same)
+
+
+def test_a_value_that_starts_with_two_dashes_needs_equals():
+    line = "error: format: expected one of ['csv', 'json'], got '--csv'\n"
+    assert _run_main(["single", "--format=--csv"]) == (2, "", line)
+    assert _run_main(["single", "--format", "--csv"]) == (2, "", "error: --format needs a value\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["nope"], "unknown command 'nope'; choose from single, two, surface, freeze, validate"),
+        (["Single"], "unknown command 'Single'; choose from single, two, surface, freeze, validate"),
+        (["single", "--nope", "1"], "unknown flag '--nope' for 'single'"),
+        (["single", "--u-start", "1"], "unknown flag '--u-start' for 'single'"),
+        (["single", "0.5"], "unknown flag '0.5' for 'single'"),
+        (["single", "-t", "0.5"], "unknown flag '-t' for 'single'"),
+        (["single", "--"], "unknown flag '--' for 'single'"),
+        (["single", "--=1"], "unknown flag '--' for 'single'"),
+        (["surface", "--u", "1"], "ambiguous flag '--u' for 'surface': --u-start, --u-stop, --u-count"),
+        (["two", "--c", "1"], "ambiguous flag '--c' for 'two': --c1, --c2, --c3, --config"),
+        (["single", "--theta"], "--theta needs a value"),
+        (["single", "--q-c"], "--q-count needs a value"),
+        (["single", "--theta", "--phi", "0"], "--theta needs a value"),
+        (["single", "--theta", "--", "0"], "--theta needs a value"),
+    ],
+)
+def test_unreadable_arguments_are_one_error_line(tmp_path, argv, line):
+    out = tmp_path / "out.csv"
+    assert _run_main([*argv, f"--out={out}"]) == (2, "", f"error: {line}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["single", "-h"], ["surface", "--u-count", "3", "--help"],
+                                  ["two", "--help", "--nope"], ["validate", "--cases", "--help"], ["nope", "-h"]])
+def test_help_exits_zero_and_runs_nothing(argv):
+    code, out, err = _run_main(argv)
+    assert (code, err) == (0, "") and out.startswith("usage: coherence-bath {single,two,surface,freeze,validate} ")
+
+
+def test_help_lists_every_command_and_every_flag():
+    # The help of a command is its _COMMANDS line and one line per flag, with
+    # its _FLAG_HELP text; the help without a command is every command's.
+    usage, *blocks = _run_main(["--help"])[1].removesuffix("\n").split("\n\n")
+    assert len(blocks) == len(_FIELDS)
+    for block, (command, fields) in zip(blocks, _FIELDS.items()):
+        assert _run_main([command, "--help"]) == (0, f"{usage}\n\n{block}\n", "")
+        head, *lines = block.split("\n")
+        assert head == f"{command}: {cli._COMMANDS[command][1]}"
+        names = [*fields, "config", "dump_config"]
+        assert [line.split()[0] for line in lines] == ["--" + name.replace("_", "-") for name in names]
+        for line, name in zip(lines, names):
+            assert line.split(None, 1)[1:] == ([cli._FLAG_HELP[name]] if name in cli._FLAG_HELP else [])
+
+
+def test_main_reads_sys_argv_without_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["coherence-bath", "freeze", "--mode", "single"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("mode: single")
 
 
 def _csv_text(header, rows):
@@ -592,6 +667,70 @@ def test_render_matches_repr_rows_and_json_dumps(table):
     header, rows, per_block = table
     assert _written("csv", header, rows, per_block) == _csv_text(header, rows)
     assert _written("json", header, rows, per_block) == _json_text(header, rows)
+
+
+# Full Unicode, lone surrogates included, and the characters that json.dumps
+# escapes by a letter, as \uXXXX (controls, DEL) or as a surrogate pair.
+_JSON_SPECIAL = '"\\/\x00\x08\x0c\n\r\t\x1f\x7f\x80\u2028\ud800\udfff\U0001f600\U0010ffff'
+_JSON_STRINGS = st.text(st.one_of(st.characters(blacklist_categories=()), st.sampled_from(_JSON_SPECIAL)))
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**1000), 10**1000),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf, 1e16, 1e-7, 0.1]),
+    _JSON_STRINGS,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example([[], (), {}, {"": []}])
+@example("\x7f\ud83d\ude00\U0001f600\ud800")
+def test_json_text_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["freeze", "--mode", "single"],
+        ["freeze", "--mode", "single", "--geometry", "mirror", "--u", "1e-7", "--theta", "0.3"],
+        ["freeze", "--mode", "two", "--c1", "0.3", "--c2", "0.2", "--c3", "0.1"],
+        ["freeze", "--mode", "two", "--c1", "1", "--c2", "-1", "--c3", "1", "--geometry", "mirror", "--u", "1e-7"],
+        ["validate", "--seed", "1", "--cases", "4"],
+    ],
+    ids=["freeze-single", "freeze-single-frozen", "freeze-two", "freeze-two-frozen", "validate"],
+)
+def test_freeze_and_validate_payloads_are_json_dumps(monkeypatch, tmp_path, capsys, argv):
+    # The payload objects as the commands build them, whatever the types of their values.
+    payloads, json_text = [], cli._json_text
+
+    def recorded(value, *indent):
+        payloads.append(value)
+        return json_text(value, *indent)
+
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    out = tmp_path / "payload.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    payload = payloads[0]  # the outermost call comes first
+    assert isinstance(payload, dict) and out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {(): 0}, {1}, b"", np.int64(1), np.bool_(True), object()], ids=repr)
+def test_json_text_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -678,6 +817,34 @@ def test_surface_with_repeated_u_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: u grid repeats values: [1.0, 1.0000000000000002] is too narrow\n"
     assert not out.exists()
+
+
+_POSITIVE = st.floats(5e-324, 1.7976931348623157e308)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ends=st.one_of(st.tuples(_POSITIVE, _POSITIVE).map(sorted),
+                      st.floats(5e-324, 1e308).map(lambda u: (u, float(np.nextafter(u, np.inf))))),
+       count=st.integers(2, 40))
+@example(ends=(1e-2, 10.0), count=80)
+@example(ends=(5e-324, 1.7976931348623157e308), count=40)
+@example(ends=(1e300, 1.7976931348623157e308), count=9)
+@example(ends=(1.0, 1.0000000000000002), count=2)
+def test_surface_u_axis_is_geomspace(ends, count):
+    # The u column is np.geomspace(u_start, u_stop, u_count), bit for bit, or
+    # the command exits 2 where that grid repeats a value.
+    start, stop = ends
+    with np.errstate(over="ignore"):
+        grid = np.geomspace(start, stop, count).tolist()
+    argv = ["surface", f"--u-start={start!r}", f"--u-stop={stop!r}", f"--u-count={count}", "--q-count=2"]
+    code, out, err = _run_main(argv)
+    if start == stop:
+        assert (code, out) == (2, "") and err.startswith("error: u grid must satisfy u_start < u_stop")
+    elif any(b <= a for a, b in zip(grid, grid[1:])):
+        assert (code, out, err) == (2, "", f"error: u grid repeats values: [{start}, {stop}] is too narrow\n")
+    else:
+        assert (code, err) == (0, "")
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == [repr(u) for u in grid for _q in (0, 1)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -929,13 +1096,12 @@ def test_config_without_the_command_section_rejected(tmp_path, capsys):
 
 
 def test_parser_flags_mirror_field_tables():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(_FIELDS)
-    for command, parser in sub.choices.items():
-        options = [a for a in parser._actions if a.option_strings and a.dest != "help"]
-        assert {a.dest for a in options} == set(_FIELDS[command]) | {"config", "dump_config"}
-        for action in options:
-            assert action.option_strings == ["--" + action.dest.replace("_", "-")]
+    table = build_parser()
+    assert set(table) == set(_FIELDS)
+    for command, flags in table.items():
+        assert set(flags.values()) == set(_FIELDS[command]) | {"config", "dump_config"}
+        for flag, name in flags.items():
+            assert flag == "--" + name.replace("_", "-")
 
 
 @pytest.mark.parametrize("command", [["single"], ["freeze", "--mode", "single"]])
@@ -1127,7 +1293,7 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, command, data):
     spoilable = sorted(set(values) - {"out"})
     if spoilable and data.draw(st.booleans()):
         values[data.draw(st.sampled_from(spoilable))] = data.draw(_FUZZ_BAD)
-    # --flag=value keeps argparse from reading a value such as -inf as a flag.
+    # --flag=value lets a value start with '--'.
     dumped = tmp_path / "resolved.ini"
     argv = [command, *(f"--{name.replace('_', '-')}={text}" for name, text in values.items())]
     result = _run_main(argv + [f"--dump-config={dumped}"])
@@ -1144,13 +1310,9 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path, command, data):
 
 
 def _run_main(argv) -> tuple[int, str, str]:
-    """main(argv)'s exit code, stdout and stderr, with every warning an error."""
+    """main(argv)'s exit code, stdout and stderr, with every warning an error; main returns, never exits."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the flag syntax
-            code = exc.code
-            assert code == 2, argv
+        code = main(argv)
     return code, stdout.getvalue(), stderr.getvalue()

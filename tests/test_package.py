@@ -53,23 +53,25 @@ def test_every_coherence_kernel_takes_a_state_and_the_damping():
 
 
 # One row per command: what a fresh interpreter that runs it must load and
-# must not load besides NEVER, and the environment it runs in.  A CSV table
-# needs no json (its extension maps about 48 kB); only --config needs
-# configparser; fractions and dataclasses are unused (the value types are
-# named tuples and plain classes); validate draws its cases from a
-# pure-Python PCG64, so nothing loads numpy.random or OpenSSL.
-NEVER = ("_hashlib", "configparser", "dataclasses", "fractions", "numpy.random", "secrets")
+# must not load besides NEVER, and the environment it runs in.  The CLI reads
+# its flags and writes its JSON itself, so no command loads argparse (with
+# gettext, about 0.4 MB of peak) or json; only --config needs configparser;
+# fractions and dataclasses are unused (the value types are named tuples and
+# plain classes); validate draws its cases from a pure-Python PCG64, so
+# nothing loads numpy.random or OpenSSL.
+NEVER = ("_hashlib", "argparse", "configparser", "dataclasses", "fractions", "gettext", "json", "numpy.random",
+         "secrets")
 LEDGER = {
     # id: (command, environment, loads, skips); an empty command imports coherence_bath.cli alone.
-    "import": ("", {}, (), ("json",)),
-    "import-blas-4": ("", {"OPENBLAS_NUM_THREADS": "4"}, (), ("json",)),
-    "single": ("single --q-count 11", {}, (), ("json",)),
-    "two": ("two --c1 0.3 --c2 -0.4 --c3 0.2 --q-count 11", {}, (), ("json",)),
-    "surface": ("surface --measure re --q-count 11 --u-count 3", {}, (), ("json",)),
-    "single-json": ("single --q-count 11 --format json", {}, ("json",), ()),
-    "freeze-single": ("freeze --mode single", {}, ("json",), ()),
-    "freeze-two": ("freeze --mode two --c1 0.3 --c2 0.2 --c3 0.1", {}, ("json",), ()),
-    "validate": ("validate --cases 3", {}, ("json",), ()),
+    "import": ("", {}, (), ()),
+    "import-blas-4": ("", {"OPENBLAS_NUM_THREADS": "4"}, (), ()),
+    "single": ("single --q-count 11", {}, (), ()),
+    "two": ("two --c1 0.3 --c2 -0.4 --c3 0.2 --q-count 11", {}, (), ()),
+    "surface": ("surface --measure re --q-count 11 --u-count 3", {}, (), ()),
+    "single-json": ("single --q-count 11 --format json", {}, (), ()),
+    "freeze-single": ("freeze --mode single", {}, (), ()),
+    "freeze-two": ("freeze --mode two --c1 0.3 --c2 0.2 --c3 0.1", {}, (), ()),
+    "validate": ("validate --cases 3", {}, (), ()),
 }
 
 
